@@ -68,13 +68,8 @@ public:
                    Name.c_str(), Diff.c_str());
       std::abort();
     }
-    // The vectorized program re-renders setup + kernel; split the kernel
-    // off by re-vectorizing the kernel alone in a setup-aware way is
-    // fragile, so instead prepare two full programs and time kernels by
-    // subtracting prepared workspaces (see below). Simpler: vectorize the
-    // kernel against an annotated setup by keeping the annotations in the
-    // setup text — the vectorized full program is re-split by running
-    // setup first and the whole programs for "whole" timings.
+    // Reparse the vectorized setup + kernel program; its kernel is the
+    // statement tail that starts at KernelStart below.
     DiagnosticEngine D2;
     VectorizedFull = parseMatlab(VectorizedSource, D2);
     if (D2.hasErrors()) {

@@ -332,7 +332,7 @@ const BuiltinRegistry &registry() {
           return Value();
         }
       }
-      return repmat(Args[0], R, C);
+      return repmat(Args[0], R, C, &Interp.pool());
     };
 
     T["sum"] = [](Interpreter &Interp, const ArgList &Args,
@@ -480,7 +480,7 @@ const BuiltinRegistry &registry() {
                         SourceLoc Loc) -> Value {
       if (!requireArgs(Interp, Args, 1, 1, "transpose", Loc))
         return Value();
-      return Args[0].transposed();
+      return transpose(Args[0], &Interp.pool());
     };
 
     T["mean"] = [](Interpreter &Interp, const ArgList &Args,

@@ -9,6 +9,7 @@
 #include "frontend/ASTUtils.h"
 #include "interp/Builtins.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace mvec;
@@ -467,7 +468,7 @@ Value Interpreter::evalImpl(const Expr &E) {
     const Value &Operand = evalOperand(*cast<TransposeExpr>(E).operand(), Tmp);
     if (Failed)
       return Value();
-    Value Result = Operand.transposed();
+    Value Result = transpose(Operand, &Pool);
     Pool.recycle(std::move(Tmp));
     return Result;
   }
@@ -599,8 +600,8 @@ Value Interpreter::evalBinary(const BinaryExpr &E) {
       return evalFusedMulAdd(E, *R, /*ProductOnLeft=*/false);
   }
 
-  // A * B': multiply against packed-transposed data without materializing
-  // the transpose as a value.
+  // A * B' and A' * B: multiply without materializing the transpose as a
+  // value. A transposed right operand takes precedence.
   if (E.op() == BinaryOp::Mul) {
     if (const auto *T = dyn_cast<TransposeExpr>(E.rhs())) {
       Value LT, BTmp;
@@ -611,6 +612,17 @@ Value Interpreter::evalBinary(const BinaryExpr &E) {
       Value Result = applyMulTransB(LOp, BOp, E.loc());
       Pool.recycle(std::move(LT));
       Pool.recycle(std::move(BTmp));
+      return Result;
+    }
+    if (const auto *T = dyn_cast<TransposeExpr>(E.lhs())) {
+      Value ATmp, RT;
+      const Value &AOp = evalOperand(*T->operand(), ATmp);
+      const Value &ROp = evalOperand(*E.rhs(), RT);
+      if (Failed)
+        return Value();
+      Value Result = applyMulTransA(AOp, ROp, E.loc());
+      Pool.recycle(std::move(ATmp));
+      Pool.recycle(std::move(RT));
       return Result;
     }
   }
@@ -634,9 +646,24 @@ Value Interpreter::applyMulTransB(const Value &LHS, const Value &B,
       fail(Loc, Err.Message);
     return Result;
   }
-  Value RT = B.transposed();
+  Value RT = transpose(B, &Pool);
   Value Result = applyBinary(BinaryOp::Mul, LHS, RT, Loc);
   Pool.recycle(std::move(RT));
+  return Result;
+}
+
+Value Interpreter::applyMulTransA(const Value &A, const Value &RHS,
+                                  SourceLoc Loc) {
+  if (!A.isScalar() && !RHS.isScalar() && A.rows() == RHS.rows()) {
+    OpError Err;
+    Value Result = matMulTransA(A, RHS, Err, &Pool);
+    if (Err.failed())
+      fail(Loc, Err.Message);
+    return Result;
+  }
+  Value AT = transpose(A, &Pool);
+  Value Result = applyBinary(BinaryOp::Mul, AT, RHS, Loc);
+  Pool.recycle(std::move(AT));
   return Result;
 }
 
@@ -757,6 +784,42 @@ Value Interpreter::evalSubscript(const Expr &Arg, size_t Extent) {
   return eval(*Rewritten);
 }
 
+namespace {
+
+/// True when \p Idx holds exactly 1, 2, ..., \p Extent in order: every
+/// row or every column. (As a mask those values select everything too.)
+bool coversExtent(const Value &Idx, size_t Extent) {
+  if (Idx.numel() != Extent)
+    return false;
+  const double *D = Idx.raw();
+  for (size_t I = 0; I != Extent; ++I)
+    if (D[I] != static_cast<double>(I + 1))
+      return false;
+  return true;
+}
+
+/// True when \p Idx is a plain subscript of at least two elements forming
+/// the ascending run First+1, First+2, ... inside \p Extent; sets \p First
+/// (0-based). Scalars and masks are rejected in O(1), so they keep the
+/// general path.
+bool contiguousRun(const Value &Idx, size_t Extent, size_t &First) {
+  size_t N = Idx.numel();
+  if (N < 2 || Idx.isLogical())
+    return false;
+  const double *D = Idx.raw();
+  double Start = D[0];
+  if (!(Start >= 1.0) || Start != std::floor(Start) ||
+      Start + static_cast<double>(N - 1) > static_cast<double>(Extent))
+    return false;
+  for (size_t I = 1; I != N; ++I)
+    if (D[I] != Start + static_cast<double>(I))
+      return false;
+  First = static_cast<size_t>(Start) - 1;
+  return true;
+}
+
+} // namespace
+
 bool Interpreter::toIndices(const Value &Idx, size_t Extent,
                             std::vector<size_t> &Out, SourceLoc Loc) {
   Out.clear();
@@ -776,24 +839,33 @@ bool Interpreter::toIndices(const Value &Idx, size_t Extent,
   }
   Out.reserve(Idx.numel());
   const double *Data = Idx.raw();
+  double Limit = indexLimit(Extent);
   for (size_t I = 0, E = Idx.numel(); I != E; ++I) {
-    double D = Data[I];
-    // The finiteness check matters: floor(Inf) == Inf passes the
-    // integer test, and casting Inf to size_t is undefined behavior
-    // that turns into an out-of-bounds read.
-    if (!std::isfinite(D) || D < 1.0 || D != std::floor(D)) {
-      fail(Loc, "subscript indices must be positive integers");
+    size_t Index;
+    if (!toIndex(Data[I], Extent, Limit, Index, Loc))
       return false;
-    }
-    auto Index = static_cast<size_t>(D);
-    if (Index > Extent) {
-      fail(Loc, "index " + std::to_string(Index) +
-                    " exceeds matrix dimension (" + std::to_string(Extent) +
-                    ")");
-      return false;
-    }
-    Out.push_back(Index - 1);
+    Out.push_back(Index);
   }
+  return true;
+}
+
+bool Interpreter::toIndexSlow(double D, size_t Extent, size_t &Index,
+                              SourceLoc Loc) {
+  // The finiteness check matters: floor(Inf) == Inf passes the integer
+  // test, and casting Inf to size_t is undefined behavior that turns into
+  // an out-of-bounds read.
+  if (!std::isfinite(D) || D < 1.0 || D != std::floor(D)) {
+    fail(Loc, "subscript indices must be positive integers");
+    return false;
+  }
+  Index = static_cast<size_t>(D);
+  if (Index > Extent) {
+    fail(Loc, "index " + std::to_string(Index) +
+                  " exceeds matrix dimension (" + std::to_string(Extent) +
+                  ")");
+    return false;
+  }
+  --Index;
   return true;
 }
 
@@ -806,49 +878,93 @@ Value Interpreter::indexReadAll(const Value &Base) {
 
 Value Interpreter::indexRead1(const Value &Base, const Value &Idx,
                               SourceLoc Loc) {
-  std::vector<size_t> &Indices = IdxScratchA;
-  if (!toIndices(Idx, Base.numel(), Indices, Loc))
-    return Value();
-  // Result shape: like the index, except that vector(A)(vector idx)
-  // follows A's orientation; mask selection yields a column unless the
-  // base is a row.
-  size_t R = Idx.rows(), C = Idx.cols();
-  if (Idx.isLogical()) {
-    if (Base.isRow()) {
-      R = 1;
-      C = Indices.size();
-    } else {
-      R = Indices.size();
-      C = Indices.empty() ? 0 : 1;
-    }
-  } else if (Base.isVector() && Idx.isVector()) {
-    if (Base.isRow()) {
-      R = 1;
-      C = Indices.size();
-    } else {
-      R = Indices.size();
-      C = 1;
-    }
-  }
-  Value Result(R, C);
   const double *BaseD = Base.raw();
-  double *ResultD = Result.mutableRaw();
-  for (size_t I = 0; I != Indices.size(); ++I)
-    ResultD[I] = BaseD[Indices[I]];
+  if (Idx.isLogical()) {
+    // Mask selection yields a column unless the base is a row.
+    std::vector<size_t> &Indices = IdxScratchA;
+    if (!toIndices(Idx, Base.numel(), Indices, Loc))
+      return Value();
+    Value Result = Base.isRow() ? Value(1, Indices.size())
+                                : Value(Indices.size(), Indices.empty() ? 0 : 1);
+    double *ResultD = Result.mutableRaw();
+    for (size_t I = 0; I != Indices.size(); ++I)
+      ResultD[I] = BaseD[Indices[I]];
+    Result.setLogical(Base.isLogical());
+    return Result;
+  }
+  // Result shape: like the index, except that vector(A)(vector idx)
+  // follows A's orientation.
+  size_t N = Idx.numel();
+  size_t R = Idx.rows(), C = Idx.cols();
+  if (Base.isVector() && Idx.isVector()) {
+    R = Base.isRow() ? 1 : N;
+    C = Base.isRow() ? N : 1;
+  }
+  // Validate and gather in one pass, with toIndices' checks and messages.
+  // The destination is charged only once every index proved valid, as a
+  // validate-then-allocate order would, so a bad subscript reports its own
+  // error whatever the budget.
+  std::shared_ptr<PayloadBuffer> Buf;
+  double Single = 0.0;
+  double *Out = &Single;
+  if (N > 1) {
+    Buf = Pool.acquireUncharged(N);
+    Out = Buf->data();
+  }
+  const double *IdxD = Idx.raw();
+  size_t Extent = Base.numel();
+  double Limit = indexLimit(Extent);
+  for (size_t I = 0; I != N; ++I) {
+    size_t Index;
+    if (!toIndex(IdxD[I], Extent, Limit, Index, Loc)) {
+      Pool.recycleBuffer(std::move(Buf));
+      return Value();
+    }
+    Out[I] = BaseD[Index];
+  }
+  Value Result;
+  if (Buf) {
+    chargeMemory(N * sizeof(double));
+    Result = Value::adoptBuffer(std::move(Buf), R, C);
+  } else {
+    Result = Value(R, C, Single);
+  }
   Result.setLogical(Base.isLogical());
   return Result;
 }
 
 Value Interpreter::indexRead2(const Value &Base, const Value &RowIdx,
                               const Value &ColIdx, SourceLoc Loc) {
+  size_t BaseRows = Base.rows();
+  // Every row and every column in order selects Base itself: share the
+  // payload. The charge is the copy's, so governor verdicts do not depend
+  // on the sharing.
+  if (coversExtent(RowIdx, BaseRows) && coversExtent(ColIdx, Base.cols())) {
+    if (Base.numel() > 1)
+      chargeMemory(Base.numel() * sizeof(double));
+    return Base;
+  }
   std::vector<size_t> &RI = IdxScratchA, &CI = IdxScratchB;
-  if (!toIndices(RowIdx, Base.rows(), RI, Loc) ||
+  size_t First;
+  if (contiguousRun(RowIdx, BaseRows, First)) {
+    // A contiguous row run copies one column run per selected column.
+    if (!toIndices(ColIdx, Base.cols(), CI, Loc))
+      return Value();
+    size_t N = RowIdx.numel();
+    Value Result = Pool.dest(N, CI.size());
+    const double *Src = Base.raw() + First;
+    double *Dst = Result.mutableRaw();
+    for (size_t C = 0; C != CI.size(); ++C)
+      std::copy_n(Src + CI[C] * BaseRows, N, Dst + C * N);
+    Result.setLogical(Base.isLogical());
+    return Result;
+  }
+  if (!toIndices(RowIdx, BaseRows, RI, Loc) ||
       !toIndices(ColIdx, Base.cols(), CI, Loc))
     return Value();
   Value Result(RI.size(), CI.size());
   const double *BaseD = Base.raw();
   double *ResultD = Result.mutableRaw();
-  size_t BaseRows = Base.rows();
   for (size_t C = 0; C != CI.size(); ++C)
     for (size_t R = 0; R != RI.size(); ++R)
       ResultD[C * RI.size() + R] = BaseD[CI[C] * BaseRows + RI[R]];
@@ -971,7 +1087,30 @@ void Interpreter::indexWrite2(Value &Target, const Value &RowIdx,
                   static_cast<size_t>(std::fmax(
                       MaxCol, static_cast<double>(Target.cols()))));
   std::vector<size_t> &RI = IdxScratchA, &CI = IdxScratchB;
-  if (!toIndices(RowIdx, Target.rows(), RI, Loc) ||
+  size_t TargetRows = Target.rows();
+  size_t First;
+  if (contiguousRun(RowIdx, TargetRows, First)) {
+    // A contiguous row run writes one column run per selected column.
+    if (!toIndices(ColIdx, Target.cols(), CI, Loc))
+      return;
+    size_t N = RowIdx.numel();
+    if (!RHS.isScalar() && RHS.numel() != N * CI.size()) {
+      fail(Loc, "indexed assignment size mismatch");
+      return;
+    }
+    double *Dst = Target.mutableRaw() + First;
+    if (RHS.isScalar()) {
+      double Fill = RHS.scalarValue();
+      for (size_t C = 0; C != CI.size(); ++C)
+        std::fill_n(Dst + CI[C] * TargetRows, N, Fill);
+    } else {
+      const double *Src = RHS.raw();
+      for (size_t C = 0; C != CI.size(); ++C)
+        std::copy_n(Src + C * N, N, Dst + CI[C] * TargetRows);
+    }
+    return;
+  }
+  if (!toIndices(RowIdx, TargetRows, RI, Loc) ||
       !toIndices(ColIdx, Target.cols(), CI, Loc))
     return;
   if (!RHS.isScalar() && RHS.numel() != RI.size() * CI.size()) {
@@ -979,7 +1118,6 @@ void Interpreter::indexWrite2(Value &Target, const Value &RowIdx,
     return;
   }
   double *TD = Target.mutableRaw();
-  size_t TargetRows = Target.rows();
   size_t Flat = 0;
   for (size_t C = 0; C != CI.size(); ++C)
     for (size_t R = 0; R != RI.size(); ++R) {

@@ -31,6 +31,7 @@
 #include "interp/Workspace.h"
 #include "resilience/FaultInjection.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -229,6 +230,9 @@ public:
   /// L * B' through the packed-transpose kernel when shapes allow,
   /// materialized transpose + applyBinary otherwise.
   Value applyMulTransB(const Value &LHS, const Value &B, SourceLoc Loc);
+  /// A' * R through the transpose-free kernel when shapes allow,
+  /// materialized transpose + applyBinary otherwise.
+  Value applyMulTransA(const Value &A, const Value &RHS, SourceLoc Loc);
   /// Range construction with the scalar-endpoint check.
   Value makeRangeChecked(const Value &Start, const Value &Step,
                          const Value &Stop, SourceLoc Loc);
@@ -377,6 +381,27 @@ private:
   /// (growing writes pass Extent = SIZE_MAX to skip the upper check).
   bool toIndices(const Value &Idx, size_t Extent, std::vector<size_t> &Out,
                  SourceLoc Loc);
+
+  /// The bound below which toIndex's fast check may cast a subscript:
+  /// \p Extent, capped where doubles stop being exact integers.
+  static double indexLimit(size_t Extent) {
+    return std::min(static_cast<double>(Extent), 9007199254740992.0);
+  }
+  /// Converts one subscript value to a validated 0-based index, failing
+  /// with toIndices' exact messages. The common in-range integer costs two
+  /// compares and a cast; everything else takes the full check.
+  bool toIndex(double D, size_t Extent, double Limit, size_t &Index,
+               SourceLoc Loc) {
+    if (D >= 1.0 && D <= Limit) {
+      Index = static_cast<size_t>(D);
+      if (static_cast<double>(Index) == D) {
+        --Index;
+        return true;
+      }
+    }
+    return toIndexSlow(D, Extent, Index, Loc);
+  }
+  bool toIndexSlow(double D, size_t Extent, size_t &Index, SourceLoc Loc);
 
   Value readIndexed(const Value &Base, const IndexExpr &E);
   void writeIndexed(Value &Target, const IndexExpr &LHS, const Value &RHS);

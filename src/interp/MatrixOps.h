@@ -68,6 +68,14 @@ public:
   /// overwrite every element).
   std::shared_ptr<PayloadBuffer> acquire(size_t N);
 
+  /// acquire() without the memory charge, for a caller that may still
+  /// discard the buffer on an error and charges it only once it is kept.
+  std::shared_ptr<PayloadBuffer> acquireUncharged(size_t N);
+
+  /// A \p Rows x \p Cols value with unspecified contents; a payload that
+  /// needs the heap comes from the pool.
+  Value dest(size_t Rows, size_t Cols);
+
   /// Like acquire, but zero-filled (for accumulation kernels).
   std::shared_ptr<PayloadBuffer> acquireZeroed(size_t N);
 
@@ -126,6 +134,15 @@ Value matMul(const Value &A, const Value &B, OpError &Err,
 Value matMulTransB(const Value &A, const Value &B, OpError &Err,
                    OpWorkspace *WS = nullptr);
 
+/// A' * B without materializing the transpose: the blocked kernel takes
+/// column dot products of A and B directly. Requires A.rows() == B.rows()
+/// for a result; result is A.cols() x B.cols().
+Value matMulTransA(const Value &A, const Value &B, OpError &Err,
+                   OpWorkspace *WS = nullptr);
+
+/// A' (the logical flag carries over).
+Value transpose(const Value &A, OpWorkspace *WS = nullptr);
+
 Value unaryMinus(const Value &A, OpWorkspace *WS = nullptr);
 Value unaryNot(const Value &A, OpWorkspace *WS = nullptr);
 
@@ -144,8 +161,8 @@ Value cumsumAlong(const Value &A, unsigned Dim);
 Value cumsumDefault(const Value &A);
 Value prodDefault(const Value &A);
 
-/// repmat(X, R, C).
-Value repmat(const Value &A, size_t R, size_t C);
+/// repmat(X, R, C), copied one source column run at a time.
+Value repmat(const Value &A, size_t R, size_t C, OpWorkspace *WS = nullptr);
 
 /// MATLAB hist(x, centers): bin counts with edges midway between centers.
 Value histCounts(const Value &X, const Value &Centers, OpError &Err);

@@ -13,17 +13,6 @@
 
 using namespace mvec;
 
-Value Value::transposed() const {
-  Value Result(NumCols, NumRows);
-  const double *Src = raw();
-  double *Dst = Result.mutableRaw();
-  for (size_t C = 0; C != NumCols; ++C)
-    for (size_t R = 0; R != NumRows; ++R)
-      Dst[R * NumCols + C] = Src[C * NumRows + R];
-  Result.setLogical(isLogical());
-  return Result;
-}
-
 void Value::growTo(size_t Rows, size_t Cols) {
   if (Rows <= NumRows && Cols <= NumCols)
     return;

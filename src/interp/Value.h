@@ -52,6 +52,16 @@ template <typename T> struct PayloadAllocator {
   }
   void deallocate(T *P, size_t) noexcept { ::operator delete(P, Alignment); }
 
+  /// Construction without a value default-initializes, so sizing a buffer
+  /// (PayloadBuffer(N), resize(N)) leaves the doubles unwritten: kernel
+  /// destinations are overwritten anyway. Fills and copies still write.
+  template <typename U> void construct(U *P) noexcept {
+    ::new (static_cast<void *>(P)) U;
+  }
+  template <typename U, typename... Args> void construct(U *P, Args &&...A) {
+    ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
+  }
+
   friend bool operator==(const PayloadAllocator &, const PayloadAllocator &) {
     return true;
   }
@@ -187,8 +197,6 @@ public:
     assert(R < NumRows && C < NumCols && "subscript out of range");
     return mutableRaw()[C * NumRows + R];
   }
-
-  Value transposed() const;
 
   /// Grows to \p Rows x \p Cols, zero-filling new elements and preserving
   /// existing elements at their (row, col) positions. Growth that keeps the

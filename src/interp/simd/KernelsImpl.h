@@ -347,7 +347,61 @@ void matMulTile(const double *AD, const double *BD, double *RD, size_t M,
   }
 }
 
+/// The reference A' * B tile: one dot product of an A column with a B
+/// column per output element, in the order matMulTile would accumulate
+/// it against a materialized transpose.
+void matMulTransA(const double *AD, const double *BD, double *RD, size_t M,
+                  size_t K, size_t P0, size_t P1, size_t J0, size_t J1) {
+  for (size_t J = J0; J != J1; ++J) {
+    const double *BCol = BD + J * K;
+    for (size_t I = 0; I != M; ++I) {
+      const double *ACol = AD + I * K;
+      double Acc = RD[J * M + I];
+      for (size_t P = P0; P != P1; ++P) {
+        double BV = BCol[P];
+        if (BV != 0.0)
+          Acc += ACol[P] * BV;
+      }
+      RD[J * M + I] = Acc;
+    }
+  }
+}
+
 #else
+
+/// One output row against columns [J0, J1) of B: R[J * RS] += X(P0:P1) *
+/// B(P0:P1, J), with the row's multipliers contiguous in X. Eight columns
+/// accumulate in independent registers so their chains (and their B
+/// streams) overlap; each keeps the scalar kernel's ascending-P order and
+/// per-element zero skip.
+inline void rowTile(const double *X, const double *BD, double *RD, size_t RS,
+                    size_t K, size_t P0, size_t P1, size_t J0, size_t J1) {
+  size_t J = J0;
+  for (; J + 8 <= J1; J += 8) {
+    const double *B = BD + J * K;
+    double Acc[8];
+    for (size_t C = 0; C != 8; ++C)
+      Acc[C] = RD[(J + C) * RS];
+    for (size_t P = P0; P != P1; ++P) {
+      double XV = X[P];
+      for (size_t C = 0; C != 8; ++C) {
+        double BV = B[C * K + P];
+        if (BV != 0.0)
+          Acc[C] += XV * BV;
+      }
+    }
+    for (size_t C = 0; C != 8; ++C)
+      RD[(J + C) * RS] = Acc[C];
+  }
+  for (; J != J1; ++J) {
+    const double *BCol = BD + J * K;
+    double Acc = RD[J * RS];
+    for (size_t P = P0; P != P1; ++P)
+      if (BCol[P] != 0.0)
+        Acc += X[P] * BCol[P];
+    RD[J * RS] = Acc;
+  }
+}
 
 /// One result column += A panel * one B column, with the scalar kernel's
 /// per-P zero skip. Lanes are independent rows; per element the adds over
@@ -439,6 +493,12 @@ inline void panel4(const double *AD, const double *B0, const double *B1,
 
 void matMulTile(const double *AD, const double *BD, double *RD, size_t M,
                 size_t K, size_t P0, size_t P1, size_t J0, size_t J1) {
+  // A row vector has no lanes to fill along M; its multipliers are
+  // contiguous, so the product is a set of column dot products.
+  if (M == 1) {
+    rowTile(AD, BD, RD, 1, K, P0, P1, J0, J1);
+    return;
+  }
   size_t J = J0;
   for (; J + 4 <= J1; J += 4) {
     const double *B0 = BD + J * K, *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
@@ -461,6 +521,110 @@ void matMulTile(const double *AD, const double *BD, double *RD, size_t M,
   }
   for (; J != J1; ++J)
     axpyPanel(AD, BD + J * K, RD + J * M, M, P0, P1);
+}
+
+/// Loads A(P:P+W, I:I+W) of a column-major A with leading dimension K,
+/// transposed in registers: V[k] holds row P+k across columns I..I+W-1.
+inline void loadRowsAcross(const double *Src, size_t K, VD *V) {
+#if MVEC_SIMD_WIDTH == 4
+  V[0] = vLoad(Src);
+  V[1] = vLoad(Src + K);
+  V[2] = vLoad(Src + 2 * K);
+  V[3] = vLoad(Src + 3 * K);
+  vTranspose(V[0], V[1], V[2], V[3]);
+#else
+  V[0] = vLoad(Src);
+  V[1] = vLoad(Src + K);
+  vTranspose(V[0], V[1]);
+#endif
+}
+
+/// A' * B for W output rows (A columns I..I+W-1, one per lane) against
+/// one B column, with the per-(P, column) zero skip: B(P, J) is the same
+/// for every lane, so the skip is a plain branch.
+inline void transAColumn(const double *AD, const double *BCol, double *RCol,
+                         size_t K, size_t I, size_t P0, size_t P1) {
+  const double *ABlock = AD + I * K;
+  VD Acc = vLoad(RCol + I);
+  size_t P = P0;
+  for (; P + W <= P1; P += W) {
+    VD V[W];
+    loadRowsAcross(ABlock + P, K, V);
+    for (size_t Q = 0; Q != W; ++Q)
+      if (BCol[P + Q] != 0.0)
+        Acc = vAdd(Acc, vMul(V[Q], vSet1(BCol[P + Q])));
+  }
+  for (; P != P1; ++P)
+    if (BCol[P] != 0.0)
+      Acc = vAdd(Acc, vMul(vGatherStride(ABlock + P, K), vSet1(BCol[P])));
+  vStore(RCol + I, Acc);
+}
+
+/// A' * B for W output rows against four zero-free B columns: the four
+/// accumulators stay in registers across the P range and every
+/// transposed A load feeds all four.
+inline void transAPanel4(const double *AD, const double *B0, const double *B1,
+                         const double *B2, const double *B3, double *R0,
+                         double *R1, double *R2, double *R3, size_t K,
+                         size_t I, size_t P0, size_t P1) {
+  const double *ABlock = AD + I * K;
+  VD C0 = vLoad(R0 + I), C1 = vLoad(R1 + I);
+  VD C2 = vLoad(R2 + I), C3 = vLoad(R3 + I);
+  size_t P = P0;
+  for (; P + W <= P1; P += W) {
+    VD V[W];
+    loadRowsAcross(ABlock + P, K, V);
+    for (size_t Q = 0; Q != W; ++Q) {
+      C0 = vAdd(C0, vMul(V[Q], vSet1(B0[P + Q])));
+      C1 = vAdd(C1, vMul(V[Q], vSet1(B1[P + Q])));
+      C2 = vAdd(C2, vMul(V[Q], vSet1(B2[P + Q])));
+      C3 = vAdd(C3, vMul(V[Q], vSet1(B3[P + Q])));
+    }
+  }
+  for (; P != P1; ++P) {
+    VD VA = vGatherStride(ABlock + P, K);
+    C0 = vAdd(C0, vMul(VA, vSet1(B0[P])));
+    C1 = vAdd(C1, vMul(VA, vSet1(B1[P])));
+    C2 = vAdd(C2, vMul(VA, vSet1(B2[P])));
+    C3 = vAdd(C3, vMul(VA, vSet1(B3[P])));
+  }
+  vStore(R0 + I, C0);
+  vStore(R1 + I, C1);
+  vStore(R2 + I, C2);
+  vStore(R3 + I, C3);
+}
+
+/// A' * B with A stored K x M: lanes are W adjacent A columns (output
+/// rows), brought across by in-register transposes, so every output
+/// element is still one ascending-P chain. Rows past the last full lane
+/// group are column dot products (rowTile).
+void matMulTransA(const double *AD, const double *BD, double *RD, size_t M,
+                  size_t K, size_t P0, size_t P1, size_t J0, size_t J1) {
+  size_t MainRows = M - M % W;
+  size_t J = J0;
+  for (; J + 4 <= J1; J += 4) {
+    const double *B0 = BD + J * K, *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
+    double *R0 = RD + J * M, *R1 = R0 + M, *R2 = R1 + M, *R3 = R2 + M;
+    bool HasZero = false;
+    for (size_t P = P0; P != P1 && !HasZero; ++P)
+      HasZero =
+          B0[P] == 0.0 || B1[P] == 0.0 || B2[P] == 0.0 || B3[P] == 0.0;
+    for (size_t I = 0; I != MainRows; I += W) {
+      if (!HasZero) {
+        transAPanel4(AD, B0, B1, B2, B3, R0, R1, R2, R3, K, I, P0, P1);
+      } else {
+        transAColumn(AD, B0, R0, K, I, P0, P1);
+        transAColumn(AD, B1, R1, K, I, P0, P1);
+        transAColumn(AD, B2, R2, K, I, P0, P1);
+        transAColumn(AD, B3, R3, K, I, P0, P1);
+      }
+    }
+  }
+  for (; J != J1; ++J)
+    for (size_t I = 0; I != MainRows; I += W)
+      transAColumn(AD, BD + J * K, RD + J * M, K, I, P0, P1);
+  for (size_t I = MainRows; I != M; ++I)
+    rowTile(AD + I * K, BD, RD + I, M, K, P0, P1, J0, J1);
 }
 
 #endif // MVEC_SIMD_WIDTH
@@ -613,6 +777,7 @@ const KernelTable &MVEC_SIMD_TABLE_ACCESSOR() {
       &MVEC_SIMD_IMPL_NS::unaryNeg,
       &MVEC_SIMD_IMPL_NS::unaryNot,
       &MVEC_SIMD_IMPL_NS::matMulTile,
+      &MVEC_SIMD_IMPL_NS::matMulTransA,
       &MVEC_SIMD_IMPL_NS::colSums,
       &MVEC_SIMD_IMPL_NS::colProds,
       &MVEC_SIMD_IMPL_NS::rowSums,

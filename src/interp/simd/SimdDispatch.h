@@ -26,9 +26,9 @@
 ///   * no reassociation in order-sensitive reductions — SIMD reductions
 ///     vectorize across *independent* output elements (lanes are distinct
 ///     columns/rows), never across a single accumulation chain;
-///   * the blocked matmul keeps the scalar kernel's per-(column, P)
-///     zero-skip, so Inf/NaN propagation through zero multipliers is
-///     unchanged.
+///   * the blocked matmul (and its A' * B form) keeps the scalar
+///     kernel's per-(column, P) zero-skip, so Inf/NaN propagation through
+///     zero multipliers is unchanged.
 ///
 /// Selection: the first use picks the best CPU-supported compiled-in
 /// level, overridable by the MVEC_SIMD environment variable or the tools'
@@ -103,6 +103,12 @@ struct KernelTable {
   /// exactly as the scalar kernel.
   void (*MatMulTile)(const double *A, const double *B, double *R, size_t M,
                      size_t K, size_t P0, size_t P1, size_t J0, size_t J1);
+  /// The same tile of A' * B without a transposed copy of A: A is stored
+  /// K x M (A' is M x K) and each R(i, j) accumulates the dot product of
+  /// A column i with B column j over [P0, P1) — ascending P, zero B
+  /// elements skipped, exactly as MatMulTile against a materialized A'.
+  void (*MatMulTransA)(const double *A, const double *B, double *R, size_t M,
+                       size_t K, size_t P0, size_t P1, size_t J0, size_t J1);
   /// Out[c] = sum/prod of column c (ascending row order per column).
   void (*ColSums)(const double *A, size_t Rows, size_t Cols, double *Out);
   void (*ColProds)(const double *A, size_t Rows, size_t Cols, double *Out);

@@ -15,9 +15,10 @@
 /// Register discipline: the compiler allocates registers as an expression
 /// stack (destination first, operand temporaries above it) and restores the
 /// stack top per statement, so NumRegs is the high-water mark of a single
-/// statement. Superinstructions (CmpJump, FusedMulAdd, MulTransB) mirror
-/// the tree-walker's fused kernels one-for-one; everything else decomposes
-/// into the same primitive steps the walker takes, in the same order.
+/// statement. Superinstructions (CmpJump, FusedMulAdd, MulTransB,
+/// MulTransA) mirror the tree-walker's fused kernels one-for-one;
+/// everything else decomposes into the same primitive steps the walker
+/// takes, in the same order.
 ///
 /// Folded operands: value-source (Src) operand fields address either a
 /// register (>= 0) or, when negative, a constant or variable folded
@@ -70,6 +71,7 @@ enum class Op : uint8_t {
               ///< (| flags::StoreToSlot: A is a var, result defines it)
   FusedMulAdd,///< A=dst (DstRS), B=a, C=b, D=c (all Src); (a op* b) +/- c
   MulTransB,  ///< A=dst, B=lhs, C=b; lhs * b' without materializing b'
+  MulTransA,  ///< A=dst, B=a, C=rhs; a' * rhs without materializing a'
   LoadExtent, ///< A=dst, B=base, Flags=dim|BaseIsSlot; subscript 'end'
   MakeColon,  ///< A=dst, B=base, Flags=dim|BaseIsSlot; ':' index vector
   TestDefined,///< A=var, B=target-if-undefined (index/call dispatch)

@@ -294,13 +294,14 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
         &&Lbl_CastBool,    &&Lbl_CmpJump,     &&Lbl_MakeRange,
         &&Lbl_UnaryMinus,  &&Lbl_UnaryNot,    &&Lbl_Transpose,
         &&Lbl_Binary,      &&Lbl_FusedMulAdd, &&Lbl_MulTransB,
-        &&Lbl_LoadExtent,  &&Lbl_MakeColon,   &&Lbl_TestDefined,
-        &&Lbl_CheckCallable, &&Lbl_CallBuiltin, &&Lbl_Fail,
-        &&Lbl_IndexRead0,  &&Lbl_IndexReadAll, &&Lbl_IndexRead1,
-        &&Lbl_IndexRead2,  &&Lbl_DefineRef,   &&Lbl_IndexWriteAll,
-        &&Lbl_IndexWrite1, &&Lbl_IndexWrite2, &&Lbl_MatBegin,
-        &&Lbl_HorzCat,     &&Lbl_VertCat,     &&Lbl_MatEnd,
-        &&Lbl_ForPrep,     &&Lbl_ForNext,     &&Lbl_ForBreak,
+        &&Lbl_MulTransA,   &&Lbl_LoadExtent,  &&Lbl_MakeColon,
+        &&Lbl_TestDefined, &&Lbl_CheckCallable, &&Lbl_CallBuiltin,
+        &&Lbl_Fail,        &&Lbl_IndexRead0,  &&Lbl_IndexReadAll,
+        &&Lbl_IndexRead1,  &&Lbl_IndexRead2,  &&Lbl_DefineRef,
+        &&Lbl_IndexWriteAll, &&Lbl_IndexWrite1, &&Lbl_IndexWrite2,
+        &&Lbl_MatBegin,    &&Lbl_HorzCat,     &&Lbl_VertCat,
+        &&Lbl_MatEnd,      &&Lbl_ForPrep,     &&Lbl_ForNext,
+        &&Lbl_ForBreak,
     };
     static_assert(sizeof(Table) / sizeof(Table[0]) == kNumOps,
                   "dispatch table out of sync with the opcode list");
@@ -502,7 +503,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
             setSca(In->A, V);
           }
         } else {
-          Value R = Regs[In->B].transposed();
+          Value R = transpose(Regs[In->B], &Pool);
           Pool.recycle(std::move(Regs[In->B]));
           setVal(In->A, std::move(R));
         }
@@ -631,6 +632,14 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
         Value &L = box(In->B), &R = box(In->C);
         Value Res = Host.applyMulTransB(L, R, In->Loc);
         Pool.recycle(std::move(L));
+        Pool.recycle(std::move(R));
+        setVal(In->A, std::move(Res));
+        VM_NEXT();
+      }
+      VM_CASE(MulTransA) : {
+        Value &A = box(In->B), &R = box(In->C);
+        Value Res = Host.applyMulTransA(A, R, In->Loc);
+        Pool.recycle(std::move(A));
         Pool.recycle(std::move(R));
         setVal(In->A, std::move(Res));
         VM_NEXT();

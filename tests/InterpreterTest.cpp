@@ -549,3 +549,137 @@ TEST(LogicalTest, MaskSizeMismatchOnWriteFails) {
 }
 
 } // namespace
+
+
+//===----------------------------------------------------------------------===//
+// Data movement: shared full-extent reads, column-run copies, A' * B
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Column-major contents of variable \p Name, for compact comparisons.
+std::vector<double> contents(const Interpreter &I, const std::string &Name) {
+  const Value *V = I.getVariable(Name);
+  EXPECT_NE(V, nullptr) << "missing variable " << Name;
+  return V ? std::vector<double>(V->begin(), V->end()) : std::vector<double>();
+}
+
+TEST(InterpreterTest, FullExtentReadSharesUntilEitherSideWrites) {
+  Interpreter I = runOk("A = [1 2; 3 4; 5 6];\nB = A(1:end, :);\n"
+                        "C = A(1:3, 1:2);\nD = A(:, :);");
+  const Value *A = I.getVariable("A");
+  EXPECT_TRUE(I.getVariable("B")->sharesBufferWith(*A));
+  EXPECT_TRUE(I.getVariable("C")->sharesBufferWith(*A));
+  EXPECT_TRUE(I.getVariable("D")->sharesBufferWith(*A));
+
+  // Writing the copy leaves the source alone, and the reverse.
+  Interpreter W = runOk("A = [1 2; 3 4; 5 6];\nB = A(1:end, :);\nB(1) = 7;\n"
+                        "C = [1 2; 3 4];\nD = C(1:2, :);\nC(4) = 9;");
+  EXPECT_EQ(contents(W, "A"), (std::vector<double>{1, 3, 5, 2, 4, 6}));
+  EXPECT_EQ(contents(W, "B"), (std::vector<double>{7, 3, 5, 2, 4, 6}));
+  EXPECT_EQ(contents(W, "C"), (std::vector<double>{1, 3, 2, 9}));
+  EXPECT_EQ(contents(W, "D"), (std::vector<double>{1, 3, 2, 4}));
+}
+
+TEST(InterpreterTest, EmptyExtentsKeepTheirShape) {
+  Interpreter I = runOk("Z = zeros(3, 0);\nE = Z(1:3, :);\n"
+                        "F = zeros(3,0)(1:3,:);\nG = zeros(0, 2)(:, 1:2);");
+  for (const char *Name : {"E", "F"}) {
+    EXPECT_EQ(I.getVariable(Name)->rows(), 3u) << Name;
+    EXPECT_EQ(I.getVariable(Name)->cols(), 0u) << Name;
+  }
+  EXPECT_EQ(I.getVariable("G")->rows(), 0u);
+  EXPECT_EQ(I.getVariable("G")->cols(), 2u);
+}
+
+TEST(InterpreterTest, LogicalFlagSurvivesEveryPath) {
+  Interpreter I = runOk("M = [1 0 3; 0 5 0; 7 0 9] > 0;\nS = M(1:3, :);\n"
+                        "R = M(2:3, [1 3]);\nV = M([2 3 4]);\nN = M + 0;\n"
+                        "T = N(1:3, :);");
+  for (const char *Name : {"M", "S", "R", "V"})
+    EXPECT_TRUE(I.getVariable(Name)->isLogical()) << Name;
+  EXPECT_FALSE(I.getVariable("T")->isLogical());
+  EXPECT_EQ(contents(I, "R"), (std::vector<double>{0, 1, 0, 1}));
+}
+
+TEST(InterpreterTest, IrregularSubscriptsTakeTheGeneralPath) {
+  Interpreter I = runOk("A = [1 2; 3 4; 5 6; 7 8];\nn = 4; k = 2;\n"
+                        "R = A(n:-1:1, :);\nS = A(2*(1:k), :);\n"
+                        "D = A([1 1], :);\nP = A([2 3], [2 1]);\n"
+                        "Q = A(2:3, [2 2]);\n"
+                        "m = [1 1] > 0;\nm(1) = 2;\nm(2) = 3;\nK = A(m, :);");
+  EXPECT_EQ(contents(I, "R"), (std::vector<double>{7, 5, 3, 1, 8, 6, 4, 2}));
+  EXPECT_EQ(contents(I, "S"), (std::vector<double>{3, 7, 4, 8}));
+  EXPECT_EQ(contents(I, "D"), (std::vector<double>{1, 1, 2, 2}));
+  EXPECT_EQ(contents(I, "P"), (std::vector<double>{4, 6, 3, 5}));
+  EXPECT_EQ(contents(I, "Q"), (std::vector<double>{4, 6, 4, 6}));
+  // A mask whose values happen to read 2, 3 still selects by mask.
+  EXPECT_EQ(contents(I, "K"), (std::vector<double>{1, 3, 2, 4}));
+  EXPECT_FALSE(I.getVariable("R")->sharesBufferWith(*I.getVariable("A")));
+}
+
+TEST(InterpreterTest, ColumnRunWritesAndRepmat) {
+  Interpreter I = runOk("A = zeros(4, 3);\nA(2:3, [3 1]) = [1 2; 3 4];\n"
+                        "B = zeros(2, 2);\nB(1:2, :) = 5;\nB(2:3, 2) = [6; 7];\n"
+                        "C = repmat([1; 2], 2, 3);");
+  EXPECT_EQ(contents(I, "A"),
+            (std::vector<double>{0, 2, 4, 0, 0, 0, 0, 0, 0, 1, 3, 0}));
+  EXPECT_EQ(contents(I, "B"), (std::vector<double>{5, 5, 0, 5, 6, 7}));
+  const Value *C = I.getVariable("C");
+  EXPECT_EQ(C->rows(), 4u);
+  EXPECT_EQ(C->cols(), 3u);
+  EXPECT_EQ(contents(I, "C"),
+            (std::vector<double>{1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2}));
+}
+
+TEST(InterpreterTest, TransposedProductsMatchTheMaterializedForm) {
+  Interpreter I = runOk("A = [1 2; 3 4; 5 6];\nB = [1 0; 2 1; 0 3];\n"
+                        "P = A' * B;\nQ = transpose(A) * B;\n"
+                        "C = [1 2 3; 4 5 6];\nR = A' * C';\n"
+                        "s = 2;\nS = s' * A;\nv = [1; 2; 3];\nw = v' * v;");
+  EXPECT_EQ(contents(I, "P"), contents(I, "Q"));
+  EXPECT_EQ(contents(I, "P"), (std::vector<double>{7, 10, 18, 22}));
+  EXPECT_EQ(contents(I, "R"), (std::vector<double>{22, 28, 49, 64}));
+  EXPECT_EQ(contents(I, "S"), (std::vector<double>{2, 6, 10, 4, 8, 12}));
+  EXPECT_DOUBLE_EQ(scalarVar(I, "w"), 14);
+  EXPECT_EQ(runError("A = ones(3, 2);\nB = ones(2, 2);\nC = A' * B;"),
+            "inner matrix dimensions must agree (2x3 * 2x2)");
+}
+
+/// Every bad subscript reports the same text on the fast paths as on the
+/// general path: the one-pass 1-D gather, the shared full extent, and
+/// the column-run read and write.
+TEST(InterpreterTest, BadSubscriptErrorsAreUnchanged) {
+  const std::string Int = "subscript indices must be positive integers";
+  const std::pair<const char *, std::string> Cases[] = {
+      {"v = 1:5;\nx = v([2 0]);", Int},
+      {"v = 1:5;\nx = v([2 1.5]);", Int},
+      {"v = 1:5;\nx = v([2 0/0]);", Int},
+      {"v = 1:5;\nx = v([2 1/0]);", Int},
+      {"v = 1:5;\nx = v(-1/0);", Int},
+      {"v = 1:5;\nx = v([2 6]);", "index 6 exceeds matrix dimension (5)"},
+      {"v = 1:5;\nx = v(2:7);", "index 6 exceeds matrix dimension (5)"},
+      {"A = ones(3, 2);\nx = A(1:3, [1 0]);", Int},
+      {"A = ones(3, 2);\nx = A(1:3, [1 1.5]);", Int},
+      {"A = ones(3, 2);\nx = A(1:3, [1 0/0]);", Int},
+      {"A = ones(3, 2);\nx = A(1:3, [1 1/0]);", Int},
+      {"A = ones(3, 2);\nx = A(1:3, 1:3);",
+       "index 3 exceeds matrix dimension (2)"},
+      {"A = ones(3, 2);\nx = A(2:4, :);",
+       "index 4 exceeds matrix dimension (3)"},
+      {"A = ones(3, 2);\nx = A(0:2, :);", Int},
+      {"A = ones(3, 2);\nx = A([1 0/0], :);", Int},
+      {"A = ones(3, 2);\nx = A([1.5 2.5], :);", Int},
+      {"A = zeros(3, 3);\nA(1:3, [1 0]) = 1;", Int},
+      {"A = zeros(3, 3);\nA(1:3, [1 1.5]) = 1;", Int},
+      {"A = zeros(3, 3);\nA(1:3, [1 0/0]) = 1;", Int},
+      {"A = zeros(3, 3);\nA(1:3, [1 1/0]) = 1;", Int},
+      {"A = zeros(3, 3);\nA(0:2, 1) = 1;", Int},
+      {"A = zeros(3, 3);\nA(1:2, 1:2) = [1 2 3];",
+       "indexed assignment size mismatch"},
+  };
+  for (const auto &[Source, Message] : Cases)
+    EXPECT_EQ(runError(Source), Message) << Source;
+}
+
+} // namespace

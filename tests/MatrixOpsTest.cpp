@@ -56,9 +56,9 @@ TEST(ValueTest, Predicates) {
 
 TEST(ValueTest, TransposeRoundTrip) {
   Value M = mat2x2(1, 2, 3, 4);
-  Value T = M.transposed();
+  Value T = transpose(M);
   EXPECT_DOUBLE_EQ(T.at(0, 1), 3);
-  EXPECT_TRUE(M.equals(T.transposed()));
+  EXPECT_TRUE(M.equals(transpose(T)));
 }
 
 TEST(ValueTest, GrowPreservesAndZeroFills) {
@@ -407,11 +407,35 @@ TEST(DifferentialTest, MatMulTransBMatchesNaive) {
     OpError Err;
     Value R = matMulTransB(A, B, Err, &WS);
     ASSERT_FALSE(Err.failed());
-    Value Ref = naiveMatMul(A, B.transposed());
+    Value Ref = naiveMatMul(A, transpose(B));
     ASSERT_TRUE(R.equals(Ref, 1e-12))
         << D[0] << "x" << D[1] << " * (" << D[2] << "x" << D[1] << ")'";
     WS.recycle(std::move(R));
   }
+}
+
+TEST(DifferentialTest, MatMulTransAMatchesNaive) {
+  TestRng Rng(0xA7A);
+  OpWorkspace WS;
+  // matMulTransA(A, B) computes A' * B; A is given untransposed (K x M).
+  // Rows cross every lane width, columns the 4-column tile.
+  const size_t Dims[][3] = {{1, 1, 1},   {1, 37, 9},  {4, 3, 5},
+                            {7, 130, 6}, {16, 16, 16}, {33, 129, 17},
+                            {40, 40, 40}, {1000, 20, 1}};
+  for (const auto &D : Dims) {
+    Value A = randomValue(Rng, D[1], D[0]);
+    Value B = randomValue(Rng, D[1], D[2]);
+    OpError Err;
+    Value R = matMulTransA(A, B, Err, &WS);
+    ASSERT_FALSE(Err.failed());
+    Value Ref = naiveMatMul(transpose(A), B);
+    ASSERT_TRUE(R.equals(Ref, 1e-12))
+        << "(" << D[1] << "x" << D[0] << ")' * " << D[1] << "x" << D[2];
+    WS.recycle(std::move(R));
+  }
+  OpError Err;
+  matMulTransA(randomValue(Rng, 3, 2), randomValue(Rng, 4, 2), Err);
+  EXPECT_EQ(Err.Message, "inner matrix dimensions must agree (2x3 * 4x2)");
 }
 
 TEST(DifferentialTest, PooledElementwiseMatchesFresh) {
@@ -733,6 +757,144 @@ TEST(SimdDifferentialTest, MatMulTransBBitExactAcrossLevels) {
                              std::to_string(M) + "x" + std::to_string(K) +
                              "*(" + std::to_string(P) + "x" +
                              std::to_string(K) + ")'");
+    }
+  }
+}
+
+/// A payload with every IEEE special the zero skip must treat exactly:
+/// +0, -0, NaN and +/-Inf, spread through otherwise random values.
+Value randomWithZerosAndSpecials(TestRng &Rng, size_t Rows, size_t Cols) {
+  static const double Specials[] = {
+      0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  Value M(Rows, Cols);
+  size_t Which = 0;
+  for (size_t I = 0; I != M.numel(); ++I) {
+    double V = Rng.next();
+    M.linear(I) = V > 6.5 ? Specials[Which++ % 5] : V;
+  }
+  return M;
+}
+
+/// The shapes of the transpose-free and row-vector products, as M x K x N
+/// of the logical product: a row vector times a matrix, the 40x40 and
+/// 200x200 squares of Table 3, a 1000 x 1 result, and odd tails.
+const size_t DotShapes[][3] = {{1, 1, 1},     {1, 37, 9},   {1, 499, 37},
+                               {3, 5, 2},     {5, 7, 3},    {9, 29, 6},
+                               {9, 130, 13},  {40, 40, 40}, {200, 200, 200},
+                               {1000, 60, 1}, {1000, 1000, 1}};
+
+/// Four densities per shape: B with exact zeros, a zero-free B (the
+/// register-blocked panel), B seasoned with 0, -0, NaN and Inf, and the
+/// zero-skip probe: +/-0 in every even column of B exactly where the A
+/// operand holds Inf (see dotOperandA), so only the skip keeps those
+/// outputs finite.
+constexpr int NumDotDensities = 4;
+
+Value dotOperandB(TestRng &Rng, int Density, size_t Rows, size_t Cols) {
+  if (Density == 0)
+    return randomValue(Rng, Rows, Cols);
+  if (Density == 1)
+    return randomZeroFree(Rng, Rows, Cols);
+  if (Density == 2)
+    return randomWithZerosAndSpecials(Rng, Rows, Cols);
+  Value B = randomZeroFree(Rng, Rows, Cols);
+  for (size_t P = 0; P < Rows; P += 7)
+    for (size_t J = 0; J < Cols; J += 2)
+      B.at(P, J) = (P / 7) % 2 ? -0.0 : 0.0;
+  return B;
+}
+
+/// The A operand for \p Density, stored with the inner dimension along
+/// its rows when \p InnerIsRows (A' * B) and along its columns otherwise
+/// (a row vector times B). The zero-skip probe puts Inf at every seventh
+/// inner index.
+Value dotOperandA(TestRng &Rng, int Density, size_t Rows, size_t Cols,
+                  bool InnerIsRows) {
+  if (Density == 2)
+    return randomWithSpecials(Rng, Rows, Cols);
+  if (Density != 3)
+    return randomValue(Rng, Rows, Cols);
+  Value A = randomZeroFree(Rng, Rows, Cols);
+  for (size_t R = 0; R != Rows; ++R)
+    for (size_t C = 0; C != Cols; ++C)
+      if ((InnerIsRows ? R : C) % 7 == 0)
+        A.at(R, C) = std::numeric_limits<double>::infinity();
+  return A;
+}
+
+TEST(SimdDifferentialTest, MatMulTransABitExactAcrossLevels) {
+  TestRng Rng(0x7A);
+  for (const auto &D : DotShapes) {
+    size_t M = D[0], K = D[1], N = D[2];
+    for (int Density = 0; Density != NumDotDensities; ++Density) {
+      // A is K x M: the product is A' * B.
+      Value A = dotOperandA(Rng, Density, K, M, /*InnerIsRows=*/true);
+      Value B = dotOperandB(Rng, Density, K, N);
+      std::string Shape = "(" + std::to_string(K) + "x" + std::to_string(M) +
+                          ")'*" + std::to_string(K) + "x" +
+                          std::to_string(N) + " d" + std::to_string(Density);
+      OpError ErrT, ErrS;
+      Value Transposed, Want;
+      {
+        ScopedSimdLevel Pin(simd::Level::Scalar);
+        // The materialized transpose is the form A' * B took before the
+        // kernel existed; the scalar kernel must reproduce it exactly.
+        Transposed = matMul(transpose(A), B, ErrT);
+        Want = matMulTransA(A, B, ErrS);
+      }
+      ASSERT_FALSE(ErrT.failed());
+      ASSERT_FALSE(ErrS.failed());
+      expectBitIdentical(Want, Transposed, "scalar matmul-ta " + Shape);
+      for (simd::Level L : supportedLevels()) {
+        if (L == simd::Level::Scalar)
+          continue;
+        ScopedSimdLevel Pin(L);
+        OpError ErrV;
+        Value Got = matMulTransA(A, B, ErrV);
+        ASSERT_FALSE(ErrV.failed());
+        expectBitIdentical(Got, Want,
+                           std::string(simd::levelName(L)) + " matmul-ta " +
+                               Shape);
+      }
+    }
+  }
+}
+
+TEST(SimdDifferentialTest, RowVectorMatMulBitExactAcrossLevels) {
+  // M == 1 runs the row-vector tile (independent per-column accumulators)
+  // on the SIMD tables and the reference axpy loop on the scalar table.
+  TestRng Rng(0x1A);
+  for (const auto &D : DotShapes) {
+    size_t K = D[1], N = D[2];
+    for (int Density = 0; Density != NumDotDensities; ++Density) {
+      Value A = dotOperandA(Rng, Density, 1, K, /*InnerIsRows=*/false);
+      Value B = dotOperandB(Rng, Density, K, N);
+      std::string Shape = "1x" + std::to_string(K) + "*" + std::to_string(K) +
+                          "x" + std::to_string(N) + " d" +
+                          std::to_string(Density);
+      OpError ErrS;
+      Value Want;
+      {
+        ScopedSimdLevel Pin(simd::Level::Scalar);
+        Want = matMul(A, B, ErrS);
+      }
+      ASSERT_FALSE(ErrS.failed());
+      for (simd::Level L : supportedLevels()) {
+        if (L == simd::Level::Scalar)
+          continue;
+        ScopedSimdLevel Pin(L);
+        OpError ErrV, ErrB;
+        Value Got = matMul(A, B, ErrV);
+        // A * B' with a row-vector A takes the same tile behind the pack.
+        Value GotTB = matMulTransB(A, transpose(B), ErrB);
+        ASSERT_FALSE(ErrV.failed());
+        ASSERT_FALSE(ErrB.failed());
+        std::string Level = simd::levelName(L);
+        expectBitIdentical(Got, Want, Level + " row-vector " + Shape);
+        expectBitIdentical(GotTB, Want, Level + " row-vector tb " + Shape);
+      }
     }
   }
 }

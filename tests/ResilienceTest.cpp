@@ -530,6 +530,29 @@ TEST(ServiceResilienceTest, MemoryBudgetClassifiesAsResource) {
   EXPECT_EQ(R.VectorizedSource, "a = zeros(600,600);\n");
 }
 
+TEST(ServiceResilienceTest, SharedFullExtentReadStillChargesItsCopy) {
+  // B = A(1:n,:) shares A's payload instead of copying it, but charges the
+  // bytes the copy would have allocated, so the budget verdict is the
+  // copy's. Validation runs each program twice: the control job (a plain
+  // assignment, which never charged) allocates ~1.4 MB, the shared read
+  // ~2.9 MB, against a 2 MiB cap.
+  ServiceConfig Config;
+  Config.Workers = 1;
+  Config.CacheCapacity = 0;
+  Config.Resilience.MaxJobBytes = 2 << 20;
+  VectorizationService Service(Config);
+  JobResult Control =
+      Service.submit(makeSpec("alias", "n = 300;\nA = zeros(n,n);\nB = A;\n"))
+          .get();
+  EXPECT_TRUE(Control.succeeded()) << Control.Message;
+  const std::string Source = "n = 300;\nA = zeros(n,n);\nB = A(1:n,:);\n";
+  JobResult R = Service.submit(makeSpec("share", Source)).get();
+  EXPECT_EQ(R.Status, JobStatus::Degraded);
+  EXPECT_EQ(R.Class, ErrorClass::Resource);
+  EXPECT_NE(R.Message.find("memory budget exceeded"), std::string::npos);
+  EXPECT_EQ(R.VectorizedSource, Source);
+}
+
 TEST(ServiceResilienceTest, ForcedDeadlineBecomesTimedOut) {
   FaultPlan Plan;
   Plan.Rules.push_back({FaultSite::WorkerPickup, FaultKind::DeadlineExpire,

@@ -123,6 +123,25 @@ TEST(VMDisasm, MulTransB) {
   EXPECT_NE(Text.find("MulTransB"), std::string::npos) << Text;
 }
 
+TEST(VMDisasm, MulTransA) {
+  // A' * B lowers to one MulTransA over the untransposed operand; with a
+  // transposed right operand as well, MulTransB keeps precedence.
+  expectDisasm("C = A' * B;\nD = A' * B';\n",
+               "; regs=3 consts=0 strings=0 vars=4 loops=0 instrs=12\n"
+               "   0  Step          @1:1\n"
+               "   1  LoadIdent     r1, v0:A @1:5\n"
+               "   2  LoadIdent     r2, v1:B @1:10\n"
+               "   3  MulTransA     r0, r1, r2 @1:8\n"
+               "   4  StoreVar      v2:C, r0 @1:1\n"
+               "   5  Step          @2:1\n"
+               "   6  LoadIdent     r2, v0:A @2:5\n"
+               "   7  Transpose     r1, r2\n"
+               "   8  LoadIdent     r2, v1:B @2:10\n"
+               "   9  MulTransB     r0, r1, r2 @2:8\n"
+               "  10  StoreVar      v3:D, r0 @2:1\n"
+               "  11  Halt\n");
+}
+
 TEST(VMDisasm, CallsCarryArgPoolDepth) {
   // The undefined-at-compile-time identifier dispatches through
   // TestDefined: the defined path indexes, the undefined path calls the
@@ -338,6 +357,49 @@ TEST(VMParity, Battery) {
   }
 }
 
+TEST(VMParity, DataMovementFastPaths) {
+  // Shared full-extent reads, column-run reads and writes, the one-pass
+  // 1-D gather and the transpose-free product, each next to a subscript
+  // that must keep the general path, and every bad-subscript error on
+  // each fast path: both engines must agree byte for byte.
+  const char *Cases[] = {
+      "A = [1 2; 3 4; 5 6];\nB = A(1:end, :);\nB(1) = 7;\n",
+      "A = [1 2; 3 4; 5 6];\nB = A(:, :);\nA(1) = 7;\nC = A(1:3, 1:2);\n",
+      "Z = zeros(3, 0);\nE = Z(1:3, :);\nF = zeros(3,0)(1:3,:);\n",
+      "M = [1 0 3; 0 5 0; 7 0 9] > 0;\nS = M(1:3, :);\nR = M(2:3, [1 3]);\n"
+      "V = M([2 3 4]);\n",
+      "A = rand(6, 5);\nn = 6; k = 3;\nR = A(n:-1:1, :);\nS = A(2*(1:k), :);\n"
+      "D = A([1 1], :);\nQ = A(2:5, [2 2 4]);\n",
+      "A = zeros(4, 3);\nA(2:3, [3 1]) = [1 2; 3 4];\nA(1:4, :) = A + 1;\n"
+      "A(3:6, 2) = 9;\n",
+      "C = repmat([1; 2], 2, 3);\nD = repmat(7, 2, 2);\nE = repmat([], 2, 2);\n",
+      "A = rand(7, 5);\nB = rand(7, 3);\nP = A' * B;\nQ = A' * B(:, 1);\n"
+      "s = 2;\nS = s' * A;\nT = A' * s;\nv = rand(7, 1);\nw = v' * v;\n",
+      "A = rand(40, 40);\nB = rand(40, 40);\nC = B' * A;\nD = (C' * A')';\n",
+      "A = ones(3, 2);\nB = ones(2, 2);\nC = A' * B;\n",
+      "v = 1:5;\nx = v([2 0]);\n",
+      "v = 1:5;\nx = v([2 1.5]);\n",
+      "v = 1:5;\nx = v([2 0/0]);\n",
+      "v = 1:5;\nx = v([2 1/0]);\n",
+      "v = 1:5;\nx = v(2:7);\n",
+      "A = ones(3, 2);\nx = A(1:3, [1 0]);\n",
+      "A = ones(3, 2);\nx = A(1:3, [1 1.5]);\n",
+      "A = ones(3, 2);\nx = A(1:3, [1 0/0]);\n",
+      "A = ones(3, 2);\nx = A(1:3, [1 1/0]);\n",
+      "A = ones(3, 2);\nx = A(2:4, :);\n",
+      "A = ones(3, 2);\nx = A(0:2, :);\n",
+      "A = zeros(3, 3);\nA(1:3, [1 0]) = 1;\n",
+      "A = zeros(3, 3);\nA(1:3, [1 1/0]) = 1;\n",
+      "A = zeros(3, 3);\nA(1:2, 1:2) = [1 2 3];\n",
+  };
+  for (const char *Source : Cases) {
+    DiffOutcome Out = engineDiffRun(Source);
+    EXPECT_TRUE(Out.agreed()) << "engines diverge on:\n"
+                              << Source << "\n"
+                              << Out.Message;
+  }
+}
+
 TEST(VMParity, StepLimitInterrupt) {
   const std::string Source = "s = 0;\nfor i = 1:100000\n  s = s + i;\nend\n";
   RunLimits Limits;
@@ -432,6 +494,8 @@ TEST(VMParity, GovernorChargesIdentically) {
       "A = zeros(40, 40);\nB = A + 1;\nC = B * B;\n",
       "v = [];\nfor i = 1:50\n  v = [v, i];\nend\ns = sum(v);\n",
       "x = rand(8, 8);\ny = x';\nz = x .* y + 3;\n",
+      "A = rand(30, 20);\nB = A(1:30, :);\nB(1) = 0;\nC = A(2:29, :);\n"
+      "D = A' * A(1:30, 3:7);\nv = A(:, 1);\nw = v([3 1 2]);\n",
   };
   for (const char *Source : Sources) {
     DiagnosticEngine D1, D2;
