@@ -105,7 +105,7 @@ int main(int argc, char **argv) {
 
     double ColdSecs = runBatchSeconds(Service);
     double WarmSecs = runBatchSeconds(Service);
-    uint64_t WarmHits = Service.cache().hits();
+    uint64_t WarmHits = Service.metrics().CacheHits.load();
 
     Sample S{Workers, NumJobs / ColdSecs, NumJobs / WarmSecs};
     Samples.push_back(S);

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The persistent tier under the service's in-memory ContentCache: a
+/// The persistent tier under the service's in-memory result cache: a
 /// directory of content-addressed entries, one file per cache key, so a
 /// warm result survives daemon restarts. The file name is the canonical
 /// hex spelling of the key (support/ContentHash.h) under a two-hex-digit

@@ -18,6 +18,13 @@ using namespace mvec;
 
 namespace {
 
+/// True when \p D is an integer that doubles represent exactly (|D| <=
+/// 2^53), so the GCD test may cast it; larger values (a subscript like
+/// 1e300*i) get no GCD disproof.
+bool isExactInteger(double D) {
+  return D == std::floor(D) && std::fabs(D) <= 9007199254740992.0;
+}
+
 /// One array/variable access inside a statement.
 struct AccessInfo {
   Symbol Var;
@@ -335,7 +342,7 @@ void DepBuilder::testPair(unsigned S1, const AccessInfo &W, unsigned S2,
       for (const auto &[Name, Coeff] : FW->coeffs()) {
         if (!LoopVarNames.count(Name))
           continue;
-        if (Coeff != std::floor(Coeff)) {
+        if (!isExactInteger(Coeff)) {
           IntegerCoeffs = false;
           break;
         }
@@ -344,7 +351,7 @@ void DepBuilder::testPair(unsigned S1, const AccessInfo &W, unsigned S2,
       for (const auto &[Name, Coeff] : FA->coeffs()) {
         if (!LoopVarNames.count(Name))
           continue;
-        if (Coeff != std::floor(Coeff)) {
+        if (!isExactInteger(Coeff)) {
           IntegerCoeffs = false;
           break;
         }
@@ -356,7 +363,7 @@ void DepBuilder::testPair(unsigned S1, const AccessInfo &W, unsigned S2,
         double C = Delta.constant();
         if (C != std::floor(C))
           return; // fractional offset can never be met by integers
-        if (static_cast<long long>(C) % G != 0)
+        if (isExactInteger(C) && static_cast<long long>(C) % G != 0)
           return; // GCD does not divide the offset: no dependence
       }
       if (IntegerCoeffs && InvariantsCancel && G == 0) {

@@ -320,54 +320,3 @@ bool mvec::mentionsEndKeyword(const Expr &E) {
   }
   return false;
 }
-
-ExprPtr mvec::replaceEndKeyword(ExprPtr E, double Extent) {
-  switch (E->kind()) {
-  case Expr::Kind::EndKeyword:
-    return makeNumber(Extent);
-  case Expr::Kind::Number:
-  case Expr::Kind::String:
-  case Expr::Kind::Ident:
-  case Expr::Kind::MagicColon:
-    return E;
-  case Expr::Kind::Range: {
-    auto &R = cast<RangeExpr>(*E);
-    ExprPtr Start = replaceEndKeyword(R.start()->clone(), Extent);
-    ExprPtr Step =
-        R.step() ? replaceEndKeyword(R.step()->clone(), Extent) : nullptr;
-    ExprPtr Stop = replaceEndKeyword(R.stop()->clone(), Extent);
-    return std::make_unique<RangeExpr>(std::move(Start), std::move(Step),
-                                       std::move(Stop), E->loc());
-  }
-  case Expr::Kind::Unary: {
-    auto &U = cast<UnaryExpr>(*E);
-    return std::make_unique<UnaryExpr>(
-        U.op(), replaceEndKeyword(U.takeOperand(), Extent), E->loc());
-  }
-  case Expr::Kind::Binary: {
-    auto &B = cast<BinaryExpr>(*E);
-    ExprPtr LHS = replaceEndKeyword(B.takeLHS(), Extent);
-    ExprPtr RHS = replaceEndKeyword(B.takeRHS(), Extent);
-    return std::make_unique<BinaryExpr>(B.op(), std::move(LHS),
-                                        std::move(RHS), E->loc());
-  }
-  case Expr::Kind::Transpose: {
-    auto &T = cast<TransposeExpr>(*E);
-    return std::make_unique<TransposeExpr>(
-        replaceEndKeyword(T.takeOperand(), Extent), E->loc());
-  }
-  case Expr::Kind::Index: {
-    // Only the base participates; nested subscript args keep their 'end'.
-    auto &I = cast<IndexExpr>(*E);
-    ExprPtr Base = replaceEndKeyword(I.base()->clone(), Extent);
-    std::vector<ExprPtr> Args;
-    for (ExprPtr &A : I.args())
-      Args.push_back(std::move(A));
-    return std::make_unique<IndexExpr>(std::move(Base), std::move(Args),
-                                       E->loc());
-  }
-  case Expr::Kind::Matrix:
-    return E; // matrix literals inside subscripts keep 'end' unresolved
-  }
-  return E;
-}

@@ -147,11 +147,6 @@ bool evaluateConstantWith(const Expr &E,
 /// nested one and is not counted.
 bool mentionsEndKeyword(const Expr &E);
 
-/// Replaces every current-subscript 'end' in \p E with the constant
-/// \p Extent (nested subscripts keep theirs, resolved when they are
-/// evaluated).
-ExprPtr replaceEndKeyword(ExprPtr E, double Extent);
-
 } // namespace mvec
 
 #endif // MVEC_FRONTEND_ASTUTILS_H

@@ -8,6 +8,7 @@
 
 #include "frontend/ASTUtils.h"
 #include "interp/Builtins.h"
+#include "support/StringExtras.h"
 
 #include <algorithm>
 #include <cmath>
@@ -413,8 +414,8 @@ Value Interpreter::evalImpl(const Expr &E) {
       fail(E.loc(), "undefined variable '" + Ident.name() + "'");
       return Value();
     }
-    // Uncached node ('end'-keyword rewrite or standalone eval): resolve by
-    // name, with the same variable -> pi -> builtin precedence.
+    // Uncached node (standalone eval): resolve by name, with the same
+    // variable -> pi -> builtin precedence.
     if (const Value *V = Env.get(Ident.name()))
       return *V;
     if (Ident.name() == "pi")
@@ -428,6 +429,8 @@ Value Interpreter::evalImpl(const Expr &E) {
     fail(E.loc(), "':' is only valid inside a subscript");
     return Value();
   case Expr::Kind::EndKeyword:
+    if (EndExtent >= 0)
+      return Value::scalar(EndExtent);
     fail(E.loc(), "'end' outside of a subscript");
     return Value();
   case Expr::Kind::Range: {
@@ -733,6 +736,7 @@ Value Interpreter::applyBinary(BinaryOp Op, const Value &LHS, const Value &RHS,
 }
 
 Value Interpreter::evalMatrixLiteral(const MatrixExpr &E) {
+  EndScope NoEnd(EndExtent, -1);
   OpError Err;
   Value Result;
   bool FirstRow = true;
@@ -777,11 +781,8 @@ Value Interpreter::makeColonVector(size_t Extent) {
 Value Interpreter::evalSubscript(const Expr &Arg, size_t Extent) {
   if (isa<MagicColonExpr>(&Arg))
     return makeColonVector(Extent);
-  if (!mentionsEndKeyword(Arg))
-    return eval(Arg);
-  ExprPtr Rewritten =
-      replaceEndKeyword(Arg.clone(), static_cast<double>(Extent));
-  return eval(*Rewritten);
+  EndScope Scope(EndExtent, static_cast<double>(Extent));
+  return eval(Arg);
 }
 
 namespace {
@@ -858,15 +859,69 @@ bool Interpreter::toIndexSlow(double D, size_t Extent, size_t &Index,
     fail(Loc, "subscript indices must be positive integers");
     return false;
   }
-  Index = static_cast<size_t>(D);
-  if (Index > Extent) {
-    fail(Loc, "index " + std::to_string(Index) +
+  // Compared before the cast: a subscript beyond size_t's range (1e300)
+  // has no defined conversion.
+  if (D > indexLimit(Extent)) {
+    fail(Loc, "index " + formatMatlabNumber(D) +
                   " exceeds matrix dimension (" + std::to_string(Extent) +
                   ")");
     return false;
   }
-  --Index;
+  Index = static_cast<size_t>(D) - 1;
   return true;
+}
+
+bool Interpreter::maxSubscript(const Value &Idx, double &Max, SourceLoc Loc) {
+  Max = 0;
+  const double *D = Idx.raw();
+  for (size_t I = 0, E = Idx.numel(); I != E; ++I) {
+    // A logical mask holds only 0 and 1, and 0 is a valid mask entry.
+    if (!Idx.isLogical() &&
+        !(D[I] >= 1.0 && std::isfinite(D[I]) && D[I] == std::floor(D[I]))) {
+      fail(Loc, "subscript indices must be positive integers");
+      return false;
+    }
+    Max = std::max(Max, D[I]);
+  }
+  return true;
+}
+
+bool Interpreter::growShape(Value &Target, double Rows, double Cols,
+                            SourceLoc Loc) {
+  Rows = std::max(Rows, static_cast<double>(Target.rows()));
+  Cols = std::max(Cols, static_cast<double>(Target.cols()));
+  // In doubles, so no product can wrap; a zero extent still bounds the
+  // other one, which growTo would otherwise cast.
+  if (std::max(Rows, 1.0) * std::max(Cols, 1.0) * sizeof(double) >
+      MaxArrayBytes) {
+    fail(Loc, "requested " + formatMatlabNumber(Rows) + "x" +
+                  formatMatlabNumber(Cols) +
+                  " array exceeds the maximum array size");
+    return false;
+  }
+  Target.growTo(static_cast<size_t>(Rows), static_cast<size_t>(Cols));
+  return true;
+}
+
+bool Interpreter::growLinear(Value &Target, double Needed, bool ColumnIdx,
+                             SourceLoc Loc) {
+  if (Target.rows() == 0 && Target.cols() <= 1) {
+    // x(5) = v on a 0x0 x yields a row vector, unless the index values
+    // come as a column. A 0x1 empty takes the same path: element-at-a-time
+    // growth necessarily passes through a 1x1 value (which then widens
+    // into a row), so slice growth must agree or the two orders of writing
+    // the same elements would produce different shapes. Degenerate empties
+    // with a wider dimension (e.g. zeros(7,0)) are matrices and fall
+    // through to the growth error below, as in MATLAB.
+    return ColumnIdx ? growShape(Target, Needed, 1, Loc)
+                     : growShape(Target, 1, Needed, Loc);
+  }
+  if (Target.rows() == 1)
+    return growShape(Target, 1, Needed, Loc);
+  if (Target.cols() == 1)
+    return growShape(Target, Needed, 1, Loc);
+  fail(Loc, "linear indexed assignment cannot grow a matrix");
+  return false;
 }
 
 Value Interpreter::indexReadAll(const Value &Base) {
@@ -1032,34 +1087,13 @@ void Interpreter::indexWrite1(Value &Target, const Value &Idx,
       TD[Indices[I]] = RHS.isScalar() ? RHS.scalarValue() : RHS.linear(I);
     return;
   }
-  // Determine whether growth is needed and legal.
-  double MaxIdx = 0;
-  for (size_t I = 0, E = Idx.numel(); I != E; ++I)
-    MaxIdx = std::fmax(MaxIdx, Idx.linear(I));
-  if (MaxIdx > static_cast<double>(Target.numel())) {
-    auto Needed = static_cast<size_t>(MaxIdx);
-    if (Target.rows() == 0 && Target.cols() <= 1) {
-      // x(5) = v on a 0x0 x yields a row vector, unless the index
-      // values come as a column. A 0x1 empty takes the same path:
-      // element-at-a-time growth necessarily passes through a 1x1
-      // value (which then widens into a row), so slice growth must
-      // agree or the two orders of writing the same elements would
-      // produce different shapes. Degenerate empties with a wider
-      // dimension (e.g. zeros(7,0)) are matrices and fall through to
-      // the growth error below, as in MATLAB.
-      if (Idx.isColumn() && Idx.numel() > 1)
-        Target.growTo(Needed, 1);
-      else
-        Target.growTo(1, Needed);
-    } else if (Target.rows() == 1) {
-      Target.growTo(1, Needed);
-    } else if (Target.cols() == 1) {
-      Target.growTo(Needed, 1);
-    } else {
-      fail(Loc, "linear indexed assignment cannot grow a matrix");
-      return;
-    }
-  }
+  // Every subscript is validated before the target grows.
+  double MaxIdx;
+  if (!maxSubscript(Idx, MaxIdx, Loc))
+    return;
+  if (MaxIdx > static_cast<double>(Target.numel()) &&
+      !growLinear(Target, MaxIdx, Idx.isColumn() && Idx.numel() > 1, Loc))
+    return;
   std::vector<size_t> &Indices = IdxScratchA;
   if (!toIndices(Idx, Target.numel(), Indices, Loc))
     return;
@@ -1075,17 +1109,15 @@ void Interpreter::indexWrite1(Value &Target, const Value &Idx,
 void Interpreter::indexWrite2(Value &Target, const Value &RowIdx,
                               const Value &ColIdx, const Value &RHS,
                               SourceLoc Loc) {
-  double MaxRow = 0, MaxCol = 0;
-  for (size_t I = 0, E = RowIdx.numel(); I != E; ++I)
-    MaxRow = std::fmax(MaxRow, RowIdx.linear(I));
-  for (size_t I = 0, E = ColIdx.numel(); I != E; ++I)
-    MaxCol = std::fmax(MaxCol, ColIdx.linear(I));
-  if (MaxRow > static_cast<double>(Target.rows()) ||
-      MaxCol > static_cast<double>(Target.cols()))
-    Target.growTo(static_cast<size_t>(std::fmax(
-                      MaxRow, static_cast<double>(Target.rows()))),
-                  static_cast<size_t>(std::fmax(
-                      MaxCol, static_cast<double>(Target.cols()))));
+  // Every subscript is validated before the target grows.
+  double MaxRow, MaxCol;
+  if (!maxSubscript(RowIdx, MaxRow, Loc) ||
+      !maxSubscript(ColIdx, MaxCol, Loc))
+    return;
+  if ((MaxRow > static_cast<double>(Target.rows()) ||
+       MaxCol > static_cast<double>(Target.cols())) &&
+      !growShape(Target, MaxRow, MaxCol, Loc))
+    return;
   std::vector<size_t> &RI = IdxScratchA, &CI = IdxScratchB;
   size_t TargetRows = Target.rows();
   size_t First;
@@ -1189,6 +1221,7 @@ Value Interpreter::evalIndexOrCall(const IndexExpr &E) {
     } Guard{ArgDepth};
     Args.clear();
     Args.reserve(E.numArgs());
+    EndScope NoEnd(EndExtent, -1);
     for (unsigned I = 0, N = E.numArgs(); I != N; ++I) {
       if (isa<MagicColonExpr>(E.arg(I)) || isa<EndKeywordExpr>(E.arg(I))) {
         fail(E.loc(), "':' and 'end' are not valid function arguments");

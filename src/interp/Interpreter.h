@@ -251,6 +251,19 @@ public:
   void indexWrite2(Value &Target, const Value &RowIdx, const Value &ColIdx,
                    const Value &RHS, SourceLoc Loc);
 
+  /// The largest payload an indexed assignment may grow an array to:
+  /// far beyond any host's memory, and small enough that every dimension
+  /// below it converts to size_t exactly.
+  static constexpr double MaxArrayBytes = 1099511627776.0; // 2^40
+  /// Grows \p Target to at least \p Rows x \p Cols (validated subscript
+  /// maxima, still doubles so no cast precedes the check); fails at \p Loc
+  /// when the payload would exceed MaxArrayBytes.
+  bool growShape(Value &Target, double Rows, double Cols, SourceLoc Loc);
+  /// Grows \p Target so linear subscript \p Needed is in range: empties
+  /// and rows widen (an empty becomes a column for a multi-element
+  /// \p ColumnIdx subscript), columns lengthen, and a matrix fails.
+  bool growLinear(Value &Target, double Needed, bool ColumnIdx, SourceLoc Loc);
+
 private:
   enum class Flow { Normal, Break, Continue, Return };
 
@@ -377,8 +390,28 @@ private:
   /// \p Extent ('end' resolves to Extent; ':' yields 1..Extent).
   Value evalSubscript(const Expr &Arg, size_t Extent);
 
-  /// Converts \p Idx to validated 0-based indices against \p Extent
-  /// (growing writes pass Extent = SIZE_MAX to skip the upper check).
+  /// The value 'end' denotes where evaluation stands: the extent of the
+  /// innermost subscript, or negative outside any. It reaches a range,
+  /// operator or index base inside the subscript; builtin arguments and
+  /// matrix-literal elements evaluate without it, as the VM compiler's
+  /// extent register does.
+  double EndExtent = -1;
+  /// Sets EndExtent for one scope and restores it on every exit, unwinds
+  /// included.
+  struct EndScope {
+    EndScope(double &Slot, double Extent) : Slot(Slot), Saved(Slot) {
+      Slot = Extent;
+    }
+    ~EndScope() { Slot = Saved; }
+    double &Slot;
+    double Saved;
+  };
+
+  /// Sets \p Max to the largest element of write subscript \p Idx (0 when
+  /// empty) after checking every element is a positive integer; fails at
+  /// \p Loc otherwise. Logical masks pass unchecked.
+  bool maxSubscript(const Value &Idx, double &Max, SourceLoc Loc);
+  /// Converts \p Idx to validated 0-based indices against \p Extent.
   bool toIndices(const Value &Idx, size_t Extent, std::vector<size_t> &Out,
                  SourceLoc Loc);
 

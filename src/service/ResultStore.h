@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The seam between the service's in-memory ContentCache and a durable
+/// The seam between the service's in-memory result cache and a durable
 /// second tier. The service consults the store only on a memory miss and
 /// writes through on success; the store owns its own durability story
 /// (the daemon's DiskStore does atomic write-then-rename with checksums).

@@ -11,6 +11,7 @@
 #include "support/ContentHash.h"
 #include "vm/CodeCache.h"
 
+#include <cstring>
 #include <optional>
 #include <thread>
 
@@ -25,6 +26,26 @@ double secondsSince(Clock::time_point Start, Clock::time_point End) {
 }
 
 } // namespace
+
+uint64_t mvec::cacheKeyFor(const std::string &Source,
+                           const VectorizerOptions &Opts, bool Validate) {
+  uint64_t Key = fnv1aHash(Source);
+  // Fold the configuration in through one more FNV round per byte so a
+  // toggle flip never cancels against a source edit.
+  uint64_t Config = (optionsFingerprint(Opts) << 1) | (Validate ? 1 : 0);
+  return fnv1aMix(Config, Key);
+}
+
+uint64_t mvec::cacheKeyFor(const JobSpec &Spec) {
+  uint64_t Key = cacheKeyFor(Spec.Source, Spec.Opts, Spec.Validate);
+  uint64_t TolBits;
+  static_assert(sizeof(TolBits) == sizeof(Spec.ValidateTol));
+  std::memcpy(&TolBits, &Spec.ValidateTol, sizeof(TolBits));
+  for (uint64_t Word :
+       {TolBits, Spec.MaxSteps, uint64_t(Spec.CheckAnnotations)})
+    Key = fnv1aMix(Word, Key);
+  return Key;
+}
 
 const char *mvec::jobStatusName(JobStatus Status) {
   switch (Status) {
@@ -53,8 +74,8 @@ VectorizationService::VectorizationService(ServiceConfig Config)
     DB = &OwnedDB;
   }
   if (Config.Engine == ExecEngine::Vm)
-    Code = std::make_unique<vm::CodeCache>(Config.CodeCacheCapacity,
-                                           Config.Store, &Metrics);
+    Code = std::make_unique<vm::CodeCache>(Config.CodeCacheCapacity, Metrics,
+                                           Config.Store);
   Pool = std::make_unique<ThreadPool>(Config.Workers, Config.QueueCapacity);
 }
 
@@ -153,7 +174,7 @@ JobResult VectorizationService::processJob(const JobSpec &Spec,
     R.Status = JobStatus::Cancelled;
     R.Message = "batch cancelled before execution";
   } else if (Config.CacheCapacity > 0) {
-    if (std::optional<JobResult> Hit = Cache.lookup(Key)) {
+    if (std::optional<JobResult> Hit = Cache.get(Key)) {
       Metrics.CacheHits.fetch_add(1, std::memory_order_relaxed);
       R = std::move(*Hit);
       R.Name = Spec.Name;
@@ -183,7 +204,7 @@ JobResult VectorizationService::processJob(const JobSpec &Spec,
         R = std::move(*FromStore);
         R.Name = Spec.Name;
         try {
-          Cache.insert(Key, R);
+          Cache.put(Key, R);
         } catch (...) {
         }
         R.CacheHit = true;
@@ -201,7 +222,7 @@ JobResult VectorizationService::processJob(const JobSpec &Spec,
               FaultScope Scope(&Ctx);
               maybeInject(FaultSite::CacheInsert);
             }
-            Cache.insert(Key, R);
+            Cache.put(Key, R);
             if (Config.Store)
               Config.Store->store(Key, R);
           } catch (...) {

@@ -28,11 +28,12 @@
 #include "resilience/CircuitBreaker.h"
 #include "resilience/FaultInjection.h"
 #include "resilience/Resilience.h"
-#include "service/ContentCache.h"
 #include "service/Job.h"
 #include "service/ResultStore.h"
 #include "service/ServiceMetrics.h"
 #include "service/ThreadPool.h"
+#include "support/LruCache.h"
+#include "vectorizer/NestCache.h"
 
 #include <atomic>
 #include <future>
@@ -40,6 +41,20 @@
 #include <vector>
 
 namespace mvec {
+
+/// The result-cache key for one job: an FNV-1a hash of the exact source
+/// text combined with the options fingerprint and the validate flag, so
+/// two submissions collide only when the pipeline would provably do
+/// identical work.
+uint64_t cacheKeyFor(const std::string &Source, const VectorizerOptions &Opts,
+                     bool Validate);
+
+/// The cache key for a full job spec. Additionally folds in the
+/// result-affecting validation knobs (tolerance, step budget) so two
+/// submissions of the same source under different execution bounds never
+/// share a verdict. Deadlines are deliberately excluded: they only decide
+/// *whether* a result is produced, and failed results are never cached.
+uint64_t cacheKeyFor(const JobSpec &Spec);
 
 struct ServiceConfig {
   /// Worker threads (clamped to >= 1).
@@ -121,10 +136,7 @@ public:
   const ServiceConfig &config() const { return Config; }
   ServiceMetrics &metrics() { return Metrics; }
   const ServiceMetrics &metrics() const { return Metrics; }
-  const ContentCache &cache() const { return Cache; }
   const NestCache &nestCache() const { return NCache; }
-  /// Null unless the service runs the Vm engine.
-  const vm::CodeCache *codeCache() const { return Code.get(); }
 
 private:
   JobResult processJob(const JobSpec &Spec,
@@ -142,7 +154,10 @@ private:
   /// Owns the database when the config did not supply one.
   PatternDatabase OwnedDB;
   const PatternDatabase *DB;
-  ContentCache Cache;
+  /// Successful results by cacheKeyFor key. Failed results are never
+  /// cached: a failure may be transient (deadline, cancellation), and
+  /// re-attempting is cheap next to serving a wrong verdict forever.
+  LruCache<uint64_t, JobResult> Cache;
   /// Nest-level outcome cache shared by every worker (internally
   /// synchronized).
   NestCache NCache;

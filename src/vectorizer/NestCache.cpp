@@ -8,6 +8,7 @@
 
 #include "cost/CostModel.h"
 #include "support/Arena.h"
+#include "support/ContentHash.h"
 
 using namespace mvec;
 
@@ -23,7 +24,7 @@ uint64_t mvec::optionsFingerprint(const VectorizerOptions &Opts) {
   Pack(Opts.EmitRemarks);
   // An active cost model changes which form a nest compiles to, so its
   // calibration fingerprint (profile checksum + SIMD level) becomes part
-  // of the options identity: NestCache, ContentCache, and the daemon
+  // of the options identity: NestCache, the result cache, and the daemon
   // DiskStore all key off this value and must never serve a result
   // produced under a different calibration.
   Pack(Opts.Cost != nullptr);
@@ -33,95 +34,38 @@ uint64_t mvec::optionsFingerprint(const VectorizerOptions &Opts) {
 }
 
 std::optional<NestCache::Outcome> NestCache::lookup(const std::string &Key) {
-  uint64_t Hash = fnv1aHash(Key);
+  std::optional<Entry> Hit = Entries.get(Key);
+  if (!Hit) {
+    Misses.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
+  }
+  Hits.fetch_add(1, std::memory_order_relaxed);
+  const Outcome &E = **Hit;
   Outcome O;
-  std::shared_ptr<const std::vector<StmtPtr>> Pinned;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Index.find(Hash);
-    // A hash collision (different key, same 64 bits) is served as a miss;
-    // the subsequent insert then overwrites the colliding entry.
-    if (It == Index.end() || It->second->Key != Key) {
-      ++Misses;
-      return std::nullopt;
-    }
-    ++Hits;
-    LRU.splice(LRU.begin(), LRU, It->second);
-    const Entry &E = *It->second;
-    O.Replaced = E.Replaced;
-    O.Delta = E.Delta;
-    Pinned = E.Stmts;
-  }
-  // Cloning is the expensive half of a hit; the refcount keeps the entry's
-  // statements alive even if it is evicted while we copy, so the tree walk
-  // runs outside the critical section.
-  if (Pinned) {
-    O.Stmts.reserve(Pinned->size());
-    // Clones land in the calling thread's active arena scope — exactly
-    // where the driver wants them spliced.
-    for (const StmtPtr &S : *Pinned)
-      O.Stmts.push_back(S->clone());
-  }
+  O.Replaced = E.Replaced;
+  O.Delta = E.Delta;
+  // Cloning is the expensive half of a hit; it runs outside the cache
+  // lock, and the clones land in the calling thread's active arena scope
+  // — exactly where the driver wants them spliced.
+  O.Stmts.reserve(E.Stmts.size());
+  for (const StmtPtr &S : E.Stmts)
+    O.Stmts.push_back(S->clone());
   return O;
 }
 
 void NestCache::insert(const std::string &Key, bool Replaced,
                        const std::vector<StmtPtr> *Stmts,
                        const VectorizeStats &Delta) {
-  if (Capacity == 0)
-    return;
   // Cached statements outlive any one program, so their nodes must come
-  // from the heap no matter what arena the caller is running under. The
-  // clones are built (and, on overwrite, the old ones destroyed) outside
-  // the critical section.
-  std::shared_ptr<std::vector<StmtPtr>> Clones;
+  // from the heap no matter what arena the caller is running under.
+  auto E = std::make_shared<Outcome>();
+  E->Replaced = Replaced;
+  E->Delta = Delta;
   if (Stmts) {
     ArenaScope ForceHeap(nullptr);
-    Clones = std::make_shared<std::vector<StmtPtr>>();
-    Clones->reserve(Stmts->size());
+    E->Stmts.reserve(Stmts->size());
     for (const StmtPtr &S : *Stmts)
-      Clones->push_back(S->clone());
+      E->Stmts.push_back(S->clone());
   }
-  uint64_t Hash = fnv1aHash(Key);
-  std::shared_ptr<const std::vector<StmtPtr>> Displaced;
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Index.find(Hash);
-  if (It != Index.end()) {
-    Entry &E = *It->second;
-    E.Key = Key;
-    E.Replaced = Replaced;
-    Displaced = std::move(E.Stmts);
-    E.Stmts = std::move(Clones);
-    E.Delta = Delta;
-    LRU.splice(LRU.begin(), LRU, It->second);
-    return;
-  }
-  if (LRU.size() >= Capacity) {
-    Index.erase(LRU.back().Hash);
-    Displaced = std::move(LRU.back().Stmts);
-    LRU.pop_back();
-    ++Evictions;
-  }
-  LRU.push_front(Entry{Hash, Key, Replaced, std::move(Clones), Delta});
-  Index[Hash] = LRU.begin();
-}
-
-size_t NestCache::size() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return LRU.size();
-}
-
-uint64_t NestCache::hits() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Hits;
-}
-
-uint64_t NestCache::misses() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Misses;
-}
-
-uint64_t NestCache::evictions() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Evictions;
+  Entries.put(Key, std::move(E));
 }

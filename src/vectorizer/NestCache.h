@@ -6,18 +6,18 @@
 ///
 /// \file
 /// A thread-safe, content-addressed cache of per-loop-nest vectorization
-/// outcomes, sitting below the service layer's whole-script ContentCache:
+/// outcomes, sitting below the service layer's whole-script result cache:
 /// two different scripts that share a loop nest (same printed text, same
 /// shapes and guard facts for every mentioned variable, same index-liveness
 /// verdicts, same configuration) reuse the nest's replacement statements
 /// without re-running dependence analysis and dimension checking.
 ///
-/// The key is the full context string, not just its hash, so a 64-bit
-/// collision degrades to a miss instead of splicing the wrong code. Values
-/// are heap-owned AST clones (allocated outside any arena scope); lookup
-/// re-clones them under the caller's active arena, so a cached nest can be
-/// spliced into any program. Negative outcomes ("analysis ran, nothing
-/// improved") are cached too — they are exactly the expensive case.
+/// The key is the full context string, so two contexts can never share an
+/// entry. Values are heap-owned AST clones (allocated outside any arena
+/// scope); lookup re-clones them under the caller's active arena, so a
+/// cached nest can be spliced into any program. Negative outcomes
+/// ("analysis ran, nothing improved") are cached too — they are exactly
+/// the expensive case.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,24 +25,22 @@
 #define MVEC_VECTORIZER_NESTCACHE_H
 
 #include "frontend/AST.h"
-#include "support/ContentHash.h" // fnv1aHash
+#include "support/LruCache.h"
 #include "vectorizer/Options.h"
 #include "vectorizer/Vectorizer.h"
 
+#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace mvec {
 
 /// Packs every output-affecting VectorizerOptions toggle into a bitmask.
 /// New options must be added here, or distinct configurations would share
-/// cache entries (both in this cache and in the service's ContentCache).
+/// cache entries (both in this cache and in the service's result cache).
 uint64_t optionsFingerprint(const VectorizerOptions &Opts);
 
 /// Bounded LRU map from a nest context key to the nest's vectorization
@@ -52,7 +50,7 @@ class NestCache {
 public:
   /// \p Capacity of zero disables caching (every lookup misses, inserts
   /// are dropped).
-  explicit NestCache(size_t Capacity = 1024) : Capacity(Capacity) {}
+  explicit NestCache(size_t Capacity = 1024) : Entries(Capacity) {}
 
   /// What the driver did with one nest.
   struct Outcome {
@@ -66,7 +64,8 @@ public:
   };
 
   /// Returns a clone of the outcome stored under \p Key (statements
-  /// cloned under the caller's arena scope) and refreshes its recency.
+  /// cloned under the caller's arena scope) and refreshes its recency;
+  /// counts a hit or a miss.
   std::optional<Outcome> lookup(const std::string &Key);
 
   /// Stores \p Replaced / \p Stmts / \p Delta under \p Key, evicting the
@@ -76,32 +75,19 @@ public:
   void insert(const std::string &Key, bool Replaced,
               const std::vector<StmtPtr> *Stmts, const VectorizeStats &Delta);
 
-  size_t size() const;
-  size_t capacity() const { return Capacity; }
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t evictions() const;
+  size_t size() const { return Entries.size(); }
+  uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
+  uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
 
 private:
-  struct Entry {
-    uint64_t Hash;
-    std::string Key;
-    bool Replaced;
-    /// Shared so a lookup can pin the statements with one refcount bump
-    /// and clone them after releasing the mutex; eviction under a
-    /// concurrent reader only drops a reference.
-    std::shared_ptr<const std::vector<StmtPtr>> Stmts;
-    VectorizeStats Delta;
-  };
+  /// Shared so a lookup pins an entry with one refcount bump and clones
+  /// its statements after the cache lock is released; eviction under a
+  /// concurrent reader only drops a reference.
+  using Entry = std::shared_ptr<const Outcome>;
 
-  const size_t Capacity;
-  mutable std::mutex Mutex;
-  /// Most recently used at the front.
-  std::list<Entry> LRU;
-  std::unordered_map<uint64_t, std::list<Entry>::iterator> Index;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Evictions = 0;
+  LruCache<std::string, Entry> Entries;
+  std::atomic<uint64_t> Hits{0};
+  std::atomic<uint64_t> Misses{0};
 };
 
 } // namespace mvec

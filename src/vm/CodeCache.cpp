@@ -17,52 +17,16 @@
 using namespace mvec;
 using namespace mvec::vm;
 
-CodeCache::CodeCache(size_t Capacity, ResultStore *Disk,
-                     ServiceMetrics *Metrics)
-    : Capacity(Capacity), Disk(Disk), Metrics(Metrics) {}
-
-size_t CodeCache::size() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return LRU.size();
-}
-
-std::shared_ptr<const CompiledProgram> CodeCache::lookupMemory(uint64_t Key) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Index.find(Key);
-  if (It == Index.end())
-    return nullptr;
-  LRU.splice(LRU.begin(), LRU, It->second);
-  return LRU.front().second;
-}
-
-void CodeCache::insertMemory(uint64_t Key,
-                             const std::shared_ptr<const CompiledProgram> &CP) {
-  if (Capacity == 0)
-    return;
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Index.find(Key);
-  if (It != Index.end()) {
-    // A concurrent obtain() beat us; keep the existing entry (compilation
-    // is deterministic, the programs are identical).
-    LRU.splice(LRU.begin(), LRU, It->second);
-    return;
-  }
-  LRU.emplace_front(Key, CP);
-  Index[Key] = LRU.begin();
-  while (LRU.size() > Capacity) {
-    Index.erase(LRU.back().first);
-    LRU.pop_back();
-  }
-}
+CodeCache::CodeCache(size_t Capacity, ServiceMetrics &Metrics,
+                     ResultStore *Disk)
+    : Memory(Capacity), Metrics(Metrics), Disk(Disk) {}
 
 std::shared_ptr<const CompiledProgram>
 CodeCache::obtain(const std::string &Source, const Program &P) {
   uint64_t Key = codeKeyFor(Source);
-  if (auto CP = lookupMemory(Key)) {
-    Hits.fetch_add(1, std::memory_order_relaxed);
-    if (Metrics)
-      Metrics->CodeCacheHits.fetch_add(1, std::memory_order_relaxed);
-    return CP;
+  if (auto CP = Memory.get(Key)) {
+    Metrics.CodeCacheHits.fetch_add(1, std::memory_order_relaxed);
+    return *CP;
   }
 
   // Second tier: persisted bytecode. Corruption of any kind — failed
@@ -74,10 +38,8 @@ CodeCache::obtain(const std::string &Source, const Program &P) {
           if (Decoded->SourceHash == fnv1aHash(Source)) {
             auto CP = std::make_shared<const CompiledProgram>(
                 std::move(*Decoded));
-            Hits.fetch_add(1, std::memory_order_relaxed);
-            if (Metrics)
-              Metrics->CodeCacheHits.fetch_add(1, std::memory_order_relaxed);
-            insertMemory(Key, CP);
+            Metrics.CodeCacheHits.fetch_add(1, std::memory_order_relaxed);
+            Memory.put(Key, CP);
             return CP;
           }
         }
@@ -85,22 +47,16 @@ CodeCache::obtain(const std::string &Source, const Program &P) {
     }
   }
 
-  Misses.fetch_add(1, std::memory_order_relaxed);
-  if (Metrics)
-    Metrics->CodeCacheMisses.fetch_add(1, std::memory_order_relaxed);
-
+  Metrics.CodeCacheMisses.fetch_add(1, std::memory_order_relaxed);
   auto Start = std::chrono::steady_clock::now();
   auto CP = std::make_shared<const CompiledProgram>(compileProgram(P, Source));
   double Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
-  Compiles.fetch_add(1, std::memory_order_relaxed);
-  if (Metrics) {
-    Metrics->BytecodeCompiles.fetch_add(1, std::memory_order_relaxed);
-    Metrics->CompileLatency.record(Seconds);
-  }
+  Metrics.BytecodeCompiles.fetch_add(1, std::memory_order_relaxed);
+  Metrics.CompileLatency.record(Seconds);
 
-  insertMemory(Key, CP);
+  Memory.put(Key, CP);
   if (Disk) {
     JobResult Result;
     Result.Status = JobStatus::Succeeded;

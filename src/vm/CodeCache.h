@@ -19,15 +19,12 @@
 #ifndef MVEC_VM_CODECACHE_H
 #define MVEC_VM_CODECACHE_H
 
+#include "support/LruCache.h"
 #include "vm/Bytecode.h"
 
-#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 namespace mvec {
 
@@ -40,10 +37,11 @@ namespace vm {
 class CodeCache {
 public:
   /// \p Capacity bounds the in-memory tier (0 disables it; programs are
-  /// still served, compiled per call or loaded from \p Disk). \p Disk and
-  /// \p Metrics may be null; neither is owned.
-  explicit CodeCache(size_t Capacity, ResultStore *Disk = nullptr,
-                     ServiceMetrics *Metrics = nullptr);
+  /// still served, compiled per call or loaded from \p Disk). Hits,
+  /// misses, compiles and compile latency are counted in \p Metrics.
+  /// \p Disk may be null; neither is owned.
+  CodeCache(size_t Capacity, ServiceMetrics &Metrics,
+            ResultStore *Disk = nullptr);
 
   /// Returns the compiled form of \p Source, from memory, disk, or a
   /// fresh lowering of \p P (which must be the parse of \p Source).
@@ -51,27 +49,15 @@ public:
   std::shared_ptr<const CompiledProgram> obtain(const std::string &Source,
                                                 const Program &P);
 
-  size_t size() const;
-  uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
-  uint64_t compiles() const { return Compiles.load(std::memory_order_relaxed); }
+  size_t size() const { return Memory.size(); }
 
 private:
-  using Entry = std::pair<uint64_t, std::shared_ptr<const CompiledProgram>>;
-
-  std::shared_ptr<const CompiledProgram> lookupMemory(uint64_t Key);
-  void insertMemory(uint64_t Key,
-                    const std::shared_ptr<const CompiledProgram> &CP);
-
-  mutable std::mutex Mu;
-  size_t Capacity;
-  std::list<Entry> LRU; ///< front = most recent
-  std::unordered_map<uint64_t, std::list<Entry>::iterator> Index;
+  /// Lowering is deterministic, so when two threads race to compile one
+  /// source the programs they insert are identical and the later put()
+  /// overwriting the earlier is harmless.
+  LruCache<uint64_t, std::shared_ptr<const CompiledProgram>> Memory;
+  ServiceMetrics &Metrics;
   ResultStore *Disk;
-  ServiceMetrics *Metrics;
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> Compiles{0};
 };
 
 } // namespace vm

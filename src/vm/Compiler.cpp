@@ -9,12 +9,12 @@
 //
 //  1. Instruction order equals the walker's evaluation order, including
 //     the fused-kernel operand orders and the per-statement Step.
-//  2. The 'end'/':' handling reproduces mentionsEndKeyword /
-//     replaceEndKeyword exactly: an extent context propagates through
-//     Range/Unary/Binary/Transpose and an Index *base*, while Index
-//     arguments open their own subscript contexts and matrix-literal
-//     elements drop the context entirely (a matrix literal inside a
-//     subscript keeps its 'end' unresolved and fails at runtime).
+//  2. The 'end'/':' handling reproduces the walker's EndExtent exactly:
+//     an extent context propagates through Range/Unary/Binary/Transpose
+//     and an Index *base*, while Index arguments open their own subscript
+//     contexts and builtin arguments and matrix-literal elements drop the
+//     context entirely (a matrix literal inside a subscript keeps its
+//     'end' unresolved and fails at runtime).
 //  3. Registers form an expression stack: a destination is allocated
 //     below its operand temporaries and the stack top is restored per
 //     statement, so register numbering — and therefore the bytecode — is
@@ -714,7 +714,7 @@ private:
       return;
     }
     // Matrix-literal elements never see the enclosing subscript's 'end'
-    // context (replaceEndKeyword leaves matrix literals untouched).
+    // context, as in the walker.
     emitExprInto(RowReg, *Row[0], -1);
     for (size_t I = 1, E = Row.size(); I != E; ++I) {
       int32_t Save = Top;

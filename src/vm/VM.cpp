@@ -790,19 +790,11 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
           // walker's pre-evaluated RHS temporary guarantees.
           Value &Target = Env.slotValue(Slot);
           auto I = static_cast<size_t>(D);
-          if (I > Target.numel()) {
-            if ((Target.rows() == 0 && Target.cols() <= 1) ||
-                Target.rows() == 1) {
-              Target.growTo(1, I); // empties and rows widen as rows
-            } else if (Target.cols() == 1) {
-              Target.growTo(I, 1);
-            } else {
-              Host.fail(In->Loc,
-                        "linear indexed assignment cannot grow a matrix");
-              clearSrc(In->B);
-              clearSrc(In->C);
-              VM_NEXT();
-            }
+          if (I > Target.numel() &&
+              !Host.growLinear(Target, D, /*ColumnIdx=*/false, In->Loc)) {
+            clearSrc(In->B);
+            clearSrc(In->C);
+            VM_NEXT();
           }
           Target.mutableRaw()[I - 1] = RV;
           clearSrc(In->B);
@@ -830,9 +822,13 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
             CD <= 9.007199254740992e15) {
           Value &Target = Env.slotValue(Slot);
           auto R = static_cast<size_t>(RD), C = static_cast<size_t>(CD);
-          if (R > Target.rows() || C > Target.cols())
-            Target.growTo(std::max(R, Target.rows()),
-                          std::max(C, Target.cols()));
+          if ((R > Target.rows() || C > Target.cols()) &&
+              !Host.growShape(Target, RD, CD, In->Loc)) {
+            clearSrc(In->B);
+            clearSrc(In->C);
+            clearSrc(In->D);
+            VM_NEXT();
+          }
           Target.mutableRaw()[(C - 1) * Target.rows() + (R - 1)] = RV;
           clearSrc(In->B);
           clearSrc(In->C);

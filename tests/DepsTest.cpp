@@ -284,6 +284,15 @@ TEST(DepAnalysisTest, GcdDisprovesOddEven) {
   EXPECT_EQ(G.Edges.size(), 0u) << G.str();
 }
 
+TEST(DepAnalysisTest, HugeCoefficientsAreConservative) {
+  // 1e300*i == 1e300*j + 1e300 at j = i-1: a real carried dependence,
+  // whose coefficients no integer type holds.
+  NestFixture F("%! A(*,*)\nfor i=1:n\n A(1e300*i,1)=A(1e300*i+1e300,1)+1;\n"
+                "end");
+  DepGraph G = graphFor(F);
+  EXPECT_GE(countEdges(G, 0, 0, 1), 1u) << G.str();
+}
+
 TEST(DepAnalysisTest, DistinctConstantColumnsIndependent) {
   NestFixture F("%! A(*,*)\nfor i=1:n\n A(i,1)=A(i,2)+1;\nend");
   DepGraph G = graphFor(F);

@@ -682,4 +682,59 @@ TEST(InterpreterTest, BadSubscriptErrorsAreUnchanged) {
     EXPECT_EQ(runError(Source), Message) << Source;
 }
 
+/// Subscripts too large for any array fail cleanly before anything is
+/// cast to size_t or allocated: a read past 2^53, growth to a payload
+/// over Interpreter::MaxArrayBytes, and a shape whose byte count would
+/// overflow size_t.
+TEST(InterpreterTest, HugeSubscriptsFailCleanly) {
+  const std::string Int = "subscript indices must be positive integers";
+  const std::string Max = " array exceeds the maximum array size";
+  const std::pair<const char *, std::string> Cases[] = {
+      {"v = [10 20 30];\nx = v(1e300);",
+       "index 1e+300 exceeds matrix dimension (3)"},
+      {"A = [1 2; 3 4];\nx = A(1e300, 1);",
+       "index 1e+300 exceeds matrix dimension (2)"},
+      {"v = [10 20 30];\nv(1e300) = 4;", "requested 1x1e+300" + Max},
+      {"A = [1 2; 3 4];\nA(1e300, 1) = 4;", "requested 1e+300x2" + Max},
+      {"v = [10 20 30];\nv(1e12) = 4;", "requested 1x1000000000000" + Max},
+      {"A = [1 2; 3 4];\nA(2^40, 2^40) = 1;",
+       "requested 1099511627776x1099511627776" + Max},
+      {"e = [];\ne(1e300, :) = 1;", "requested 1e+300x0" + Max},
+      {"A = [1 2; 3 4];\nA(1e300) = 4;",
+       "linear indexed assignment cannot grow a matrix"},
+      {"v = [10 20 30];\nv(1/0) = 4;", Int},
+      {"v = [10 20 30];\nv([5 0]) = 4;", Int},
+  };
+  for (const auto &[Source, Message] : Cases)
+    EXPECT_EQ(runError(Source), Message) << Source;
+}
+
+/// A rejected write leaves its target as it was: validation runs before
+/// any growth.
+TEST(InterpreterTest, RejectedWriteDoesNotGrow) {
+  DiagnosticEngine Diags;
+  ParseResult R = parseMatlab("v = [10 20 30];\nv([5 0]) = 4;", Diags);
+  Interpreter Interp;
+  EXPECT_FALSE(Interp.run(R.Prog));
+  const Value *V = Interp.getVariable("v");
+  ASSERT_NE(V, nullptr);
+  EXPECT_EQ(V->numel(), 3u);
+}
+
+TEST(InterpreterTest, EndResolvesPerSubscript) {
+  Interpreter I = runOk("v = [1 2 3 4 5];\nA = [1 2 3; 4 5 6];\n"
+                        "a = v(end);\nc = A(end, 1);\nd = A(1, end);\n"
+                        "e = v(v(end) - 3);\ng = A(end);\n");
+  EXPECT_DOUBLE_EQ(scalarVar(I, "a"), 5);
+  EXPECT_DOUBLE_EQ(scalarVar(I, "c"), 4);
+  EXPECT_DOUBLE_EQ(scalarVar(I, "d"), 3);
+  EXPECT_DOUBLE_EQ(scalarVar(I, "e"), 2);
+  EXPECT_DOUBLE_EQ(scalarVar(I, "g"), 6);
+  // Builtin arguments and matrix literals do not see the subscript's end.
+  EXPECT_EQ(runError("v = 1:3;\nx = v(max(end + 0, 1));"),
+            "'end' outside of a subscript");
+  EXPECT_EQ(runError("v = 1:3;\nx = v([end 1]);"),
+            "'end' outside of a subscript");
+}
+
 } // namespace

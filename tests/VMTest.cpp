@@ -19,6 +19,7 @@
 #include "interp/Interpreter.h"
 #include "resilience/ResourceGovernor.h"
 #include "service/ResultStore.h"
+#include "service/ServiceMetrics.h"
 #include "vm/CodeCache.h"
 #include "vm/Compiler.h"
 #include "vm/Serialize.h"
@@ -400,6 +401,28 @@ TEST(VMParity, DataMovementFastPaths) {
   }
 }
 
+TEST(VMParity, HugeSubscriptsFailIdentically) {
+  // Each fails before any cast or allocation, on the VM's scalar fast
+  // paths as on the walker's general path, with the same message.
+  const char *Cases[] = {
+      "v = [10 20 30];\nx = v(1e300);\n",
+      "v = [10 20 30];\nv(1e300) = 4;\n",
+      "A = [1 2; 3 4];\nA(1e300, 1) = 4;\n",
+      "v = [10 20 30];\nv(1e12) = 4;\n",
+      "A = [1 2; 3 4];\nA(2^40, 2^40) = 1;\n",
+      "A = [1 2; 3 4];\nA(1e300) = 4;\n",
+      "v = [10 20 30];\nv([1 1e300]) = 4;\n",
+  };
+  for (const char *Source : Cases) {
+    // engineDiffRun demands the same failure and message from both.
+    DiffOutcome Out = engineDiffRun(Source);
+    EXPECT_TRUE(Out.agreed()) << Source << "\n" << Out.Message;
+    DiagnosticEngine Diags;
+    Interpreter Ast;
+    EXPECT_FALSE(Ast.run(parseMatlab(Source, Diags).Prog)) << Source;
+  }
+}
+
 TEST(VMParity, StepLimitInterrupt) {
   const std::string Source = "s = 0;\nfor i = 1:100000\n  s = s + i;\nend\n";
   RunLimits Limits;
@@ -496,6 +519,9 @@ TEST(VMParity, GovernorChargesIdentically) {
       "x = rand(8, 8);\ny = x';\nz = x .* y + 3;\n",
       "A = rand(30, 20);\nB = A(1:30, :);\nB(1) = 0;\nC = A(2:29, :);\n"
       "D = A' * A(1:30, 3:7);\nv = A(:, 1);\nw = v([3 1 2]);\n",
+      // 'end' resolves from the subscript's extent on both engines; no
+      // rewritten copy of the subscript is allocated per evaluation.
+      "v = rand(1,50); s = 0; for i = 1:50; s = s + v(end) + v(end-1); end\n",
   };
   for (const char *Source : Sources) {
     DiagnosticEngine D1, D2;
@@ -579,30 +605,33 @@ public:
 TEST(VMCodeCache, HitsShareOneCompilation) {
   const std::string Source = "x = 1 + 2;\n";
   ParseResult R = parseOk(Source);
-  vm::CodeCache Cache(8);
+  ServiceMetrics M;
+  vm::CodeCache Cache(8, M);
   auto A = Cache.obtain(Source, R.Prog);
   auto B = Cache.obtain(Source, R.Prog);
   ASSERT_TRUE(A && B);
   EXPECT_EQ(A.get(), B.get()) << "second obtain must share, not recompile";
-  EXPECT_EQ(Cache.compiles(), 1u);
-  EXPECT_EQ(Cache.hits(), 1u);
-  EXPECT_EQ(Cache.misses(), 1u);
+  EXPECT_EQ(M.BytecodeCompiles.load(), 1u);
+  EXPECT_EQ(M.CodeCacheHits.load(), 1u);
+  EXPECT_EQ(M.CodeCacheMisses.load(), 1u);
+  EXPECT_EQ(M.CompileLatency.count(), 1u);
 }
 
 TEST(VMCodeCache, LRUEviction) {
   const std::string S1 = "x = 1;\n", S2 = "x = 2;\n", S3 = "x = 3;\n";
   ParseResult R1 = parseOk(S1), R2 = parseOk(S2), R3 = parseOk(S3);
-  vm::CodeCache Cache(2);
+  ServiceMetrics M;
+  vm::CodeCache Cache(2, M);
   Cache.obtain(S1, R1.Prog);
   Cache.obtain(S2, R2.Prog);
   EXPECT_EQ(Cache.size(), 2u);
   Cache.obtain(S3, R3.Prog); // evicts S1 (least recently used)
   EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_EQ(Cache.compiles(), 3u);
+  EXPECT_EQ(M.BytecodeCompiles.load(), 3u);
   Cache.obtain(S2, R2.Prog); // still resident
-  EXPECT_EQ(Cache.compiles(), 3u);
+  EXPECT_EQ(M.BytecodeCompiles.load(), 3u);
   Cache.obtain(S1, R1.Prog); // evicted: compiles again
-  EXPECT_EQ(Cache.compiles(), 4u);
+  EXPECT_EQ(M.BytecodeCompiles.load(), 4u);
 }
 
 TEST(VMCodeCache, DiskRoundTripSurvivesRestart) {
@@ -610,18 +639,21 @@ TEST(VMCodeCache, DiskRoundTripSurvivesRestart) {
   ParseResult R = parseOk(Source);
   MapStore Store;
   {
-    vm::CodeCache Warm(8, &Store);
+    ServiceMetrics M;
+    vm::CodeCache Warm(8, M, &Store);
     Warm.obtain(Source, R.Prog);
-    EXPECT_EQ(Warm.compiles(), 1u);
+    EXPECT_EQ(M.BytecodeCompiles.load(), 1u);
     EXPECT_EQ(Store.Stores, 1u);
   }
   // A fresh cache over the same store models a restarted shard: the
   // program loads from the persisted bytes without re-lowering.
-  vm::CodeCache Cold(8, &Store);
+  ServiceMetrics M;
+  vm::CodeCache Cold(8, M, &Store);
   auto CP = Cold.obtain(Source, R.Prog);
   ASSERT_TRUE(CP);
-  EXPECT_EQ(Cold.compiles(), 0u);
-  EXPECT_EQ(Cold.hits(), 1u);
+  EXPECT_EQ(M.BytecodeCompiles.load(), 0u);
+  EXPECT_EQ(M.CodeCacheHits.load(), 1u);
+  EXPECT_EQ(M.CodeCacheMisses.load(), 0u);
   // And the loaded program actually runs.
   Interpreter I;
   EXPECT_TRUE(vm::execute(*CP, I));
@@ -635,7 +667,8 @@ TEST(VMCodeCache, CorruptPersistedEntryIsAMiss) {
   ParseResult R = parseOk(Source);
   MapStore Store;
   {
-    vm::CodeCache Warm(8, &Store);
+    ServiceMetrics M;
+    vm::CodeCache Warm(8, M, &Store);
     Warm.obtain(Source, R.Prog);
   }
   ASSERT_EQ(Store.Entries.size(), 1u);
@@ -644,10 +677,12 @@ TEST(VMCodeCache, CorruptPersistedEntryIsAMiss) {
   JobResult &Entry = Store.Entries.begin()->second;
   Entry.VectorizedSource = Entry.VectorizedSource.substr(
       0, Entry.VectorizedSource.size() / 2);
-  vm::CodeCache Cold(8, &Store);
+  ServiceMetrics M;
+  vm::CodeCache Cold(8, M, &Store);
   auto CP = Cold.obtain(Source, R.Prog);
   ASSERT_TRUE(CP);
-  EXPECT_EQ(Cold.compiles(), 1u) << "corrupt entry must recompile";
+  EXPECT_EQ(M.BytecodeCompiles.load(), 1u) << "corrupt entry must recompile";
+  EXPECT_EQ(M.CodeCacheMisses.load(), 1u);
   Interpreter I;
   EXPECT_TRUE(vm::execute(*CP, I));
   const Value *X = I.getVariable("x");
@@ -663,7 +698,8 @@ TEST(VMCodeCache, WrongSourceHashIsAMiss) {
   ParseResult RA = parseOk(SourceA), RB = parseOk(SourceB);
   MapStore Store;
   {
-    vm::CodeCache Warm(8, &Store);
+    ServiceMetrics M;
+    vm::CodeCache Warm(8, M, &Store);
     Warm.obtain(SourceB, RB.Prog);
   }
   ASSERT_EQ(Store.Entries.size(), 1u);
@@ -671,10 +707,12 @@ TEST(VMCodeCache, WrongSourceHashIsAMiss) {
   JobResult Payload = Store.Entries.begin()->second;
   Store.Entries.clear();
   Store.Entries[vm::codeKeyFor(SourceA)] = Payload;
-  vm::CodeCache Cold(8, &Store);
+  ServiceMetrics M;
+  vm::CodeCache Cold(8, M, &Store);
   auto CP = Cold.obtain(SourceA, RA.Prog);
   ASSERT_TRUE(CP);
-  EXPECT_EQ(Cold.compiles(), 1u);
+  EXPECT_EQ(M.BytecodeCompiles.load(), 1u);
+  EXPECT_EQ(M.CodeCacheMisses.load(), 1u);
   Interpreter I;
   EXPECT_TRUE(vm::execute(*CP, I));
   EXPECT_NE(I.getVariable("x"), nullptr);
