@@ -194,6 +194,8 @@ Value doFprintf(Interpreter &Interp, const ArgList &Args, SourceLoc Loc) {
 struct BuiltinRegistry {
   std::vector<std::pair<std::string, BuiltinFn>> Entries;
   std::unordered_map<std::string, BuiltinId> Index;
+  /// Per entry: reads only argument shapes, so views pass unmaterialized.
+  std::vector<bool> ShapeOnly;
 };
 
 const BuiltinRegistry &registry() {
@@ -243,23 +245,27 @@ const BuiltinRegistry &registry() {
       return Value::scalar(Args[0].isEmpty() ? 1.0 : 0.0);
     };
 
-    auto MakeFilled = [](double Fill) {
-      return [Fill](Interpreter &Interp, const ArgList &Args,
-                    SourceLoc Loc) -> Value {
-        if (Args.empty())
-          return Value::scalar(Fill);
-        size_t R = 0, C = 0;
-        if (!toExtent(Interp, Args[0], R, "zeros/ones", Loc))
-          return Value();
-        if (Args.size() == 1)
-          C = R;
-        else if (!toExtent(Interp, Args[1], C, "zeros/ones", Loc))
-          return Value();
-        return Value(R, C, Fill);
+    auto MakeFilled = [](double Fill, const char *Name, bool Logical) {
+      return [Fill, Name, Logical](Interpreter &Interp, const ArgList &Args,
+                                   SourceLoc Loc) -> Value {
+        size_t R = 1, C = 1;
+        if (!Args.empty()) {
+          if (!toExtent(Interp, Args[0], R, Name, Loc))
+            return Value();
+          if (Args.size() == 1)
+            C = R;
+          else if (!toExtent(Interp, Args[1], C, Name, Loc))
+            return Value();
+        }
+        Value V(R, C, Fill);
+        V.setLogical(Logical);
+        return V;
       };
     };
-    T["zeros"] = MakeFilled(0.0);
-    T["ones"] = MakeFilled(1.0);
+    T["zeros"] = MakeFilled(0.0, "zeros/ones", false);
+    T["ones"] = MakeFilled(1.0, "zeros/ones", false);
+    T["true"] = MakeFilled(1.0, "true/false", true);
+    T["false"] = MakeFilled(0.0, "true/false", true);
 
     T["eye"] = [](Interpreter &Interp, const ArgList &Args,
                   SourceLoc Loc) -> Value {
@@ -480,7 +486,7 @@ const BuiltinRegistry &registry() {
                         SourceLoc Loc) -> Value {
       if (!requireArgs(Interp, Args, 1, 1, "transpose", Loc))
         return Value();
-      return transpose(Args[0], &Interp.pool());
+      return transpose(Args[0]);
     };
 
     T["mean"] = [](Interpreter &Interp, const ArgList &Args,
@@ -503,16 +509,6 @@ const BuiltinRegistry &registry() {
       return S;
     };
 
-    T["true"] = [](Interpreter &, const ArgList &, SourceLoc) -> Value {
-      Value V = Value::scalar(1.0);
-      V.setLogical(true);
-      return V;
-    };
-    T["false"] = [](Interpreter &, const ArgList &, SourceLoc) -> Value {
-      Value V = Value::scalar(0.0);
-      V.setLogical(true);
-      return V;
-    };
     T["logical"] = [](Interpreter &Interp, const ArgList &Args,
                       SourceLoc Loc) -> Value {
       if (!requireArgs(Interp, Args, 1, 1, "logical", Loc))
@@ -642,6 +638,7 @@ const BuiltinRegistry &registry() {
       for (size_t C = 0; C != A.cols(); ++C)
         for (size_t Row = 0; Row != A.rows(); ++Row)
           R.at(Row, C) = A.at(Row, A.cols() - 1 - C);
+      R.setLogical(A.isLogical());
       return R;
     };
 
@@ -654,6 +651,7 @@ const BuiltinRegistry &registry() {
       for (size_t C = 0; C != A.cols(); ++C)
         for (size_t Row = 0; Row != A.rows(); ++Row)
           R.at(Row, C) = A.at(A.rows() - 1 - Row, C);
+      R.setLogical(A.isLogical());
       return R;
     };
 
@@ -697,6 +695,9 @@ const BuiltinRegistry &registry() {
     R.Entries.reserve(T.size());
     for (auto &[Name, Fn] : T) {
       R.Index.emplace(Name, static_cast<BuiltinId>(R.Entries.size()));
+      R.ShapeOnly.push_back(Name == "size" || Name == "numel" ||
+                            Name == "length" || Name == "isempty" ||
+                            Name == "islogical");
       R.Entries.emplace_back(Name, std::move(Fn));
     }
     return R;
@@ -713,21 +714,17 @@ BuiltinId mvec::builtinIdFor(const std::string &Name) {
 }
 
 Value mvec::callBuiltin(Interpreter &Interp, BuiltinId Id,
-                        const std::vector<Value> &Args, SourceLoc Loc) {
+                        std::vector<Value> &Args, SourceLoc Loc) {
   const BuiltinRegistry &R = registry();
   assert(Id >= 0 && static_cast<size_t>(Id) < R.Entries.size() &&
          "invalid builtin id");
-  return R.Entries[Id].second(Interp, Args, Loc);
-}
-
-Value mvec::callBuiltin(Interpreter &Interp, const std::string &Name,
-                        const std::vector<Value> &Args, SourceLoc Loc) {
-  BuiltinId Id = builtinIdFor(Name);
-  if (Id == InvalidBuiltinId) {
-    Interp.fail(Loc, "unknown builtin '" + Name + "'");
-    return Value();
+  for (Value &A : Args) {
+    if (R.ShapeOnly[Id])
+      chargeMemory(A.owedBytes()); // read as a transpose would have been
+    else
+      A.materialize();
   }
-  return callBuiltin(Interp, Id, Args, Loc);
+  return R.Entries[Id].second(Interp, Args, Loc);
 }
 
 std::vector<std::string> mvec::builtinNames() {

@@ -42,13 +42,10 @@ inline bool isBuiltinName(const std::string &Name) {
 }
 
 /// Invokes builtin \p Id (from builtinIdFor) with already-evaluated \p Args.
-/// Reports problems through the interpreter's fail state.
-Value callBuiltin(Interpreter &Interp, BuiltinId Id,
-                  const std::vector<Value> &Args, SourceLoc Loc);
-
-/// Name-keyed convenience wrapper around the ID form.
-Value callBuiltin(Interpreter &Interp, const std::string &Name,
-                  const std::vector<Value> &Args, SourceLoc Loc);
+/// Views among them are materialized in place unless the builtin only reads
+/// shapes. Reports problems through the interpreter's fail state.
+Value callBuiltin(Interpreter &Interp, BuiltinId Id, std::vector<Value> &Args,
+                  SourceLoc Loc);
 
 /// Names of every registered builtin, sorted (used by analyses that must
 /// decide whether an identifier is a function or an array).

@@ -343,7 +343,7 @@ void Interpreter::execAssign(const AssignStmt &S) {
   // Marks the slot defined even if the write then fails — same as the old
   // map-based store, whose operator[] created the [] entry up front.
   Value &Target = defineSlotRef(static_cast<unsigned>(Slot));
-  writeIndexed(Target, *Index, RHS);
+  writeIndexed(Target, *Index, std::move(RHS));
   checkShapeCap(static_cast<unsigned>(Slot), S.loc());
 }
 
@@ -370,10 +370,6 @@ void Interpreter::checkShapeCapSlow(unsigned Slot, SourceLoc Loc) {
 // Expression evaluation
 //===----------------------------------------------------------------------===//
 
-static const std::vector<Value> &noArgs() {
-  static const std::vector<Value> Empty;
-  return Empty;
-}
 
 Value Interpreter::eval(const Expr &E) {
   if (Failed)
@@ -410,7 +406,7 @@ Value Interpreter::evalImpl(const Expr &E) {
       if (Info->IsPi)
         return Value::scalar(3.14159265358979323846);
       if (Info->Builtin != InvalidBuiltinId)
-        return callBuiltin(*this, Info->Builtin, noArgs(), E.loc());
+        return callBuiltin(*this, Info->Builtin, ArgsNone, E.loc());
       fail(E.loc(), "undefined variable '" + Ident.name() + "'");
       return Value();
     }
@@ -421,7 +417,7 @@ Value Interpreter::evalImpl(const Expr &E) {
     if (Ident.name() == "pi")
       return Value::scalar(3.14159265358979323846);
     if (BuiltinId Id = builtinIdFor(Ident.name()); Id != InvalidBuiltinId)
-      return callBuiltin(*this, Id, noArgs(), E.loc());
+      return callBuiltin(*this, Id, ArgsNone, E.loc());
     fail(E.loc(), "undefined variable '" + Ident.name() + "'");
     return Value();
   }
@@ -450,17 +446,11 @@ Value Interpreter::evalImpl(const Expr &E) {
       return Value();
     switch (U.op()) {
     case UnaryOp::Plus:
-      return Operand; // COW copy when the operand is a workspace variable
-    case UnaryOp::Minus: {
-      Value Result = unaryMinus(Operand, &Pool);
-      Pool.recycle(std::move(Tmp));
-      return Result;
-    }
-    case UnaryOp::Not: {
-      Value Result = unaryNot(Operand, &Pool);
-      Pool.recycle(std::move(Tmp));
-      return Result;
-    }
+      return &Operand == &Tmp ? std::move(Tmp) : Operand; // COW copy of a var
+    case UnaryOp::Minus:
+      return unaryMinus(Operand, &Pool);
+    case UnaryOp::Not:
+      return unaryNot(Operand, &Pool);
     }
     return Value();
   }
@@ -471,9 +461,7 @@ Value Interpreter::evalImpl(const Expr &E) {
     const Value &Operand = evalOperand(*cast<TransposeExpr>(E).operand(), Tmp);
     if (Failed)
       return Value();
-    Value Result = transpose(Operand, &Pool);
-    Pool.recycle(std::move(Tmp));
-    return Result;
+    return transpose(Operand);
   }
   case Expr::Kind::Index:
     return evalIndexOrCall(cast<IndexExpr>(E));
@@ -511,15 +499,10 @@ Value Interpreter::evalFusedMulAdd(const BinaryExpr &E, const BinaryExpr &Prod,
   }
   if (Failed)
     return Value();
-  Value Result = applyFusedMulAdd(*AP, *BP, *CP,
-                                  /*Subtract=*/E.op() == BinaryOp::Sub,
-                                  ProductOnLeft,
-                                  /*DotMul=*/Prod.op() == BinaryOp::DotMul,
-                                  E.loc(), Prod.loc());
-  Pool.recycle(std::move(AT));
-  Pool.recycle(std::move(BT));
-  Pool.recycle(std::move(CT));
-  return Result;
+  return applyFusedMulAdd(*AP, *BP, *CP,
+                          /*Subtract=*/E.op() == BinaryOp::Sub, ProductOnLeft,
+                          /*DotMul=*/Prod.op() == BinaryOp::DotMul, E.loc(),
+                          Prod.loc());
 }
 
 Value Interpreter::applyFusedMulAdd(const Value &A, const Value &B,
@@ -555,7 +538,6 @@ Value Interpreter::applyFusedMulAdd(const Value &A, const Value &B,
   Value Result = ProductOnLeft
                      ? elementwiseBinary(Outer, Product, C, Err2, &Pool)
                      : elementwiseBinary(Outer, C, Product, Err2, &Pool);
-  Pool.recycle(std::move(Product));
   if (Err2.failed())
     fail(ELoc, Err2.Message);
   return Result;
@@ -603,71 +585,12 @@ Value Interpreter::evalBinary(const BinaryExpr &E) {
       return evalFusedMulAdd(E, *R, /*ProductOnLeft=*/false);
   }
 
-  // A * B' and A' * B: multiply without materializing the transpose as a
-  // value. A transposed right operand takes precedence.
-  if (E.op() == BinaryOp::Mul) {
-    if (const auto *T = dyn_cast<TransposeExpr>(E.rhs())) {
-      Value LT, BTmp;
-      const Value &LOp = evalOperand(*E.lhs(), LT);
-      const Value &BOp = evalOperand(*T->operand(), BTmp);
-      if (Failed)
-        return Value();
-      Value Result = applyMulTransB(LOp, BOp, E.loc());
-      Pool.recycle(std::move(LT));
-      Pool.recycle(std::move(BTmp));
-      return Result;
-    }
-    if (const auto *T = dyn_cast<TransposeExpr>(E.lhs())) {
-      Value ATmp, RT;
-      const Value &AOp = evalOperand(*T->operand(), ATmp);
-      const Value &ROp = evalOperand(*E.rhs(), RT);
-      if (Failed)
-        return Value();
-      Value Result = applyMulTransA(AOp, ROp, E.loc());
-      Pool.recycle(std::move(ATmp));
-      Pool.recycle(std::move(RT));
-      return Result;
-    }
-  }
   Value LT, RT;
   const Value &LHS = evalOperand(*E.lhs(), LT);
   const Value &RHS = evalOperand(*E.rhs(), RT);
   if (Failed)
     return Value();
-  Value Result = applyBinary(E.op(), LHS, RHS, E.loc());
-  Pool.recycle(std::move(LT));
-  Pool.recycle(std::move(RT));
-  return Result;
-}
-
-Value Interpreter::applyMulTransB(const Value &LHS, const Value &B,
-                                  SourceLoc Loc) {
-  if (!LHS.isScalar() && !B.isScalar() && LHS.cols() == B.cols()) {
-    OpError Err;
-    Value Result = matMulTransB(LHS, B, Err, &Pool);
-    if (Err.failed())
-      fail(Loc, Err.Message);
-    return Result;
-  }
-  Value RT = transpose(B, &Pool);
-  Value Result = applyBinary(BinaryOp::Mul, LHS, RT, Loc);
-  Pool.recycle(std::move(RT));
-  return Result;
-}
-
-Value Interpreter::applyMulTransA(const Value &A, const Value &RHS,
-                                  SourceLoc Loc) {
-  if (!A.isScalar() && !RHS.isScalar() && A.rows() == RHS.rows()) {
-    OpError Err;
-    Value Result = matMulTransA(A, RHS, Err, &Pool);
-    if (Err.failed())
-      fail(Loc, Err.Message);
-    return Result;
-  }
-  Value AT = transpose(A, &Pool);
-  Value Result = applyBinary(BinaryOp::Mul, AT, RHS, Loc);
-  Pool.recycle(std::move(AT));
-  return Result;
+  return applyBinary(E.op(), LHS, RHS, E.loc());
 }
 
 Value Interpreter::applyBinary(BinaryOp Op, const Value &LHS, const Value &RHS,
@@ -787,35 +710,26 @@ Value Interpreter::evalSubscript(const Expr &Arg, size_t Extent) {
 
 namespace {
 
-/// True when \p Idx holds exactly 1, 2, ..., \p Extent in order: every
-/// row or every column. (As a mask those values select everything too.)
-bool coversExtent(const Value &Idx, size_t Extent) {
-  if (Idx.numel() != Extent)
-    return false;
-  const double *D = Idx.raw();
-  for (size_t I = 0; I != Extent; ++I)
-    if (D[I] != static_cast<double>(I + 1))
-      return false;
-  return true;
-}
-
-/// True when \p Idx is a plain subscript of at least two elements forming
-/// the ascending run First+1, First+2, ... inside \p Extent; sets \p First
-/// (0-based). Scalars and masks are rejected in O(1), so they keep the
-/// general path.
-bool contiguousRun(const Value &Idx, size_t Extent, size_t &First) {
+/// True when non-mask subscript \p Idx is First+1, First+1+Step, ... inside
+/// \p Extent (Step >= 1); sets \p First (0-based) and \p Step. Any other
+/// subscript takes the general path, which reports its errors.
+bool progression(const Value &Idx, size_t Extent, size_t &First,
+                 size_t &Step) {
   size_t N = Idx.numel();
-  if (N < 2 || Idx.isLogical())
+  if (N == 0 || Idx.isLogical())
     return false;
   const double *D = Idx.raw();
   double Start = D[0];
-  if (!(Start >= 1.0) || Start != std::floor(Start) ||
-      Start + static_cast<double>(N - 1) > static_cast<double>(Extent))
+  double StepD = N > 1 ? D[1] - Start : 1.0;
+  if (!(Start >= 1.0) || Start != std::floor(Start) || !(StepD >= 1.0) ||
+      StepD != std::floor(StepD) ||
+      Start + StepD * static_cast<double>(N - 1) > static_cast<double>(Extent))
     return false;
-  for (size_t I = 1; I != N; ++I)
-    if (D[I] != Start + static_cast<double>(I))
+  for (size_t I = 2; I < N; ++I)
+    if (D[I] != Start + StepD * static_cast<double>(I))
       return false;
   First = static_cast<size_t>(Start) - 1;
+  Step = static_cast<size_t>(StepD);
   return true;
 }
 
@@ -927,13 +841,15 @@ bool Interpreter::growLinear(Value &Target, double Needed, bool ColumnIdx,
 Value Interpreter::indexReadAll(const Value &Base) {
   // Linear (column-major) indexing. A(:) flattens to a column.
   Value Result = Base;
+  Result.materialize();
   Result.reshapeTo(Base.numel(), Base.numel() ? 1 : 0);
   return Result;
 }
 
-Value Interpreter::indexRead1(const Value &Base, const Value &Idx,
-                              SourceLoc Loc) {
-  const double *BaseD = Base.raw();
+Value Interpreter::indexRead1(const Value &Base, Value &&Idx, SourceLoc Loc) {
+  Idx.materialize();
+  // Reading a transpose in place stands for the copy it used to make.
+  chargeMemory(Base.owedBytes());
   if (Idx.isLogical()) {
     // Mask selection yields a column unless the base is a row.
     std::vector<size_t> &Indices = IdxScratchA;
@@ -943,7 +859,7 @@ Value Interpreter::indexRead1(const Value &Base, const Value &Idx,
                                 : Value(Indices.size(), Indices.empty() ? 0 : 1);
     double *ResultD = Result.mutableRaw();
     for (size_t I = 0; I != Indices.size(); ++I)
-      ResultD[I] = BaseD[Indices[I]];
+      ResultD[I] = Base.linear(Indices[I]);
     Result.setLogical(Base.isLogical());
     return Result;
   }
@@ -963,7 +879,7 @@ Value Interpreter::indexRead1(const Value &Base, const Value &Idx,
   double Single = 0.0;
   double *Out = &Single;
   if (N > 1) {
-    Buf = Pool.acquireUncharged(N);
+    Buf = std::make_shared<PayloadBuffer>(N);
     Out = Buf->data();
   }
   const double *IdxD = Idx.raw();
@@ -971,11 +887,9 @@ Value Interpreter::indexRead1(const Value &Base, const Value &Idx,
   double Limit = indexLimit(Extent);
   for (size_t I = 0; I != N; ++I) {
     size_t Index;
-    if (!toIndex(IdxD[I], Extent, Limit, Index, Loc)) {
-      Pool.recycleBuffer(std::move(Buf));
+    if (!toIndex(IdxD[I], Extent, Limit, Index, Loc))
       return Value();
-    }
-    Out[I] = BaseD[Index];
+    Out[I] = Base.linear(Index);
   }
   Value Result;
   if (Buf) {
@@ -988,41 +902,32 @@ Value Interpreter::indexRead1(const Value &Base, const Value &Idx,
   return Result;
 }
 
-Value Interpreter::indexRead2(const Value &Base, const Value &RowIdx,
-                              const Value &ColIdx, SourceLoc Loc) {
-  size_t BaseRows = Base.rows();
-  // Every row and every column in order selects Base itself: share the
-  // payload. The charge is the copy's, so governor verdicts do not depend
-  // on the sharing.
-  if (coversExtent(RowIdx, BaseRows) && coversExtent(ColIdx, Base.cols())) {
-    if (Base.numel() > 1)
-      chargeMemory(Base.numel() * sizeof(double));
-    return Base;
+Value Interpreter::indexRead2(const Value &Base, Value &&RowIdx,
+                              Value &&ColIdx, SourceLoc Loc) {
+  RowIdx.materialize();
+  ColIdx.materialize();
+  size_t R0, RStep, C0, CStep;
+  size_t NR = RowIdx.numel(), NC = ColIdx.numel();
+  if (NR * NC > 1 && progression(RowIdx, Base.rows(), R0, RStep) &&
+      progression(ColIdx, Base.cols(), C0, CStep)) {
+    // An O(1) view, charged as the copy it stands for.
+    chargeMemory(Base.owedBytes() + NR * NC * sizeof(double));
+    size_t RS = Base.rowStep(), CS = Base.colStep();
+    return Base.view(NR, NC, R0 * RS + C0 * CS, RStep * RS, CStep * CS,
+                     /*Owed=*/false);
   }
   std::vector<size_t> &RI = IdxScratchA, &CI = IdxScratchB;
-  size_t First;
-  if (contiguousRun(RowIdx, BaseRows, First)) {
-    // A contiguous row run copies one column run per selected column.
-    if (!toIndices(ColIdx, Base.cols(), CI, Loc))
-      return Value();
-    size_t N = RowIdx.numel();
-    Value Result = Pool.dest(N, CI.size());
-    const double *Src = Base.raw() + First;
-    double *Dst = Result.mutableRaw();
-    for (size_t C = 0; C != CI.size(); ++C)
-      std::copy_n(Src + CI[C] * BaseRows, N, Dst + C * N);
-    Result.setLogical(Base.isLogical());
-    return Result;
-  }
-  if (!toIndices(RowIdx, BaseRows, RI, Loc) ||
+  if (!toIndices(RowIdx, Base.rows(), RI, Loc) ||
       !toIndices(ColIdx, Base.cols(), CI, Loc))
     return Value();
+  chargeMemory(Base.owedBytes());
   Value Result(RI.size(), CI.size());
-  const double *BaseD = Base.raw();
+  const double *BaseD = Base.data();
+  size_t RS = Base.rowStep(), CS = Base.colStep();
   double *ResultD = Result.mutableRaw();
   for (size_t C = 0; C != CI.size(); ++C)
     for (size_t R = 0; R != RI.size(); ++R)
-      ResultD[C * RI.size() + R] = BaseD[CI[C] * BaseRows + RI[R]];
+      ResultD[C * RI.size() + R] = BaseD[CI[C] * CS + RI[R] * RS];
   Result.setLogical(Base.isLogical());
   return Result;
 }
@@ -1037,7 +942,7 @@ Value Interpreter::readIndexed(const Value &Base, const IndexExpr &E) {
     Value Idx = evalSubscript(*E.arg(0), Base.numel());
     if (Failed)
       return Value();
-    return indexRead1(Base, Idx, E.loc());
+    return indexRead1(Base, std::move(Idx), E.loc());
   }
 
   if (E.numArgs() == 2) {
@@ -1045,15 +950,15 @@ Value Interpreter::readIndexed(const Value &Base, const IndexExpr &E) {
     Value ColIdx = evalSubscript(*E.arg(1), Base.cols());
     if (Failed)
       return Value();
-    return indexRead2(Base, RowIdx, ColIdx, E.loc());
+    return indexRead2(Base, std::move(RowIdx), std::move(ColIdx), E.loc());
   }
 
   fail(E.loc(), "N-dimensional indexing is not supported");
   return Value();
 }
 
-void Interpreter::indexWriteAll(Value &Target, const Value &RHS,
-                                SourceLoc Loc) {
+void Interpreter::indexWriteAll(Value &Target, Value &&RHS, SourceLoc Loc) {
+  RHS.materialize();
   // A(:) = B requires matching element count or scalar B.
   if (RHS.isScalar()) {
     double Fill = RHS.scalarValue();
@@ -1072,8 +977,10 @@ void Interpreter::indexWriteAll(Value &Target, const Value &RHS,
     TD[I] = RD[I];
 }
 
-void Interpreter::indexWrite1(Value &Target, const Value &Idx,
-                              const Value &RHS, SourceLoc Loc) {
+void Interpreter::indexWrite1(Value &Target, Value &&Idx, Value &&RHS,
+                              SourceLoc Loc) {
+  Idx.materialize();
+  RHS.materialize();
   if (Idx.isLogical()) {
     std::vector<size_t> &Indices = IdxScratchA;
     if (!toIndices(Idx, Target.numel(), Indices, Loc))
@@ -1094,6 +1001,11 @@ void Interpreter::indexWrite1(Value &Target, const Value &Idx,
   if (MaxIdx > static_cast<double>(Target.numel()) &&
       !growLinear(Target, MaxIdx, Idx.isColumn() && Idx.numel() > 1, Loc))
     return;
+  size_t First, Step;
+  if (Idx.numel() == Target.numel() &&
+      progression(Idx, Target.numel(), First, Step) &&
+      Target.adoptPayload(RHS))
+    return;
   std::vector<size_t> &Indices = IdxScratchA;
   if (!toIndices(Idx, Target.numel(), Indices, Loc))
     return;
@@ -1106,9 +1018,11 @@ void Interpreter::indexWrite1(Value &Target, const Value &Idx,
     TD[Indices[I]] = RHS.isScalar() ? RHS.scalarValue() : RHS.linear(I);
 }
 
-void Interpreter::indexWrite2(Value &Target, const Value &RowIdx,
-                              const Value &ColIdx, const Value &RHS,
-                              SourceLoc Loc) {
+void Interpreter::indexWrite2(Value &Target, Value &&RowIdx,
+                              Value &&ColIdx, Value &&RHS, SourceLoc Loc) {
+  RowIdx.materialize();
+  ColIdx.materialize();
+  RHS.materialize();
   // Every subscript is validated before the target grows.
   double MaxRow, MaxCol;
   if (!maxSubscript(RowIdx, MaxRow, Loc) ||
@@ -1118,30 +1032,15 @@ void Interpreter::indexWrite2(Value &Target, const Value &RowIdx,
        MaxCol > static_cast<double>(Target.cols())) &&
       !growShape(Target, MaxRow, MaxCol, Loc))
     return;
-  std::vector<size_t> &RI = IdxScratchA, &CI = IdxScratchB;
   size_t TargetRows = Target.rows();
-  size_t First;
-  if (contiguousRun(RowIdx, TargetRows, First)) {
-    // A contiguous row run writes one column run per selected column.
-    if (!toIndices(ColIdx, Target.cols(), CI, Loc))
-      return;
-    size_t N = RowIdx.numel();
-    if (!RHS.isScalar() && RHS.numel() != N * CI.size()) {
-      fail(Loc, "indexed assignment size mismatch");
-      return;
-    }
-    double *Dst = Target.mutableRaw() + First;
-    if (RHS.isScalar()) {
-      double Fill = RHS.scalarValue();
-      for (size_t C = 0; C != CI.size(); ++C)
-        std::fill_n(Dst + CI[C] * TargetRows, N, Fill);
-    } else {
-      const double *Src = RHS.raw();
-      for (size_t C = 0; C != CI.size(); ++C)
-        std::copy_n(Src + C * N, N, Dst + CI[C] * TargetRows);
-    }
+  // Every row and every column in order: adopt the right-hand side.
+  size_t First, Step;
+  if (RowIdx.numel() == TargetRows && ColIdx.numel() == Target.cols() &&
+      progression(RowIdx, TargetRows, First, Step) &&
+      progression(ColIdx, Target.cols(), First, Step) &&
+      Target.adoptPayload(RHS))
     return;
-  }
+  std::vector<size_t> &RI = IdxScratchA, &CI = IdxScratchB;
   if (!toIndices(RowIdx, TargetRows, RI, Loc) ||
       !toIndices(ColIdx, Target.cols(), CI, Loc))
     return;
@@ -1160,7 +1059,7 @@ void Interpreter::indexWrite2(Value &Target, const Value &RowIdx,
 }
 
 void Interpreter::writeIndexed(Value &Target, const IndexExpr &LHS,
-                               const Value &RHS) {
+                               Value &&RHS) {
   if (LHS.numArgs() == 0) {
     fail(LHS.loc(), "invalid indexed assignment");
     return;
@@ -1168,13 +1067,13 @@ void Interpreter::writeIndexed(Value &Target, const IndexExpr &LHS,
 
   if (LHS.numArgs() == 1) {
     if (isa<MagicColonExpr>(LHS.arg(0))) {
-      indexWriteAll(Target, RHS, LHS.loc());
+      indexWriteAll(Target, std::move(RHS), LHS.loc());
       return;
     }
     Value Idx = evalSubscript(*LHS.arg(0), Target.numel());
     if (Failed)
       return;
-    indexWrite1(Target, Idx, RHS, LHS.loc());
+    indexWrite1(Target, std::move(Idx), std::move(RHS), LHS.loc());
     return;
   }
 
@@ -1183,7 +1082,8 @@ void Interpreter::writeIndexed(Value &Target, const IndexExpr &LHS,
     Value ColIdx = evalSubscript(*LHS.arg(1), Target.cols());
     if (Failed)
       return;
-    indexWrite2(Target, RowIdx, ColIdx, RHS, LHS.loc());
+    indexWrite2(Target, std::move(RowIdx), std::move(ColIdx), std::move(RHS),
+                LHS.loc());
     return;
   }
 

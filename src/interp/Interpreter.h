@@ -55,7 +55,8 @@ public:
 
   /// Evaluates a single expression in the current workspace. Guards the
   /// recursion depth: evaluating a programmatically built tree deeper than
-  /// the evaluator limit is a runtime error, not a stack overflow.
+  /// the evaluator limit is a runtime error, not a stack overflow. The
+  /// result may be a strided view (see Value::materialize).
   Value eval(const Expr &E);
 
   // Workspace access.
@@ -138,11 +139,10 @@ public:
   // Execution-engine support
   //
   // The bytecode VM (src/vm) executes *through* a host Interpreter: it
-  // shares the workspace, the kernel buffer pool, the RNG, the output
-  // buffer, the error/interrupt state, and the per-statement accounting
-  // below, so both engines observe byte-identical semantics by
-  // construction. The tree-walker itself is rewired through the same
-  // primitives.
+  // shares the workspace, the kernel context, the RNG, the output buffer,
+  // the error/interrupt state, and the per-statement accounting below, so
+  // both engines observe byte-identical semantics by construction. The
+  // tree-walker itself is rewired through the same primitives.
   //===--------------------------------------------------------------------===//
 
   Workspace &env() { return Env; }
@@ -227,12 +227,6 @@ public:
   Value applyFusedMulAdd(const Value &A, const Value &B, const Value &C,
                          bool Subtract, bool ProductOnLeft, bool DotMul,
                          SourceLoc ELoc, SourceLoc ProdLoc);
-  /// L * B' through the packed-transpose kernel when shapes allow,
-  /// materialized transpose + applyBinary otherwise.
-  Value applyMulTransB(const Value &LHS, const Value &B, SourceLoc Loc);
-  /// A' * R through the transpose-free kernel when shapes allow,
-  /// materialized transpose + applyBinary otherwise.
-  Value applyMulTransA(const Value &A, const Value &RHS, SourceLoc Loc);
   /// Range construction with the scalar-endpoint check.
   Value makeRangeChecked(const Value &Start, const Value &Step,
                          const Value &Stop, SourceLoc Loc);
@@ -241,15 +235,17 @@ public:
 
   // Indexing cores: subscript values are already evaluated ('end' resolved,
   // ':' materialized); these implement shape rules, growth, and writes.
+  // A read by ascending arithmetic progressions is an O(1) view of the base
+  // (which may itself be a view); a write covering the whole target in
+  // order adopts an exclusively owned right-hand side payload.
   Value indexReadAll(const Value &Base);
-  Value indexRead1(const Value &Base, const Value &Idx, SourceLoc Loc);
-  Value indexRead2(const Value &Base, const Value &RowIdx, const Value &ColIdx,
+  Value indexRead1(const Value &Base, Value &&Idx, SourceLoc Loc);
+  Value indexRead2(const Value &Base, Value &&RowIdx, Value &&ColIdx,
                    SourceLoc Loc);
-  void indexWriteAll(Value &Target, const Value &RHS, SourceLoc Loc);
-  void indexWrite1(Value &Target, const Value &Idx, const Value &RHS,
+  void indexWriteAll(Value &Target, Value &&RHS, SourceLoc Loc);
+  void indexWrite1(Value &Target, Value &&Idx, Value &&RHS, SourceLoc Loc);
+  void indexWrite2(Value &Target, Value &&RowIdx, Value &&ColIdx, Value &&RHS,
                    SourceLoc Loc);
-  void indexWrite2(Value &Target, const Value &RowIdx, const Value &ColIdx,
-                   const Value &RHS, SourceLoc Loc);
 
   /// The largest payload an indexed assignment may grow an array to:
   /// far beyond any host's memory, and small enough that every dimension
@@ -437,7 +433,7 @@ private:
   bool toIndexSlow(double D, size_t Extent, size_t &Index, SourceLoc Loc);
 
   Value readIndexed(const Value &Base, const IndexExpr &E);
-  void writeIndexed(Value &Target, const IndexExpr &LHS, const Value &RHS);
+  void writeIndexed(Value &Target, const IndexExpr &LHS, Value &&RHS);
 
   /// The amortized slice of stmtStep: fault injection plus the cancel/
   /// deadline poll, run every 16 statements.
@@ -453,7 +449,7 @@ private:
   void applyPendingHint(unsigned Slot, Value &Target);
 
   Workspace Env;
-  /// Payload buffer pool shared by the kernels this interpreter invokes.
+  /// Kernel context (interrupt poll hook) shared by both engines.
   OpWorkspace Pool;
   NodeInfoMap NodeCache;
   std::unordered_map<std::string, std::pair<bool, bool>> ShapeCaps;
@@ -464,6 +460,7 @@ private:
   /// depth (deque: growth never invalidates outstanding references).
   std::deque<std::vector<Value>> ArgPool;
   size_t ArgDepth = 0;
+  std::vector<Value> ArgsNone; ///< Argument list of a call without any.
   /// Scratch index buffers for readIndexed/writeIndexed. Subscript
   /// evaluation (which may recurse into indexing) always completes before
   /// these are filled, so reuse is safe.

@@ -35,62 +35,14 @@ constexpr size_t PollGrainElems = 32768;
 //===----------------------------------------------------------------------===//
 
 std::shared_ptr<PayloadBuffer> OpWorkspace::acquire(size_t N) {
-  // Budget accounting is cumulative-by-design: pooled reuse charges the
-  // same as a fresh allocation, so a job's measured footprint does not
-  // depend on what earlier jobs left in the pool.
   chargeMemory(N * sizeof(double));
-  return acquireUncharged(N);
-}
-
-std::shared_ptr<PayloadBuffer> OpWorkspace::acquireUncharged(size_t N) {
-  // Best fit: the smallest pooled buffer that already holds N elements, so
-  // a large buffer is not spent on a small result and reuse never
-  // reallocates.
-  size_t Best = Free.size();
-  for (size_t I = 0; I != Free.size(); ++I)
-    if (Free[I]->capacity() >= N &&
-        (Best == Free.size() ||
-         Free[I]->capacity() < Free[Best]->capacity()))
-      Best = I;
-  if (Best == Free.size())
-    return std::make_shared<PayloadBuffer>(N);
-  std::shared_ptr<PayloadBuffer> Buf = std::move(Free[Best]);
-  Free.erase(Free.begin() + static_cast<std::ptrdiff_t>(Best));
-  Buf->resize(N);
-  return Buf;
+  return std::make_shared<PayloadBuffer>(N);
 }
 
 Value OpWorkspace::dest(size_t Rows, size_t Cols) {
   if (Rows * Cols > 1)
     return Value::adoptBuffer(acquire(Rows * Cols), Rows, Cols);
   return Value(Rows, Cols);
-}
-
-std::shared_ptr<PayloadBuffer> OpWorkspace::acquireZeroed(size_t N) {
-  std::shared_ptr<PayloadBuffer> Buf = acquire(N);
-  std::fill(Buf->begin(), Buf->end(), 0.0);
-  return Buf;
-}
-
-void OpWorkspace::recycle(Value &&V) {
-  recycleBuffer(V.releaseBuffer());
-}
-
-void OpWorkspace::recycleBuffer(std::shared_ptr<PayloadBuffer> Buf) {
-  if (!Buf || Buf.use_count() != 1)
-    return;
-  if (Free.size() < MaxPooled) {
-    Free.push_back(std::move(Buf));
-    return;
-  }
-  // A full pool keeps its largest buffers: they are the costly ones to
-  // allocate again.
-  auto Smallest = std::min_element(
-      Free.begin(), Free.end(), [](const auto &L, const auto &R) {
-        return L->capacity() < R->capacity();
-      });
-  if ((*Smallest)->capacity() < Buf->capacity())
-    *Smallest = std::move(Buf);
 }
 
 namespace {
@@ -100,11 +52,38 @@ Value makeDest(OpWorkspace *WS, size_t R, size_t C) {
   return WS ? WS->dest(R, C) : Value(R, C);
 }
 
-/// Destination value of the given shape, zero-filled.
-Value makeDestZeroed(OpWorkspace *WS, size_t R, size_t C) {
-  if (WS && R * C > 1)
-    return Value::adoptBuffer(WS->acquireZeroed(R * C), R, C);
-  return Value(R, C);
+/// \p A itself when its layout is dense, else a dense copy in \p Tmp (the
+/// operand form of the kernels without strides), paying what A owes.
+const Value &plain(const Value &A, Value &Tmp) {
+  chargeMemory(A.isView() ? A.copyBytes() : A.owedBytes());
+  if (!A.isView())
+    return A;
+  auto Buf = std::make_shared<PayloadBuffer>(A.numel());
+  A.copyTo(Buf->data());
+  Tmp = Value::adoptBuffer(std::move(Buf), A.rows(), A.cols());
+  return Tmp;
+}
+
+/// An operand of an R x C result: element (r, c) at P[r * RS + c * CS]
+/// (steps 0 replay a scalar).
+struct Walk {
+  const double *P;
+  size_t RS, CS;
+};
+
+/// The walk of elementwise operand \p V, paying what it owes: reading a
+/// transpose in place stands for the copy it used to make.
+Walk walkOf(const Value &V) {
+  if (V.isScalar())
+    return {V.data(), 0, 0};
+  chargeMemory(V.owedBytes());
+  return {V.data(), V.rowStep(), V.colStep()};
+}
+
+/// True when \p W visits an R x C operand in column-major order at one
+/// constant stride (W.RS), so one kernel call covers it.
+bool isLinear(const Walk &W, size_t R, size_t C) {
+  return C <= 1 || W.CS == W.RS * R;
 }
 
 double applyScalarOp(BinaryOp Op, double A, double B, OpError &Err) {
@@ -151,76 +130,62 @@ bool producesLogical(BinaryOp Op) {
   return isElementwiseRelOp(Op);
 }
 
-/// Routes the elementwise loop to the runtime-dispatched SIMD kernel
-/// table (simd::kernels()) for the operators with vector forms; Pow and
-/// the short-circuit pseudo-ops keep the scalar fallback loop.
-/// \p SA / \p SB are operand strides: 0 replays a scalar, 1 walks a matrix.
-void ewLoop(BinaryOp Op, const double *AD, size_t SA, const double *BD,
-            size_t SB, double *RD, size_t N, OpError &Err) {
+/// Routes the elementwise loop over an R x C result to the runtime-
+/// dispatched SIMD kernel table (simd::kernels()) for the operators with
+/// vector forms; Pow and the short-circuit pseudo-ops keep the scalar
+/// fallback loop. One kernel call covers operands that walk linearly,
+/// else one call per column, each with its operands' row steps as
+/// strides. The dispatch counter counts the operation once.
+void ewLoop(BinaryOp Op, Walk A, Walk B, double *RD, size_t R, size_t C,
+            OpError &Err) {
   const simd::KernelTable &K = simd::kernels();
   simd::DispatchCounters &Counters = simd::dispatchCounters();
+  using EwFn = void (*)(const double *, size_t, const double *, size_t,
+                        double *, size_t);
+  EwFn Fn = nullptr;
   switch (Op) {
   case BinaryOp::Add:
-    countDispatch(Counters.Elementwise);
-    K.EwAdd(AD, SA, BD, SB, RD, N);
-    return;
+    Fn = K.EwAdd;
+    break;
   case BinaryOp::Sub:
-    countDispatch(Counters.Elementwise);
-    K.EwSub(AD, SA, BD, SB, RD, N);
-    return;
+    Fn = K.EwSub;
+    break;
   case BinaryOp::Mul:
   case BinaryOp::DotMul:
-    countDispatch(Counters.Elementwise);
-    K.EwMul(AD, SA, BD, SB, RD, N);
-    return;
+    Fn = K.EwMul;
+    break;
   case BinaryOp::Div:
   case BinaryOp::DotDiv:
-    countDispatch(Counters.Elementwise);
-    K.EwDiv(AD, SA, BD, SB, RD, N);
-    return;
-  case BinaryOp::Lt:
-  case BinaryOp::Gt:
-  case BinaryOp::Le:
-  case BinaryOp::Ge:
-  case BinaryOp::Eq:
-  case BinaryOp::Ne:
-  case BinaryOp::And:
-  case BinaryOp::Or: {
-    simd::CmpPred Pred;
-    switch (Op) {
-    case BinaryOp::Lt:
-      Pred = simd::CmpPred::Lt;
-      break;
-    case BinaryOp::Gt:
-      Pred = simd::CmpPred::Gt;
-      break;
-    case BinaryOp::Le:
-      Pred = simd::CmpPred::Le;
-      break;
-    case BinaryOp::Ge:
-      Pred = simd::CmpPred::Ge;
-      break;
-    case BinaryOp::Eq:
-      Pred = simd::CmpPred::Eq;
-      break;
-    case BinaryOp::Ne:
-      Pred = simd::CmpPred::Ne;
-      break;
-    case BinaryOp::And:
-      Pred = simd::CmpPred::And;
-      break;
-    default:
-      Pred = simd::CmpPred::Or;
-      break;
-    }
-    countDispatch(Counters.Compare);
-    K.EwCmp(Pred, AD, SA, BD, SB, RD, N);
-    return;
-  }
+    Fn = K.EwDiv;
+    break;
   default:
-    for (size_t I = 0; I != N; ++I)
-      RD[I] = applyScalarOp(Op, AD[I * SA], BD[I * SB], Err);
-    return;
+    break;
+  }
+  // The comparison and logic operators list in CmpPred's order.
+  constexpr int CmpBase = static_cast<int>(BinaryOp::Lt);
+  static_assert(static_cast<int>(BinaryOp::Or) - CmpBase ==
+                static_cast<int>(simd::CmpPred::Or));
+  auto Pred = static_cast<simd::CmpPred>(static_cast<int>(Op) - CmpBase);
+  bool IsCmp = isElementwiseRelOp(Op);
+  if (Fn)
+    countDispatch(Counters.Elementwise);
+  else if (IsCmp)
+    countDispatch(Counters.Compare);
+  size_t Cols = C, N = R;
+  if (isLinear(A, R, C) && isLinear(B, R, C)) {
+    Cols = C == 0 ? 0 : 1;
+    N = R * C;
+  }
+  for (size_t J = 0; J != Cols; ++J) {
+    const double *AD = A.P + J * A.CS, *BD = B.P + J * B.CS;
+    double *Out = RD + J * R;
+    if (Fn)
+      Fn(AD, A.RS, BD, B.RS, Out, N);
+    else if (IsCmp)
+      K.EwCmp(Pred, AD, A.RS, BD, B.RS, Out, N);
+    else
+      for (size_t I = 0; I != N; ++I)
+        Out[I] = applyScalarOp(Op, AD[I * A.RS], BD[I * B.RS], Err);
   }
 }
 
@@ -228,14 +193,11 @@ void ewLoop(BinaryOp Op, const double *AD, size_t SA, const double *BD,
 
 Value mvec::elementwiseBinary(BinaryOp Op, const Value &A, const Value &B,
                               OpError &Err, OpWorkspace *WS) {
-  size_t SA = 1, SB = 1;
   size_t R, C;
   if (A.isScalar() && !B.isScalar()) {
-    SA = 0;
     R = B.rows();
     C = B.cols();
   } else if (B.isScalar() && !A.isScalar()) {
-    SB = 0;
     R = A.rows();
     C = A.cols();
   } else if (A.rows() == B.rows() && A.cols() == B.cols()) {
@@ -248,7 +210,7 @@ Value mvec::elementwiseBinary(BinaryOp Op, const Value &A, const Value &B,
     return Value();
   }
   Value Result = makeDest(WS, R, C);
-  ewLoop(Op, A.raw(), SA, B.raw(), SB, Result.mutableRaw(), R * C, Err);
+  ewLoop(Op, walkOf(A), walkOf(B), Result.mutableRaw(), R, C, Err);
   Result.setLogical(producesLogical(Op));
   return Result;
 }
@@ -276,9 +238,6 @@ bool mvec::fusableMulAddShapes(const Value &A, const Value &B,
 
 Value mvec::fusedMulAdd(const Value &A, const Value &B, const Value &C,
                         bool Subtract, bool ProductOnLeft, OpWorkspace *WS) {
-  size_t SA = A.isScalar() ? 0 : 1;
-  size_t SB = B.isScalar() ? 0 : 1;
-  size_t SC = C.isScalar() ? 0 : 1;
   // Result shape: the widest operand (fusableMulAddShapes guarantees all
   // non-scalars agree).
   size_t R = 1, Cn = 1;
@@ -289,9 +248,14 @@ Value mvec::fusedMulAdd(const Value &A, const Value &B, const Value &C,
       break;
     }
   Value Result = makeDest(WS, R, Cn);
-  const double *AD = A.raw(), *BD = B.raw(), *CD = C.raw();
+  Walk WA = walkOf(A), WB = walkOf(B), WC = walkOf(C);
   double *RD = Result.mutableRaw();
-  size_t N = R * Cn;
+  // One linear pass when every operand allows it, else one per column.
+  size_t Cols = Cn, N = R;
+  if (isLinear(WA, R, Cn) && isLinear(WB, R, Cn) && isLinear(WC, R, Cn)) {
+    Cols = 1;
+    N = R * Cn;
+  }
   simd::FmaMode Mode = !Subtract        ? simd::FmaMode::MulAdd
                        : ProductOnLeft  ? simd::FmaMode::MulSub
                                         : simd::FmaMode::RevSub;
@@ -300,20 +264,29 @@ Value mvec::fusedMulAdd(const Value &A, const Value &B, const Value &C,
   // The deadline poll stays here, between bounded chunks, so resilience
   // behavior is identical on every dispatch level; the kernel leaf itself
   // never polls or allocates.
-  for (size_t I0 = 0; I0 < N; I0 += PollGrainElems) {
-    if (I0 != 0 && WS && WS->poll())
-      break;
-    size_t I1 = std::min(I0 + PollGrainElems, N);
-    K.FusedMulAdd(Mode, AD + I0 * SA, SA, BD + I0 * SB, SB, CD + I0 * SC, SC,
-                  RD + I0, I1 - I0);
+  size_t SincePoll = 0;
+  for (size_t J = 0; J != Cols; ++J) {
+    const double *AD = WA.P + J * WA.CS, *BD = WB.P + J * WB.CS,
+                 *CD = WC.P + J * WC.CS;
+    double *Out = RD + J * R;
+    for (size_t I0 = 0; I0 < N; I0 += PollGrainElems) {
+      if (SincePoll >= PollGrainElems) {
+        SincePoll = 0;
+        if (WS && WS->poll())
+          return Result;
+      }
+      size_t I1 = std::min(I0 + PollGrainElems, N);
+      K.FusedMulAdd(Mode, AD + I0 * WA.RS, WA.RS, BD + I0 * WB.RS, WB.RS,
+                    CD + I0 * WC.RS, WC.RS, Out + I0, I1 - I0);
+      SincePoll += I1 - I0;
+    }
   }
   return Result;
 }
 
 namespace {
 
-using MatMulTileFn = void (*)(const double *, const double *, double *,
-                              size_t, size_t, size_t, size_t, size_t, size_t);
+using MatMulTileFn = decltype(simd::KernelTable::MatMulTile);
 
 /// Inner-dimension panel lengths. The axpy tile reuses a panel of A across
 /// result columns, so its panel stays cache-sized. The dot-product tiles (a
@@ -323,13 +296,13 @@ using MatMulTileFn = void (*)(const double *, const double *, double *,
 constexpr size_t AxpyPanel = 128;
 constexpr size_t DotPanel = 4096;
 
-/// C += A * B (or A' * B, by \p Tile) on raw column-major payloads,
-/// blocked over the inner dimension in panels of \p PBlock. Per output
-/// element the accumulation order over P is still strictly ascending —
-/// identical results to the naive jki loop.
+/// C += A * B (or A' * B, by \p Tile) on column-major operands with
+/// leading dimensions \p Lda and \p Ldb, blocked over the inner dimension
+/// in panels of \p PBlock. Per output element the accumulation order over
+/// P is still strictly ascending — identical results to the naive jki loop.
 void matMulCore(MatMulTileFn Tile, size_t PBlock, const double *AD,
-                const double *BD, double *RD, size_t M, size_t K, size_t N,
-                OpWorkspace *WS) {
+                size_t Lda, const double *BD, size_t Ldb, double *RD,
+                size_t M, size_t K, size_t N, OpWorkspace *WS) {
   // Column tile matching the kernels' register blocking: 4 result columns
   // held in accumulators across a P panel, 8 for a row-vector A.
   size_t JTile = M == 1 ? 8 : 4;
@@ -349,7 +322,7 @@ void matMulCore(MatMulTileFn Tile, size_t PBlock, const double *AD,
           return;
       }
       SincePoll += (P1 - P0) * M * (J1 - J0);
-      Tile(AD, BD, RD, M, K, P0, P1, J0, J1);
+      Tile(AD, Lda, BD, Ldb, RD, M, P0, P1, J0, J1);
     }
   }
 }
@@ -366,65 +339,44 @@ Value mvec::matMul(const Value &A, const Value &B, OpError &Err,
     return Value();
   }
   size_t M = A.rows(), K = A.cols(), N = B.cols();
-  Value Result = makeDestZeroed(WS, M, N);
-  if (M * N != 0)
-    matMulCore(simd::kernels().MatMulTile, M == 1 ? DotPanel : AxpyPanel,
-               A.raw(), B.raw(), Result.mutableRaw(), M, K, N, WS);
-  return Result;
-}
-
-Value mvec::matMulTransA(const Value &A, const Value &B, OpError &Err,
-                         OpWorkspace *WS) {
-  if (A.rows() != B.rows()) {
-    Err.set("inner matrix dimensions must agree (" +
-            std::to_string(A.cols()) + "x" + std::to_string(A.rows()) +
-            " * " + std::to_string(B.rows()) + "x" + std::to_string(B.cols()) +
-            ")");
-    return Value();
-  }
-  size_t M = A.cols(), K = A.rows(), N = B.cols();
-  Value Result = makeDestZeroed(WS, M, N);
-  if (M * N != 0)
-    matMulCore(simd::kernels().MatMulTransA, DotPanel, A.raw(), B.raw(),
-               Result.mutableRaw(), M, K, N, WS);
-  return Result;
-}
-
-Value mvec::matMulTransB(const Value &A, const Value &B, OpError &Err,
-                         OpWorkspace *WS) {
-  if (A.cols() != B.cols()) {
-    Err.set("inner matrix dimensions must agree (" +
-            std::to_string(A.rows()) + "x" + std::to_string(A.cols()) +
-            " * " + std::to_string(B.cols()) + "x" + std::to_string(B.rows()) +
-            ")");
-    return Value();
-  }
-  size_t M = A.rows(), K = A.cols(), N = B.rows();
-  Value Result = makeDestZeroed(WS, M, N);
+  Value Result(M, N);
   if (M * N == 0)
     return Result;
-  // Pack B' (K x N, column-major) into scratch, then run the blocked
-  // kernel. The packed copy is what makes the inner loop unit-stride; the
-  // scratch comes from (and returns to) the pool, so no Value temporary is
-  // allocated for the transpose.
-  std::shared_ptr<PayloadBuffer> Scratch;
-  std::vector<double> Local;
-  double *BT;
-  if (WS) {
-    Scratch = WS->acquire(K * N);
-    BT = Scratch->data();
+  // A packed operand pays its copy unless prepaid; B pays the transpose it
+  // owes, A only when B owes one too (the product never copied A' * B).
+  PayloadBuffer APack, BPack;
+  const double *BD = B.data();
+  size_t Ldb = B.colStep();
+  if (B.rowStep() == 1) {
+    chargeMemory(B.owedBytes());
   } else {
-    Local.resize(K * N);
-    BT = Local.data();
+    chargeMemory(B.copyBytes());
+    BPack.resize(K * N);
+    B.copyTo(BPack.data());
+    BD = BPack.data();
+    Ldb = K;
   }
-  const double *BD = B.raw();
-  for (size_t J = 0; J != N; ++J)
-    for (size_t P = 0; P != K; ++P)
-      BT[J * K + P] = BD[P * N + J];
-  matMulCore(simd::kernels().MatMulTile, M == 1 ? DotPanel : AxpyPanel,
-             A.raw(), BT, Result.mutableRaw(), M, K, N, WS);
-  if (Scratch)
-    WS->recycleBuffer(std::move(Scratch));
+  if (B.owedBytes() != 0)
+    chargeMemory(A.owedBytes());
+  const simd::KernelTable &Kern = simd::kernels();
+  MatMulTileFn Tile = Kern.MatMulTile;
+  const double *AD = A.data();
+  size_t Lda = A.colStep();
+  if (M == 1 ? A.isView() : A.rowStep() != 1) {
+    if (M != 1 && A.colStep() == 1) {
+      Tile = Kern.MatMulTransA;
+      Lda = A.rowStep();
+    } else {
+      chargeMemory(A.copyBytes() - A.owedBytes());
+      APack.resize(M * K);
+      A.copyTo(APack.data());
+      AD = APack.data();
+      Lda = M;
+    }
+  }
+  bool Dot = M == 1 || Tile == Kern.MatMulTransA;
+  matMulCore(Tile, Dot ? DotPanel : AxpyPanel, AD, Lda, BD, Ldb,
+             Result.mutableRaw(), M, K, N, WS);
   return Result;
 }
 
@@ -460,7 +412,8 @@ Value mvec::powOp(const Value &A, const Value &B, OpError &Err) {
     Value Result(A.rows(), A.cols());
     for (size_t I = 0; I != A.rows(); ++I)
       Result.at(I, I) = 1.0;
-    Value Base = A;
+    Value Tmp;
+    Value Base = plain(A, Tmp);
     auto Exp = static_cast<unsigned long long>(E);
     while (Exp != 0 && !Err.failed()) {
       if (Exp & 1)
@@ -475,14 +428,18 @@ Value mvec::powOp(const Value &A, const Value &B, OpError &Err) {
   return Value();
 }
 
-Value mvec::unaryMinus(const Value &A, OpWorkspace *WS) {
+Value mvec::unaryMinus(const Value &Operand, OpWorkspace *WS) {
+  Value Tmp;
+  const Value &A = plain(Operand, Tmp);
   Value Result = makeDest(WS, A.rows(), A.cols());
   countDispatch(simd::dispatchCounters().Unary);
   simd::kernels().UnaryNeg(A.raw(), Result.mutableRaw(), A.numel());
   return Result;
 }
 
-Value mvec::unaryNot(const Value &A, OpWorkspace *WS) {
+Value mvec::unaryNot(const Value &Operand, OpWorkspace *WS) {
+  Value Tmp;
+  const Value &A = plain(Operand, Tmp);
   Value Result = makeDest(WS, A.rows(), A.cols());
   countDispatch(simd::dispatchCounters().Unary);
   simd::kernels().UnaryNot(A.raw(), Result.mutableRaw(), A.numel());
@@ -528,8 +485,10 @@ Value mvec::horzcat(const Value &A, const Value &B, OpError &Err) {
   }
   Value Result(A.rows(), A.cols() + B.cols());
   double *RD = Result.mutableRaw();
-  std::copy(A.begin(), A.end(), RD);
-  std::copy(B.begin(), B.end(), RD + A.numel());
+  chargeMemory(A.owedBytes() + B.owedBytes());
+  A.copyTo(RD);
+  B.copyTo(RD + A.numel());
+  Result.setLogical(A.isLogical() && B.isLogical());
   return Result;
 }
 
@@ -543,12 +502,15 @@ Value mvec::vertcat(const Value &A, const Value &B, OpError &Err) {
     return Value();
   }
   Value Result(A.rows() + B.rows(), A.cols());
+  chargeMemory(A.owedBytes() + B.owedBytes());
+  double *RD = Result.mutableRaw();
   for (size_t C = 0; C != A.cols(); ++C) {
     for (size_t R = 0; R != A.rows(); ++R)
-      Result.at(R, C) = A.at(R, C);
+      *RD++ = A.at(R, C);
     for (size_t R = 0; R != B.rows(); ++R)
-      Result.at(A.rows() + R, C) = B.at(R, C);
+      *RD++ = B.at(R, C);
   }
+  Result.setLogical(A.isLogical() && B.isLogical());
   return Result;
 }
 
@@ -611,16 +573,13 @@ Value mvec::prodDefault(const Value &A) {
   return Result;
 }
 
-Value mvec::transpose(const Value &A, OpWorkspace *WS) {
-  size_t Rows = A.rows(), Cols = A.cols();
-  Value Result = makeDest(WS, Cols, Rows);
-  const double *Src = A.raw();
-  double *Dst = Result.mutableRaw();
-  // Destination order: a fresh (unfilled) destination is then first
-  // touched page by page; strided first touches measured ~40% slower.
-  for (size_t R = 0; R != Rows; ++R)
-    for (size_t C = 0; C != Cols; ++C)
-      Dst[R * Cols + C] = Src[C * Rows + R];
+Value mvec::transpose(const Value &A) {
+  if (A.numel() > 1) {
+    chargeMemory(A.owedBytes());
+    return A.view(A.cols(), A.rows(), 0, A.colStep(), A.rowStep(),
+                  /*Owed=*/true);
+  }
+  Value Result(A.cols(), A.rows(), A.isEmpty() ? 0.0 : A.scalarValue());
   Result.setLogical(A.isLogical());
   return Result;
 }
@@ -635,6 +594,7 @@ Value mvec::repmat(const Value &A, size_t R, size_t C, OpWorkspace *WS) {
     for (size_t AC = 0; AC != Cols; ++AC)
       for (size_t BR = 0; BR != R; ++BR, Dst += Rows)
         std::copy_n(Src + AC * Rows, Rows, Dst);
+  Result.setLogical(A.isLogical());
   return Result;
 }
 

@@ -15,10 +15,10 @@
 /// row/column broadcasting (that is what repmat is for).
 ///
 /// All functions report problems through an OpError out-parameter instead of
-/// throwing. Kernels optionally take an OpWorkspace — a pool of payload
-/// buffers that lets expression chains reuse destination storage instead of
-/// allocating a temporary per node; passing null preserves the old
-/// allocate-per-result behavior.
+/// throwing. Kernels optionally take an OpWorkspace, whose poll hook lets a
+/// deadline interrupt a long kernel. Operands may be strided views (see
+/// Value): the elementwise, fused multiply-add and matrix-product kernels
+/// read them in place; the other kernels require plain operands.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,10 +45,9 @@ struct OpError {
   }
 };
 
-/// A small pool of payload buffers recycled between kernel invocations.
-/// One workspace belongs to one interpreter (one thread); buffers are only
-/// pooled while exclusively owned, so COW copies handed to other threads
-/// are never recycled underneath them.
+/// Per-interpreter kernel context: the cooperative-interrupt hook and the
+/// charging destination allocator. Payload reuse itself lives in the
+/// allocator (PayloadAllocator's recycler), not here.
 class OpWorkspace {
 public:
   /// Cooperative-interrupt hook polled by long-running kernels (matrix
@@ -64,33 +63,14 @@ public:
   }
   bool poll() { return Hook && Hook(HookCtx); }
 
-  /// A buffer of exactly \p N elements with unspecified contents (callers
-  /// overwrite every element).
+  /// A charged buffer of exactly \p N elements with unspecified contents
+  /// (callers overwrite every element).
   std::shared_ptr<PayloadBuffer> acquire(size_t N);
 
-  /// acquire() without the memory charge, for a caller that may still
-  /// discard the buffer on an error and charges it only once it is kept.
-  std::shared_ptr<PayloadBuffer> acquireUncharged(size_t N);
-
-  /// A \p Rows x \p Cols value with unspecified contents; a payload that
-  /// needs the heap comes from the pool.
+  /// A \p Rows x \p Cols value with unspecified contents.
   Value dest(size_t Rows, size_t Cols);
 
-  /// Like acquire, but zero-filled (for accumulation kernels).
-  std::shared_ptr<PayloadBuffer> acquireZeroed(size_t N);
-
-  /// Takes a dying value's payload back into the pool when it is heap
-  /// allocated and exclusively owned; otherwise does nothing.
-  void recycle(Value &&V);
-
-  /// Returns a raw buffer (from acquire) to the pool.
-  void recycleBuffer(std::shared_ptr<PayloadBuffer> Buf);
-
-  void clear() { Free.clear(); }
-
 private:
-  static constexpr size_t MaxPooled = 8;
-  std::vector<std::shared_ptr<PayloadBuffer>> Free;
   PollFn Hook = nullptr;
   void *HookCtx = nullptr;
 };
@@ -123,25 +103,16 @@ Value divOp(const Value &A, const Value &B, OpError &Err,
 /// Full MATLAB '^': scalar^scalar or square-matrix^nonnegative-integer.
 Value powOp(const Value &A, const Value &B, OpError &Err);
 
-/// Plain matrix product (shapes already conformant). Blocked over the
-/// inner dimension; accumulation order per output element is unchanged.
+/// Matrix product with an inner-dimension check, blocked over the inner
+/// dimension. An operand with a unit row step is read in place with a
+/// leading dimension, an A with a unit column step as a transposed operand;
+/// any other layout, and a transposed B, is packed into scratch first.
 Value matMul(const Value &A, const Value &B, OpError &Err,
              OpWorkspace *WS = nullptr);
 
-/// A * B' without materializing the transpose as a Value: B is packed
-/// transposed into workspace scratch and fed to the blocked kernel.
-/// Requires A.cols() == B.cols(); result is A.rows() x B.rows().
-Value matMulTransB(const Value &A, const Value &B, OpError &Err,
-                   OpWorkspace *WS = nullptr);
-
-/// A' * B without materializing the transpose: the blocked kernel takes
-/// column dot products of A and B directly. Requires A.rows() == B.rows()
-/// for a result; result is A.cols() x B.cols().
-Value matMulTransA(const Value &A, const Value &B, OpError &Err,
-                   OpWorkspace *WS = nullptr);
-
-/// A' (the logical flag carries over).
-Value transpose(const Value &A, OpWorkspace *WS = nullptr);
+/// A' in O(1): a view with the steps swapped (the logical flag carries
+/// over). It owes the transpose copy's charge to its first consumer.
+Value transpose(const Value &A);
 
 Value unaryMinus(const Value &A, OpWorkspace *WS = nullptr);
 Value unaryNot(const Value &A, OpWorkspace *WS = nullptr);

@@ -59,7 +59,9 @@ public:
   const Value &slotValue(unsigned Slot) const { return Slots[Slot]; }
   Value &slotValue(unsigned Slot) { return Slots[Slot]; }
 
+  /// Stores \p V, materialized: a variable never holds a strided view.
   void define(unsigned Slot, Value V) {
+    V.materialize();
     Slots[Slot] = std::move(V);
     DefinedFlags[Slot] = 1;
   }

@@ -284,16 +284,18 @@ void fusedMulAdd(FmaMode Mode, const double *A, size_t SA, const double *B,
 #if MVEC_SIMD_WIDTH > 1
   // Splats are loop-invariant; strides select lane loads vs replay. The
   // stride branches are loop-invariant too, so the compiler unswitches.
+  // Steps other than 0 and 1 take the scalar loop.
   VD SplA = vSet1(A[0]), SplB = vSet1(B[0]), SplC = vSet1(C[0]);
-  for (; I + W <= N; I += W) {
-    VD VA = SA ? vLoad(A + I) : SplA;
-    VD VB = SB ? vLoad(B + I) : SplB;
-    VD VC = SC ? vLoad(C + I) : SplC;
-    VD P = vMul(VA, VB);
-    vStore(R + I, Mode == FmaMode::MulAdd   ? vAdd(P, VC)
-                  : Mode == FmaMode::MulSub ? vSub(P, VC)
-                                            : vSub(VC, P));
-  }
+  if (SA <= 1 && SB <= 1 && SC <= 1)
+    for (; I + W <= N; I += W) {
+      VD VA = SA ? vLoad(A + I) : SplA;
+      VD VB = SB ? vLoad(B + I) : SplB;
+      VD VC = SC ? vLoad(C + I) : SplC;
+      VD P = vMul(VA, VB);
+      vStore(R + I, Mode == FmaMode::MulAdd   ? vAdd(P, VC)
+                    : Mode == FmaMode::MulSub ? vSub(P, VC)
+                                              : vSub(VC, P));
+    }
 #endif
   for (; I != N; ++I)
     R[I] = sFma(Mode, A[I * SA], B[I * SB], C[I * SC]);
@@ -331,16 +333,17 @@ void unaryNot(const double *A, double *R, size_t N) {
 
 #if MVEC_SIMD_WIDTH == 1
 
-void matMulTile(const double *AD, const double *BD, double *RD, size_t M,
-                size_t K, size_t P0, size_t P1, size_t J0, size_t J1) {
+void matMulTile(const double *AD, size_t Lda, const double *BD, size_t Ldb,
+                double *RD, size_t M, size_t P0, size_t P1, size_t J0,
+                size_t J1) {
   for (size_t J = J0; J != J1; ++J) {
     double *RCol = RD + J * M;
-    const double *BCol = BD + J * K;
+    const double *BCol = BD + J * Ldb;
     for (size_t P = P0; P != P1; ++P) {
       double BV = BCol[P];
       if (BV == 0.0)
         continue;
-      const double *ACol = AD + P * M;
+      const double *ACol = AD + P * Lda;
       for (size_t I = 0; I != M; ++I)
         RCol[I] += ACol[I] * BV;
     }
@@ -350,12 +353,13 @@ void matMulTile(const double *AD, const double *BD, double *RD, size_t M,
 /// The reference A' * B tile: one dot product of an A column with a B
 /// column per output element, in the order matMulTile would accumulate
 /// it against a materialized transpose.
-void matMulTransA(const double *AD, const double *BD, double *RD, size_t M,
-                  size_t K, size_t P0, size_t P1, size_t J0, size_t J1) {
+void matMulTransA(const double *AD, size_t Lda, const double *BD, size_t Ldb,
+                  double *RD, size_t M, size_t P0, size_t P1, size_t J0,
+                  size_t J1) {
   for (size_t J = J0; J != J1; ++J) {
-    const double *BCol = BD + J * K;
+    const double *BCol = BD + J * Ldb;
     for (size_t I = 0; I != M; ++I) {
-      const double *ACol = AD + I * K;
+      const double *ACol = AD + I * Lda;
       double Acc = RD[J * M + I];
       for (size_t P = P0; P != P1; ++P) {
         double BV = BCol[P];
@@ -375,17 +379,17 @@ void matMulTransA(const double *AD, const double *BD, double *RD, size_t M,
 /// streams) overlap; each keeps the scalar kernel's ascending-P order and
 /// per-element zero skip.
 inline void rowTile(const double *X, const double *BD, double *RD, size_t RS,
-                    size_t K, size_t P0, size_t P1, size_t J0, size_t J1) {
+                    size_t Ldb, size_t P0, size_t P1, size_t J0, size_t J1) {
   size_t J = J0;
   for (; J + 8 <= J1; J += 8) {
-    const double *B = BD + J * K;
+    const double *B = BD + J * Ldb;
     double Acc[8];
     for (size_t C = 0; C != 8; ++C)
       Acc[C] = RD[(J + C) * RS];
     for (size_t P = P0; P != P1; ++P) {
       double XV = X[P];
       for (size_t C = 0; C != 8; ++C) {
-        double BV = B[C * K + P];
+        double BV = B[C * Ldb + P];
         if (BV != 0.0)
           Acc[C] += XV * BV;
       }
@@ -394,7 +398,7 @@ inline void rowTile(const double *X, const double *BD, double *RD, size_t RS,
       RD[(J + C) * RS] = Acc[C];
   }
   for (; J != J1; ++J) {
-    const double *BCol = BD + J * K;
+    const double *BCol = BD + J * Ldb;
     double Acc = RD[J * RS];
     for (size_t P = P0; P != P1; ++P)
       if (BCol[P] != 0.0)
@@ -406,13 +410,13 @@ inline void rowTile(const double *X, const double *BD, double *RD, size_t RS,
 /// One result column += A panel * one B column, with the scalar kernel's
 /// per-P zero skip. Lanes are independent rows; per element the adds over
 /// P happen in the same ascending order as the scalar loop.
-inline void axpyPanel(const double *AD, const double *BCol, double *RCol,
-                      size_t M, size_t P0, size_t P1) {
+inline void axpyPanel(const double *AD, size_t Lda, const double *BCol,
+                      double *RCol, size_t M, size_t P0, size_t P1) {
   for (size_t P = P0; P != P1; ++P) {
     double BV = BCol[P];
     if (BV == 0.0)
       continue;
-    const double *ACol = AD + P * M;
+    const double *ACol = AD + P * Lda;
     VD VB = vSet1(BV);
     size_t I = 0;
     for (; I + W <= M; I += W)
@@ -426,9 +430,10 @@ inline void axpyPanel(const double *AD, const double *BCol, double *RCol,
 /// of R stay in registers across the whole P panel, and each A load feeds
 /// all four columns. Only legal when the panel holds no zero B element —
 /// the caller checked, so the scalar kernel's zero-skip can't diverge.
-inline void panel4(const double *AD, const double *B0, const double *B1,
-                   const double *B2, const double *B3, double *R0, double *R1,
-                   double *R2, double *R3, size_t M, size_t P0, size_t P1) {
+inline void panel4(const double *AD, size_t Lda, const double *B0,
+                   const double *B1, const double *B2, const double *B3,
+                   double *R0, double *R1, double *R2, double *R3, size_t M,
+                   size_t P0, size_t P1) {
   size_t I = 0;
   for (; I + 2 * W <= M; I += 2 * W) {
     VD C00 = vLoad(R0 + I), C01 = vLoad(R0 + I + W);
@@ -436,7 +441,7 @@ inline void panel4(const double *AD, const double *B0, const double *B1,
     VD C20 = vLoad(R2 + I), C21 = vLoad(R2 + I + W);
     VD C30 = vLoad(R3 + I), C31 = vLoad(R3 + I + W);
     for (size_t P = P0; P != P1; ++P) {
-      const double *ACol = AD + P * M;
+      const double *ACol = AD + P * Lda;
       VD A0 = vLoad(ACol + I), A1 = vLoad(ACol + I + W);
       VD VB0 = vSet1(B0[P]);
       C00 = vAdd(C00, vMul(A0, VB0));
@@ -464,7 +469,7 @@ inline void panel4(const double *AD, const double *B0, const double *B1,
     VD C0 = vLoad(R0 + I), C1 = vLoad(R1 + I);
     VD C2 = vLoad(R2 + I), C3 = vLoad(R3 + I);
     for (size_t P = P0; P != P1; ++P) {
-      VD A0 = vLoad(AD + P * M + I);
+      VD A0 = vLoad(AD + P * Lda + I);
       C0 = vAdd(C0, vMul(A0, vSet1(B0[P])));
       C1 = vAdd(C1, vMul(A0, vSet1(B1[P])));
       C2 = vAdd(C2, vMul(A0, vSet1(B2[P])));
@@ -478,7 +483,7 @@ inline void panel4(const double *AD, const double *B0, const double *B1,
   for (; I != M; ++I) {
     double Acc0 = R0[I], Acc1 = R1[I], Acc2 = R2[I], Acc3 = R3[I];
     for (size_t P = P0; P != P1; ++P) {
-      double AV = AD[P * M + I];
+      double AV = AD[P * Lda + I];
       Acc0 += AV * B0[P];
       Acc1 += AV * B1[P];
       Acc2 += AV * B2[P];
@@ -491,17 +496,19 @@ inline void panel4(const double *AD, const double *B0, const double *B1,
   }
 }
 
-void matMulTile(const double *AD, const double *BD, double *RD, size_t M,
-                size_t K, size_t P0, size_t P1, size_t J0, size_t J1) {
+void matMulTile(const double *AD, size_t Lda, const double *BD, size_t Ldb,
+                double *RD, size_t M, size_t P0, size_t P1, size_t J0,
+                size_t J1) {
   // A row vector has no lanes to fill along M; its multipliers are
   // contiguous, so the product is a set of column dot products.
   if (M == 1) {
-    rowTile(AD, BD, RD, 1, K, P0, P1, J0, J1);
+    rowTile(AD, BD, RD, 1, Ldb, P0, P1, J0, J1);
     return;
   }
   size_t J = J0;
   for (; J + 4 <= J1; J += 4) {
-    const double *B0 = BD + J * K, *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
+    const double *B0 = BD + J * Ldb, *B1 = B0 + Ldb, *B2 = B1 + Ldb,
+                 *B3 = B2 + Ldb;
     double *R0 = RD + J * M, *R1 = R0 + M, *R2 = R1 + M, *R3 = R2 + M;
     // The register-blocked path cannot honor the per-(column, P) zero
     // skip, so it only runs on zero-free panels; real matrices (rand()
@@ -511,30 +518,30 @@ void matMulTile(const double *AD, const double *BD, double *RD, size_t M,
       HasZero =
           B0[P] == 0.0 || B1[P] == 0.0 || B2[P] == 0.0 || B3[P] == 0.0;
     if (!HasZero) {
-      panel4(AD, B0, B1, B2, B3, R0, R1, R2, R3, M, P0, P1);
+      panel4(AD, Lda, B0, B1, B2, B3, R0, R1, R2, R3, M, P0, P1);
     } else {
-      axpyPanel(AD, B0, R0, M, P0, P1);
-      axpyPanel(AD, B1, R1, M, P0, P1);
-      axpyPanel(AD, B2, R2, M, P0, P1);
-      axpyPanel(AD, B3, R3, M, P0, P1);
+      axpyPanel(AD, Lda, B0, R0, M, P0, P1);
+      axpyPanel(AD, Lda, B1, R1, M, P0, P1);
+      axpyPanel(AD, Lda, B2, R2, M, P0, P1);
+      axpyPanel(AD, Lda, B3, R3, M, P0, P1);
     }
   }
   for (; J != J1; ++J)
-    axpyPanel(AD, BD + J * K, RD + J * M, M, P0, P1);
+    axpyPanel(AD, Lda, BD + J * Ldb, RD + J * M, M, P0, P1);
 }
 
-/// Loads A(P:P+W, I:I+W) of a column-major A with leading dimension K,
+/// Loads A(P:P+W, I:I+W) of a column-major A with leading dimension Ld,
 /// transposed in registers: V[k] holds row P+k across columns I..I+W-1.
-inline void loadRowsAcross(const double *Src, size_t K, VD *V) {
+inline void loadRowsAcross(const double *Src, size_t Ld, VD *V) {
 #if MVEC_SIMD_WIDTH == 4
   V[0] = vLoad(Src);
-  V[1] = vLoad(Src + K);
-  V[2] = vLoad(Src + 2 * K);
-  V[3] = vLoad(Src + 3 * K);
+  V[1] = vLoad(Src + Ld);
+  V[2] = vLoad(Src + 2 * Ld);
+  V[3] = vLoad(Src + 3 * Ld);
   vTranspose(V[0], V[1], V[2], V[3]);
 #else
   V[0] = vLoad(Src);
-  V[1] = vLoad(Src + K);
+  V[1] = vLoad(Src + Ld);
   vTranspose(V[0], V[1]);
 #endif
 }
@@ -542,38 +549,38 @@ inline void loadRowsAcross(const double *Src, size_t K, VD *V) {
 /// A' * B for W output rows (A columns I..I+W-1, one per lane) against
 /// one B column, with the per-(P, column) zero skip: B(P, J) is the same
 /// for every lane, so the skip is a plain branch.
-inline void transAColumn(const double *AD, const double *BCol, double *RCol,
-                         size_t K, size_t I, size_t P0, size_t P1) {
-  const double *ABlock = AD + I * K;
+inline void transAColumn(const double *AD, size_t Lda, const double *BCol,
+                         double *RCol, size_t I, size_t P0, size_t P1) {
+  const double *ABlock = AD + I * Lda;
   VD Acc = vLoad(RCol + I);
   size_t P = P0;
   for (; P + W <= P1; P += W) {
     VD V[W];
-    loadRowsAcross(ABlock + P, K, V);
+    loadRowsAcross(ABlock + P, Lda, V);
     for (size_t Q = 0; Q != W; ++Q)
       if (BCol[P + Q] != 0.0)
         Acc = vAdd(Acc, vMul(V[Q], vSet1(BCol[P + Q])));
   }
   for (; P != P1; ++P)
     if (BCol[P] != 0.0)
-      Acc = vAdd(Acc, vMul(vGatherStride(ABlock + P, K), vSet1(BCol[P])));
+      Acc = vAdd(Acc, vMul(vGatherStride(ABlock + P, Lda), vSet1(BCol[P])));
   vStore(RCol + I, Acc);
 }
 
 /// A' * B for W output rows against four zero-free B columns: the four
 /// accumulators stay in registers across the P range and every
 /// transposed A load feeds all four.
-inline void transAPanel4(const double *AD, const double *B0, const double *B1,
-                         const double *B2, const double *B3, double *R0,
-                         double *R1, double *R2, double *R3, size_t K,
+inline void transAPanel4(const double *AD, size_t Lda, const double *B0,
+                         const double *B1, const double *B2, const double *B3,
+                         double *R0, double *R1, double *R2, double *R3,
                          size_t I, size_t P0, size_t P1) {
-  const double *ABlock = AD + I * K;
+  const double *ABlock = AD + I * Lda;
   VD C0 = vLoad(R0 + I), C1 = vLoad(R1 + I);
   VD C2 = vLoad(R2 + I), C3 = vLoad(R3 + I);
   size_t P = P0;
   for (; P + W <= P1; P += W) {
     VD V[W];
-    loadRowsAcross(ABlock + P, K, V);
+    loadRowsAcross(ABlock + P, Lda, V);
     for (size_t Q = 0; Q != W; ++Q) {
       C0 = vAdd(C0, vMul(V[Q], vSet1(B0[P + Q])));
       C1 = vAdd(C1, vMul(V[Q], vSet1(B1[P + Q])));
@@ -582,7 +589,7 @@ inline void transAPanel4(const double *AD, const double *B0, const double *B1,
     }
   }
   for (; P != P1; ++P) {
-    VD VA = vGatherStride(ABlock + P, K);
+    VD VA = vGatherStride(ABlock + P, Lda);
     C0 = vAdd(C0, vMul(VA, vSet1(B0[P])));
     C1 = vAdd(C1, vMul(VA, vSet1(B1[P])));
     C2 = vAdd(C2, vMul(VA, vSet1(B2[P])));
@@ -598,12 +605,14 @@ inline void transAPanel4(const double *AD, const double *B0, const double *B1,
 /// rows), brought across by in-register transposes, so every output
 /// element is still one ascending-P chain. Rows past the last full lane
 /// group are column dot products (rowTile).
-void matMulTransA(const double *AD, const double *BD, double *RD, size_t M,
-                  size_t K, size_t P0, size_t P1, size_t J0, size_t J1) {
+void matMulTransA(const double *AD, size_t Lda, const double *BD, size_t Ldb,
+                  double *RD, size_t M, size_t P0, size_t P1, size_t J0,
+                  size_t J1) {
   size_t MainRows = M - M % W;
   size_t J = J0;
   for (; J + 4 <= J1; J += 4) {
-    const double *B0 = BD + J * K, *B1 = B0 + K, *B2 = B1 + K, *B3 = B2 + K;
+    const double *B0 = BD + J * Ldb, *B1 = B0 + Ldb, *B2 = B1 + Ldb,
+                 *B3 = B2 + Ldb;
     double *R0 = RD + J * M, *R1 = R0 + M, *R2 = R1 + M, *R3 = R2 + M;
     bool HasZero = false;
     for (size_t P = P0; P != P1 && !HasZero; ++P)
@@ -611,20 +620,20 @@ void matMulTransA(const double *AD, const double *BD, double *RD, size_t M,
           B0[P] == 0.0 || B1[P] == 0.0 || B2[P] == 0.0 || B3[P] == 0.0;
     for (size_t I = 0; I != MainRows; I += W) {
       if (!HasZero) {
-        transAPanel4(AD, B0, B1, B2, B3, R0, R1, R2, R3, K, I, P0, P1);
+        transAPanel4(AD, Lda, B0, B1, B2, B3, R0, R1, R2, R3, I, P0, P1);
       } else {
-        transAColumn(AD, B0, R0, K, I, P0, P1);
-        transAColumn(AD, B1, R1, K, I, P0, P1);
-        transAColumn(AD, B2, R2, K, I, P0, P1);
-        transAColumn(AD, B3, R3, K, I, P0, P1);
+        transAColumn(AD, Lda, B0, R0, I, P0, P1);
+        transAColumn(AD, Lda, B1, R1, I, P0, P1);
+        transAColumn(AD, Lda, B2, R2, I, P0, P1);
+        transAColumn(AD, Lda, B3, R3, I, P0, P1);
       }
     }
   }
   for (; J != J1; ++J)
     for (size_t I = 0; I != MainRows; I += W)
-      transAColumn(AD, BD + J * K, RD + J * M, K, I, P0, P1);
+      transAColumn(AD, Lda, BD + J * Ldb, RD + J * M, I, P0, P1);
   for (size_t I = MainRows; I != M; ++I)
-    rowTile(AD + I * K, BD, RD + I, M, K, P0, P1, J0, J1);
+    rowTile(AD + I * Lda, BD, RD + I, M, Ldb, P0, P1, J0, J1);
 }
 
 #endif // MVEC_SIMD_WIDTH

@@ -67,8 +67,8 @@ enum class FmaMode : int { MulAdd = 0, MulSub = 1, RevSub = 2 };
 /// profitable vector form for a kernel (e.g. the serial-per-column cumsum
 /// along dim 1) point at the shared portable loop.
 ///
-/// Conventions: payloads are dense column-major doubles. Elementwise
-/// strides SA/SB/SC are 0 (replay one scalar) or 1 (walk the payload).
+/// Conventions: payloads are column-major doubles. Elementwise strides
+/// SA/SB/SC may be any step; 0 replays one scalar.
 /// Leaves contain no polling and no allocation — deadline polls and
 /// ResourceGovernor charges stay in MatrixOps.cpp, between tile calls, so
 /// resilience behavior is identical on every level.
@@ -97,18 +97,20 @@ struct KernelTable {
   void (*UnaryNeg)(const double *A, double *R, size_t N);
   void (*UnaryNot)(const double *A, double *R, size_t N);
   /// Matmul inner tile: R columns [J0, J1) += A(:, P0:P1) * B(P0:P1,
-  /// J0:J1) on raw column-major payloads (A is M x K, B is K x N, R is
-  /// M x N). Per output element the accumulation over P is strictly
-  /// ascending, and a zero B element skips its update entirely — both
-  /// exactly as the scalar kernel.
-  void (*MatMulTile)(const double *A, const double *B, double *R, size_t M,
-                     size_t K, size_t P0, size_t P1, size_t J0, size_t J1);
-  /// The same tile of A' * B without a transposed copy of A: A is stored
-  /// K x M (A' is M x K) and each R(i, j) accumulates the dot product of
-  /// A column i with B column j over [P0, P1) — ascending P, zero B
-  /// elements skipped, exactly as MatMulTile against a materialized A'.
-  void (*MatMulTransA)(const double *A, const double *B, double *R, size_t M,
-                       size_t K, size_t P0, size_t P1, size_t J0, size_t J1);
+  /// J0:J1), A and B column-major with leading dimensions Lda and Ldb (a
+  /// row-vector A, M == 1, contiguous), R a dense M x N. Per output element
+  /// the accumulation over P is strictly ascending, and a zero B element
+  /// skips its update entirely — both exactly as the scalar kernel.
+  void (*MatMulTile)(const double *A, size_t Lda, const double *B,
+                     size_t Ldb, double *R, size_t M, size_t P0, size_t P1,
+                     size_t J0, size_t J1);
+  /// The same tile of A' * B, A stored K x M (leading dimension Lda): each
+  /// R(i, j) accumulates the dot product of A column i with B column j over
+  /// [P0, P1) — ascending P, zero B elements skipped, exactly as
+  /// MatMulTile against a materialized A'.
+  void (*MatMulTransA)(const double *A, size_t Lda, const double *B,
+                       size_t Ldb, double *R, size_t M, size_t P0, size_t P1,
+                       size_t J0, size_t J1);
   /// Out[c] = sum/prod of column c (ascending row order per column).
   void (*ColSums)(const double *A, size_t Rows, size_t Cols, double *Out);
   void (*ColProds)(const double *A, size_t Rows, size_t Cols, double *Out);

@@ -89,7 +89,7 @@ private:
 /// The allocation hook compiled into the pipeline's allocation choke
 /// points. Near-free when no governor is installed.
 inline void chargeMemory(size_t Bytes) {
-  if (ResourceGovernor *G = detail::tlsGovernor())
+  if (ResourceGovernor *G = Bytes ? detail::tlsGovernor() : nullptr)
     G->charge(Bytes);
 }
 

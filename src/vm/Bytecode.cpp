@@ -31,8 +31,6 @@ static const OpInfo OpTable[kNumOps] = {
     {"Transpose",     OperandClass::Reg,    OperandClass::Reg,    OperandClass::None,   OperandClass::None},
     {"Binary",        OperandClass::DstRS,  OperandClass::Src,    OperandClass::Src,    OperandClass::None},
     {"FusedMulAdd",   OperandClass::DstRS,  OperandClass::Src,    OperandClass::Src,    OperandClass::Src},
-    {"MulTransB",     OperandClass::Reg,    OperandClass::Reg,    OperandClass::Reg,    OperandClass::None},
-    {"MulTransA",     OperandClass::Reg,    OperandClass::Reg,    OperandClass::Reg,    OperandClass::None},
     {"LoadExtent",    OperandClass::Reg,    OperandClass::BaseRC, OperandClass::None,   OperandClass::None},
     {"MakeColon",     OperandClass::Reg,    OperandClass::BaseRC, OperandClass::None,   OperandClass::None},
     {"TestDefined",   OperandClass::Var,    OperandClass::Target, OperandClass::None,   OperandClass::None},

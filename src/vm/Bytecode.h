@@ -15,8 +15,8 @@
 /// Register discipline: the compiler allocates registers as an expression
 /// stack (destination first, operand temporaries above it) and restores the
 /// stack top per statement, so NumRegs is the high-water mark of a single
-/// statement. Superinstructions (CmpJump, FusedMulAdd, MulTransB,
-/// MulTransA) mirror the tree-walker's fused kernels one-for-one;
+/// statement. Superinstructions (CmpJump, FusedMulAdd) mirror the
+/// tree-walker's fused kernels one-for-one;
 /// everything else decomposes into the same primitive steps the walker
 /// takes, in the same order.
 ///
@@ -28,8 +28,8 @@
 /// slot read can never be the first (failing) mention of a name and the
 /// un-folded LoadIdent keeps its precise error location. Constants fold
 /// unconditionally. Both are side-effect-free reads, so eliding the
-/// load instruction leaves evaluation order, failure behavior, and
-/// buffer-pool traffic exactly as the walker has them.
+/// load instruction leaves evaluation order and failure behavior exactly
+/// as the walker has them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,8 +70,6 @@ enum class Op : uint8_t {
   Binary,     ///< A=dst (DstRS), B=lhs (Src), C=rhs (Src), Flags=BinaryOp
               ///< (| flags::StoreToSlot: A is a var, result defines it)
   FusedMulAdd,///< A=dst (DstRS), B=a, C=b, D=c (all Src); (a op* b) +/- c
-  MulTransB,  ///< A=dst, B=lhs, C=b; lhs * b' without materializing b'
-  MulTransA,  ///< A=dst, B=a, C=rhs; a' * rhs without materializing a'
   LoadExtent, ///< A=dst, B=base, Flags=dim|BaseIsSlot; subscript 'end'
   MakeColon,  ///< A=dst, B=base, Flags=dim|BaseIsSlot; ':' index vector
   TestDefined,///< A=var, B=target-if-undefined (index/call dispatch)

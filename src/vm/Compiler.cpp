@@ -551,26 +551,6 @@ private:
         return;
       }
     }
-    // A * B' against packed-transposed data, else A' * B against A's
-    // columns: the walker's precedence.
-    if (O == BinaryOp::Mul) {
-      if (const auto *T = dyn_cast<TransposeExpr>(E.rhs())) {
-        int32_t Save = Top;
-        int32_t L = compileExpr(*E.lhs(), ExtReg);
-        int32_t B = compileExpr(*T->operand(), ExtReg);
-        emit(Op::MulTransB, 0, Dst, L, B, 0, E.loc());
-        Top = Save;
-        return;
-      }
-      if (const auto *T = dyn_cast<TransposeExpr>(E.lhs())) {
-        int32_t Save = Top;
-        int32_t A = compileExpr(*T->operand(), ExtReg);
-        int32_t R = compileExpr(*E.rhs(), ExtReg);
-        emit(Op::MulTransA, 0, Dst, A, R, 0, E.loc());
-        Top = Save;
-        return;
-      }
-    }
     int32_t Save = Top;
     int32_t L = compileOperand(*E.lhs(), ExtReg);
     int32_t R = compileOperand(*E.rhs(), ExtReg);

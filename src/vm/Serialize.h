@@ -29,7 +29,7 @@ namespace vm {
 /// Bumped whenever the serialized layout or opcode numbering changes.
 /// Part of the cache key, so stale persisted programs from an older
 /// format version can never be loaded — they simply miss.
-constexpr uint32_t kBytecodeFormatVersion = 4;
+constexpr uint32_t kBytecodeFormatVersion = 5;
 
 /// The content-address of the compiled form of \p Source: the source
 /// hash mixed with the format version. Pure function of the source text,

@@ -6,20 +6,17 @@
 //
 // Every case below is a verbatim transliteration of one step of the
 // tree-walker, calling the same Interpreter engine-support primitives the
-// walker itself runs on. Where the walker holds a temporary and recycles
-// it into the kernel pool, the VM recycles the operand register; where the
-// walker lets a value destruct un-pooled (loop conditions, concatenation
-// elements, range operands), the VM clears the register instead. Keeping
-// that distinction is what makes buffer-pool behavior — and therefore
-// allocation order and governor accounting — identical across engines.
+// walker itself runs on, so governor accounting is identical across
+// engines. Operand registers are moved out into handler locals, which die
+// when the handler's block closes, as the walker's operand temporaries do.
 //
 // Two speed mechanisms, neither observable:
 //
 //   Unboxed scalar registers. A plain (non-logical) 1x1 value lives as a
 //   raw double in Sca[] with IsSca[] set; Regs[] holds the boxed Value
 //   only when an op actually needs one. Scalar Values carry no heap
-//   buffer — recycling one is a no-op and constructing one charges
-//   nothing — so this changes representation, not behavior. Logical
+//   buffer and constructing one charges nothing, so this changes
+//   representation, not behavior. Logical
 //   scalars (comparison results) stay boxed so mask-indexing semantics
 //   survive; the scalar fast paths below mirror applyBinary's scalar
 //   cases and applyFusedMulAdd's all-scalar case bit-for-bit.
@@ -73,11 +70,6 @@ struct ForFrame {
   size_t HintsBefore = 0;
 };
 
-const std::vector<Value> &noArgs() {
-  static const std::vector<Value> Empty;
-  return Empty;
-}
-
 /// A 1x1 logical Value (comparison / logical-op result). Free of heap
 /// allocation, same as Interpreter::applyBinary's scalar path builds.
 Value logicalScalar(bool V) {
@@ -125,7 +117,6 @@ Value logicalScalar(bool V) {
 
 bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
   Workspace &Env = Host.env();
-  OpWorkspace &Pool = Host.pool();
 
   std::vector<BoundVar> Bound;
   Bound.reserve(P.VarNames.size());
@@ -147,6 +138,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
   // next call at that depth — argument lifetimes (and the memory the
   // governor sees charged) match the walker's.
   std::vector<std::vector<Value>> ArgPool;
+  std::vector<Value> ArgsNone;
 
   // Invariant: IsSca[R] implies Regs[R] is empty. box() materializes the
   // Value form; setSca/setVal overwrite a register in either form.
@@ -168,8 +160,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
     IsSca[R] = 0;
     Regs[R] = std::move(V);
   };
-  // Releases a register whose value would simply destruct in the walker
-  // (a scalar's "recycle" is also a destruct: it has no buffer to pool).
+  // Releases a register where the walker drops the same temporary.
   auto clearReg = [&](int32_t R) {
     if (IsSca[R])
       IsSca[R] = 0;
@@ -188,10 +179,10 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
   // logical scalars included. srcScaPlain additionally requires
   // non-logical (subscript fast paths, where a logical 1x1 selects by
   // mask instead). srcLoad materializes the operand as a Value for the
-  // generic kernels: registers move out (then get recycled by the
-  // caller, as the walker recycles its operand temporaries), folded
-  // sources build the same COW copy / fresh scalar the elided
-  // LoadIdent/LoadConst would have built.
+  // generic kernels: registers move out (and die with the caller's
+  // local, as the walker's operand temporaries do), folded sources build
+  // the same COW copy / fresh scalar the elided LoadIdent/LoadConst would
+  // have built.
   auto srcSca = [&](int32_t X, double &Out) -> bool {
     if (X >= 0) {
       if (IsSca[X]) {
@@ -258,7 +249,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
     if (BV.IsPi)
       return Value::scalar(3.14159265358979323846);
     if (BV.Builtin != InvalidBuiltinId)
-      return callBuiltin(Host, BV.Builtin, noArgs(), Loc);
+      return callBuiltin(Host, BV.Builtin, ArgsNone, Loc);
     Host.fail(Loc, "undefined variable '" + P.VarNames[foldedIndex(X)] + "'");
     return Value();
   };
@@ -293,8 +284,8 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
         &&Lbl_Jump,        &&Lbl_JumpIfTrue,  &&Lbl_JumpIfFalse,
         &&Lbl_CastBool,    &&Lbl_CmpJump,     &&Lbl_MakeRange,
         &&Lbl_UnaryMinus,  &&Lbl_UnaryNot,    &&Lbl_Transpose,
-        &&Lbl_Binary,      &&Lbl_FusedMulAdd, &&Lbl_MulTransB,
-        &&Lbl_MulTransA,   &&Lbl_LoadExtent,  &&Lbl_MakeColon,
+        &&Lbl_Binary,      &&Lbl_FusedMulAdd, &&Lbl_LoadExtent,
+        &&Lbl_MakeColon,
         &&Lbl_TestDefined, &&Lbl_CheckCallable, &&Lbl_CallBuiltin,
         &&Lbl_Fail,        &&Lbl_IndexRead0,  &&Lbl_IndexReadAll,
         &&Lbl_IndexRead1,  &&Lbl_IndexRead2,  &&Lbl_DefineRef,
@@ -354,7 +345,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
           VM_NEXT_NOFAIL();
         }
         if (V.Builtin != InvalidBuiltinId)
-          setVal(In->A, callBuiltin(Host, V.Builtin, noArgs(), In->Loc));
+          setVal(In->A, callBuiltin(Host, V.Builtin, ArgsNone, In->Loc));
         else
           Host.fail(In->Loc,
                     "undefined variable '" + P.VarNames[In->B] + "'");
@@ -401,7 +392,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
       VM_CASE(JumpIfTrue) : {
         bool T = IsSca[In->A] ? Sca[In->A] != 0.0 : Regs[In->A].isTrue();
         if (In->Flags & flags::Release)
-          clearReg(In->A); // conditions destruct, un-pooled
+          clearReg(In->A);
         if (T)
           NextIP = static_cast<size_t>(In->B);
         VM_NEXT_NOFAIL();
@@ -445,8 +436,6 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
           if (!Host.failed()) {
             Value C = Host.applyBinary(static_cast<BinaryOp>(In->Flags), L, R,
                                        In->Loc);
-            Pool.recycle(std::move(L));
-            Pool.recycle(std::move(R));
             if (!C.isTrue())
               NextIP = static_cast<size_t>(In->C);
           }
@@ -454,9 +443,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
         VM_NEXT();
       }
       VM_CASE(MakeRange) : {
-        // Range operands destruct un-pooled in the walker; the srcLoad
-        // temporaries here do the same (inner scope: see the threaded-
-        // dispatch scope discipline above).
+        // Inner scope: see the threaded-dispatch scope discipline above.
         {
           Value Start = srcLoad(In->B, In->Loc);
           Value Step = In->C == kNoOperand ? Value::scalar(1.0)
@@ -475,9 +462,8 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
             clearReg(In->B);
           setSca(In->A, V);
         } else {
-          Value R = unaryMinus(Regs[In->B], &Pool);
-          Pool.recycle(std::move(Regs[In->B]));
-          setVal(In->A, std::move(R));
+          setVal(In->A, unaryMinus(std::exchange(Regs[In->B], Value()),
+                                   &Host.pool()));
         }
         VM_NEXT_NOFAIL();
       }
@@ -488,9 +474,8 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
           clearReg(In->B);
           setVal(In->A, logicalScalar(Zero));
         } else {
-          Value R = unaryNot(Regs[In->B], &Pool);
-          Pool.recycle(std::move(Regs[In->B]));
-          setVal(In->A, std::move(R));
+          setVal(In->A, unaryNot(std::exchange(Regs[In->B], Value()),
+                                 &Host.pool()));
         }
         VM_NEXT_NOFAIL();
       }
@@ -503,9 +488,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
             setSca(In->A, V);
           }
         } else {
-          Value R = transpose(Regs[In->B], &Pool);
-          Pool.recycle(std::move(Regs[In->B]));
-          setVal(In->A, std::move(R));
+          setVal(In->A, transpose(std::exchange(Regs[In->B], Value())));
         }
         VM_NEXT_NOFAIL();
       }
@@ -561,8 +544,6 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
           Value RV = srcLoad(In->C, In->Loc);
           if (!Host.failed()) {
             Value Res = Host.applyBinary(BO, LV, RV, In->Loc);
-            Pool.recycle(std::move(LV));
-            Pool.recycle(std::move(RV));
             if (In->Flags & flags::StoreToSlot) {
               if (!Host.failed()) {
                 unsigned Slot = Bound[In->A].Slot;
@@ -611,9 +592,6 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
                 A, B, C, (In->Flags & flags::FmaSubtract) != 0,
                 (In->Flags & flags::FmaProductOnLeft) != 0,
                 (In->Flags & flags::FmaDotMul) != 0, In->Loc, In->Loc2);
-            Pool.recycle(std::move(A));
-            Pool.recycle(std::move(B));
-            Pool.recycle(std::move(C));
             if (In->Flags & flags::StoreToSlot) {
               if (!Host.failed()) {
                 unsigned Slot = Bound[In->A].Slot;
@@ -626,22 +604,6 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
             }
           }
         }
-        VM_NEXT();
-      }
-      VM_CASE(MulTransB) : {
-        Value &L = box(In->B), &R = box(In->C);
-        Value Res = Host.applyMulTransB(L, R, In->Loc);
-        Pool.recycle(std::move(L));
-        Pool.recycle(std::move(R));
-        setVal(In->A, std::move(Res));
-        VM_NEXT();
-      }
-      VM_CASE(MulTransA) : {
-        Value &A = box(In->B), &R = box(In->C);
-        Value Res = Host.applyMulTransA(A, R, In->Loc);
-        Pool.recycle(std::move(A));
-        Pool.recycle(std::move(R));
-        setVal(In->A, std::move(Res));
         VM_NEXT();
       }
       VM_CASE(LoadExtent) : {
@@ -729,7 +691,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
         {
           Value Idx = srcLoad(In->C, In->Loc);
           if (!Host.failed())
-            setVal(In->A, Host.indexRead1(Base, Idx, In->Loc));
+            setVal(In->A, Host.indexRead1(Base, std::move(Idx), In->Loc));
         }
         VM_NEXT();
       }
@@ -755,7 +717,8 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
           Value RI = srcLoad(In->C, In->Loc);
           Value CI = srcLoad(In->D, In->Loc);
           if (!Host.failed())
-            setVal(In->A, Host.indexRead2(Base, RI, CI, In->Loc));
+            setVal(In->A,
+                   Host.indexRead2(Base, std::move(RI), std::move(CI), In->Loc));
         }
         VM_NEXT();
       }
@@ -772,7 +735,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
           // A(:) = A case detaches identically on both engines).
           Value RHS = srcLoad(In->B, In->Loc);
           if (!Host.failed()) {
-            Host.indexWriteAll(Env.slotValue(Slot), RHS, In->Loc);
+            Host.indexWriteAll(Env.slotValue(Slot), std::move(RHS), In->Loc);
             Host.checkShapeCap(Slot, In->Loc2);
           }
         }
@@ -806,7 +769,8 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
           Value Idx = srcLoad(In->B, In->Loc);
           Value RHS = srcLoad(In->C, In->Loc);
           if (!Host.failed()) {
-            Host.indexWrite1(Env.slotValue(Slot), Idx, RHS, In->Loc);
+            Host.indexWrite1(Env.slotValue(Slot), std::move(Idx),
+                             std::move(RHS), In->Loc);
             Host.checkShapeCap(Slot, In->Loc2);
           }
         }
@@ -841,7 +805,8 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
           Value CI = srcLoad(In->C, In->Loc);
           Value RHS = srcLoad(In->D, In->Loc);
           if (!Host.failed()) {
-            Host.indexWrite2(Env.slotValue(Slot), RI, CI, RHS, In->Loc);
+            Host.indexWrite2(Env.slotValue(Slot), std::move(RI),
+                             std::move(CI), std::move(RHS), In->Loc);
             Host.checkShapeCap(Slot, In->Loc2);
           }
         }

@@ -7,7 +7,7 @@
 /// \file
 /// Executes compiled programs against a host Interpreter. The VM owns no
 /// state of its own: workspace, output, RNG, step/deadline accounting,
-/// fault sites and the kernel buffer pool all live in the host, so a
+/// fault sites and the kernel context all live in the host, so a
 /// program observes exactly what it would under the tree-walker — the VM
 /// only replaces the AST traversal with a register dispatch loop.
 ///

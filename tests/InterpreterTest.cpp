@@ -737,4 +737,107 @@ TEST(InterpreterTest, EndResolvesPerSubscript) {
             "'end' outside of a subscript");
 }
 
+//===----------------------------------------------------------------------===//
+// Strided views, whole-array writes, logical-flag builtins
+//===----------------------------------------------------------------------===//
+
+TEST(InterpreterTest, ViewsAreCopyOnWrite) {
+  // Transposes and stepped subscripts are views of X; writing either
+  // side leaves the other as it was.
+  Interpreter I = runOk("X = [1 2 3; 4 5 6];\nB = X';\nB(1) = 7;\n"
+                        "C = X(1:2:end, :);\nC(2) = 8;\nD = X';\nX(2) = 9;\n"
+                        "E = transpose(X)(2:3, 1:2);\nF = X(1:2, 1:2:3)(2, :);\n"
+                        "M = X > 2;\nL = transpose(M)(1:2:3, :);\n"
+                        "l = islogical(L);\nG = X(:, 2:3)';\nG(:) = 0;\n");
+  EXPECT_EQ(contents(I, "X"), (std::vector<double>{1, 9, 2, 5, 3, 6}));
+  EXPECT_EQ(contents(I, "B"), (std::vector<double>{7, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(contents(I, "C"), (std::vector<double>{1, 8, 3}));
+  EXPECT_EQ(contents(I, "D"), (std::vector<double>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(contents(I, "E"), (std::vector<double>{2, 3, 5, 6}));
+  EXPECT_EQ(contents(I, "F"), (std::vector<double>{9, 6}));
+  EXPECT_EQ(contents(I, "L"), (std::vector<double>{0, 1, 1, 1}));
+  EXPECT_DOUBLE_EQ(scalarVar(I, "l"), 1);
+  EXPECT_EQ(contents(I, "G"), (std::vector<double>{0, 0, 0, 0}));
+  for (const char *Name : {"B", "C", "D", "E", "F", "L", "G"})
+    EXPECT_FALSE(I.getVariable(Name)->sharesBufferWith(*I.getVariable("X")))
+        << Name;
+}
+
+/// A bad subscript on a view base reports exactly what it reports on the
+/// same values stored as a plain matrix.
+TEST(InterpreterTest, BadSubscriptErrorsOnViewsAreUnchanged) {
+  const char *Setup = "X = [1 2 3; 4 5 6];\nT = X';\nS = X(1:2, 1:2:3);\n";
+  const std::pair<const char *, const char *> Reads[] = {
+      {"transpose(X)(1:4, 1)", "T(1:4, 1)"},
+      {"transpose(X)(0:1, 1)", "T(0:1, 1)"},
+      {"transpose(X)([1 1.5], :)", "T([1 1.5], :)"},
+      {"transpose(X)(2, 0:1)", "T(2, 0:1)"},
+      {"transpose(X)([1 7])", "T([1 7])"},
+      {"transpose(X)(1:2:9, :)", "T(1:2:9, :)"},
+      {"X(1:2, 1:2:3)(3, 1)", "S(3, 1)"},
+      {"X(1:2, 1:2:3)(1, [2 0])", "S(1, [2 0])"},
+      {"X(1:2, 1:2:3)(5)", "S(5)"},
+  };
+  for (const auto &[View, Plain] : Reads) {
+    std::string Want = runError(std::string(Setup) + "y = " + Plain + ";");
+    EXPECT_FALSE(Want.empty()) << Plain;
+    EXPECT_EQ(runError(std::string(Setup) + "y = " + View + ";"), Want)
+        << View;
+  }
+}
+
+TEST(InterpreterTest, WholeArrayWriteAdoptsItsRightHandSide) {
+  // A covering write takes the payload over; the target keeps its own
+  // shape and logical flag, and a value that shared the target keeps the
+  // old contents.
+  Interpreter I = runOk("A = zeros(3, 4);\nK = A;\nB = rand(3, 4);\n"
+                        "A(1:3, 1:4) = B + 1;\nM = rand(2, 2) > 2;\n"
+                        "M(1:2, 1:2) = [1 0; 1 1];\nv = zeros(1, 6);\n"
+                        "v(1:6) = (1:6)' * 2;\n");
+  const Value *A = I.getVariable("A");
+  const Value *B = I.getVariable("B");
+  for (size_t K = 0; K != 12; ++K)
+    EXPECT_DOUBLE_EQ(A->linear(K), B->linear(K) + 1);
+  EXPECT_EQ(contents(I, "K"), std::vector<double>(12, 0.0));
+  EXPECT_TRUE(I.getVariable("M")->isLogical());
+  EXPECT_EQ(contents(I, "M"), (std::vector<double>{1, 1, 0, 1}));
+  const Value *V = I.getVariable("v");
+  EXPECT_EQ(V->rows(), 1u);
+  EXPECT_EQ(contents(I, "v"), (std::vector<double>{2, 4, 6, 8, 10, 12}));
+}
+
+TEST(InterpreterTest, TrueAndFalseTakeSizeArguments) {
+  Interpreter I = runOk("a = true(2, 3);\nb = false(1, 0);\nc = true;\n"
+                        "d = false(2);\nn = numel(a);\ns = size(b);\n");
+  EXPECT_DOUBLE_EQ(scalarVar(I, "n"), 6);
+  EXPECT_EQ(contents(I, "s"), (std::vector<double>{1, 0}));
+  EXPECT_EQ(contents(I, "a"), std::vector<double>(6, 1.0));
+  EXPECT_EQ(contents(I, "d"), std::vector<double>(4, 0.0));
+  for (const char *Name : {"a", "b", "c", "d"})
+    EXPECT_TRUE(I.getVariable(Name)->isLogical()) << Name;
+  EXPECT_EQ(I.getVariable("c")->numel(), 1u);
+  EXPECT_EQ(runError("x = true(-1);"),
+            "size argument to 'true/false' must be a nonnegative integer");
+  EXPECT_EQ(runError("x = false(2, 1.5);"),
+            "size argument to 'true/false' must be a nonnegative integer");
+  EXPECT_EQ(runError("x = true([1 2]);"),
+            "argument to 'true/false' must be a scalar");
+}
+
+TEST(InterpreterTest, RepmatFlipsAndConcatenationKeepTheLogicalFlag) {
+  Interpreter I = runOk(
+      "v = 1:10;\nk = v > 5;\na = v(repmat(k, 1, 1));\nb = v(fliplr(k));\n"
+      "c = islogical([k, k]);\nd = islogical([k; k]);\n"
+      "e = islogical(flipud(k'));\nf = islogical([k, []]);\n"
+      "g = islogical([[], k]);\nh = islogical([k, 1]);\n"
+      "r = islogical(repmat(k, 2, 2));\n");
+  EXPECT_EQ(contents(I, "a"), (std::vector<double>{6, 7, 8, 9, 10}));
+  EXPECT_EQ(contents(I, "b"), (std::vector<double>{1, 2, 3, 4, 5}));
+  for (const char *Name : {"c", "d", "e", "f", "g", "r"})
+    EXPECT_DOUBLE_EQ(scalarVar(I, Name), 1) << Name;
+  // A double operand makes the result double; an empty operand is
+  // dropped and leaves the other's class.
+  EXPECT_DOUBLE_EQ(scalarVar(I, "h"), 0);
+}
+
 } // namespace

@@ -369,7 +369,6 @@ TEST(DifferentialTest, FusedMulAddMatchesTwoStep) {
             ASSERT_DOUBLE_EQ(Fused.linear(I), Expect)
                 << R << "x" << C << " trial " << Trial << " elt " << I;
           }
-          WS.recycle(std::move(Fused));
         }
     }
   }
@@ -391,33 +390,31 @@ TEST(DifferentialTest, BlockedMatMulMatchesNaive) {
     Value Ref = naiveMatMul(A, B);
     ASSERT_TRUE(R.equals(Ref, 1e-12))
         << D[0] << "x" << D[1] << " * " << D[1] << "x" << D[2];
-    WS.recycle(std::move(R));
   }
 }
 
 TEST(DifferentialTest, MatMulTransBMatchesNaive) {
   TestRng Rng(0xDEAD);
   OpWorkspace WS;
-  // matMulTransB(A, B) computes A * B'; B is given untransposed.
+  // A * B' reads B's transpose view packed into scratch.
   const size_t Dims[][3] = {{1, 1, 1},  {4, 3, 5},    {16, 16, 16},
                             {2, 130, 2}, {31, 127, 33}, {1, 64, 1}};
   for (const auto &D : Dims) {
     Value A = randomValue(Rng, D[0], D[1]);
     Value B = randomValue(Rng, D[2], D[1]); // B' is D[1] x D[2]
     OpError Err;
-    Value R = matMulTransB(A, B, Err, &WS);
+    Value R = matMul(A, transpose(B), Err, &WS);
     ASSERT_FALSE(Err.failed());
     Value Ref = naiveMatMul(A, transpose(B));
     ASSERT_TRUE(R.equals(Ref, 1e-12))
         << D[0] << "x" << D[1] << " * (" << D[2] << "x" << D[1] << ")'";
-    WS.recycle(std::move(R));
   }
 }
 
 TEST(DifferentialTest, MatMulTransAMatchesNaive) {
   TestRng Rng(0xA7A);
   OpWorkspace WS;
-  // matMulTransA(A, B) computes A' * B; A is given untransposed (K x M).
+  // A' * B reads A's transpose view in place (A is K x M).
   // Rows cross every lane width, columns the 4-column tile.
   const size_t Dims[][3] = {{1, 1, 1},   {1, 37, 9},  {4, 3, 5},
                             {7, 130, 6}, {16, 16, 16}, {33, 129, 17},
@@ -426,15 +423,14 @@ TEST(DifferentialTest, MatMulTransAMatchesNaive) {
     Value A = randomValue(Rng, D[1], D[0]);
     Value B = randomValue(Rng, D[1], D[2]);
     OpError Err;
-    Value R = matMulTransA(A, B, Err, &WS);
+    Value R = matMul(transpose(A), B, Err, &WS);
     ASSERT_FALSE(Err.failed());
     Value Ref = naiveMatMul(transpose(A), B);
     ASSERT_TRUE(R.equals(Ref, 1e-12))
         << "(" << D[1] << "x" << D[0] << ")' * " << D[1] << "x" << D[2];
-    WS.recycle(std::move(R));
   }
   OpError Err;
-  matMulTransA(randomValue(Rng, 3, 2), randomValue(Rng, 4, 2), Err);
+  matMul(transpose(randomValue(Rng, 3, 2)), randomValue(Rng, 4, 2), Err);
   EXPECT_EQ(Err.Message, "inner matrix dimensions must agree (2x3 * 4x2)");
 }
 
@@ -460,7 +456,6 @@ TEST(DifferentialTest, PooledElementwiseMatchesFresh) {
         continue;
       ASSERT_TRUE(Pooled.equals(Fresh)) << "op " << static_cast<int>(Op);
       ASSERT_EQ(Pooled.isLogical(), Fresh.isLogical());
-      WS.recycle(std::move(Pooled));
     }
   }
 }
@@ -469,15 +464,18 @@ TEST(DifferentialTest, PoolRecyclingNeverAliasesLiveValues) {
   OpWorkspace WS;
   OpError Err;
   TestRng Rng(7);
-  Value A = randomValue(Rng, 8, 8);
+  // Large enough (80x80 doubles) for the payload recycler.
+  Value A = randomValue(Rng, 80, 80);
   Value Live = mulOp(A, A, Err, &WS);
   ASSERT_FALSE(Err.failed());
   Value Snapshot = Live; // shares Live's buffer
-  // Recycling Live must not hand its (shared) buffer to the pool...
-  WS.recycle(std::move(Live));
+  const double *Payload = Snapshot.raw();
+  // Dropping Live must not hand its (shared) buffer to the recycler...
+  { Value Dead = std::move(Live); }
   Value Next = mulOp(A, A, Err, &WS);
   // ...so writing the next result cannot corrupt the snapshot.
   ASSERT_FALSE(Snapshot.sharesBufferWith(Next));
+  ASSERT_NE(Next.raw(), Payload);
   ASSERT_TRUE(Snapshot.equals(Next, 0.0));
 }
 
@@ -744,11 +742,11 @@ TEST(SimdDifferentialTest, MatMulTransBBitExactAcrossLevels) {
       Value Want, Got;
       {
         ScopedSimdLevel Pin(simd::Level::Scalar);
-        Want = matMulTransB(A, B, ErrS);
+        Want = matMul(A, transpose(B), ErrS);
       }
       {
         ScopedSimdLevel Pin(L);
-        Got = matMulTransB(A, B, ErrV);
+        Got = matMul(A, transpose(B), ErrV);
       }
       ASSERT_FALSE(ErrS.failed());
       ASSERT_FALSE(ErrV.failed());
@@ -839,10 +837,12 @@ TEST(SimdDifferentialTest, MatMulTransABitExactAcrossLevels) {
       Value Transposed, Want;
       {
         ScopedSimdLevel Pin(simd::Level::Scalar);
-        // The materialized transpose is the form A' * B took before the
-        // kernel existed; the scalar kernel must reproduce it exactly.
-        Transposed = matMul(transpose(A), B, ErrT);
-        Want = matMulTransA(A, B, ErrS);
+        // The materialized transpose runs the plain tile; the transpose
+        // view runs the transposed-A tile, which must reproduce it exactly.
+        Value AT = transpose(A);
+        AT.materialize();
+        Transposed = matMul(AT, B, ErrT);
+        Want = matMul(transpose(A), B, ErrS);
       }
       ASSERT_FALSE(ErrT.failed());
       ASSERT_FALSE(ErrS.failed());
@@ -852,7 +852,7 @@ TEST(SimdDifferentialTest, MatMulTransABitExactAcrossLevels) {
           continue;
         ScopedSimdLevel Pin(L);
         OpError ErrV;
-        Value Got = matMulTransA(A, B, ErrV);
+        Value Got = matMul(transpose(A), B, ErrV);
         ASSERT_FALSE(ErrV.failed());
         expectBitIdentical(Got, Want,
                            std::string(simd::levelName(L)) + " matmul-ta " +
@@ -887,8 +887,10 @@ TEST(SimdDifferentialTest, RowVectorMatMulBitExactAcrossLevels) {
         ScopedSimdLevel Pin(L);
         OpError ErrV, ErrB;
         Value Got = matMul(A, B, ErrV);
-        // A * B' with a row-vector A takes the same tile behind the pack.
-        Value GotTB = matMulTransB(A, transpose(B), ErrB);
+        // A transposed B operand takes the same tile behind the pack.
+        Value BT = transpose(B);
+        BT.materialize();
+        Value GotTB = matMul(A, transpose(BT), ErrB);
         ASSERT_FALSE(ErrV.failed());
         ASSERT_FALSE(ErrB.failed());
         std::string Level = simd::levelName(L);
@@ -959,6 +961,152 @@ TEST(SimdDifferentialTest, UnaryBitExactAcrossLevels) {
       expectBitIdentical(unaryMinus(A), WantNeg, Tag + " neg");
       // unaryNot maps NaN -> 0 like MATLAB ~; still must match bitwise.
       expectBitIdentical(unaryNot(A), WantNot, Tag + " not");
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Strided views as kernel operands. Each view holds the same values as a
+// plain matrix; every kernel must read it to the bit what it reads from
+// the plain form, at every dispatch level.
+//===----------------------------------------------------------------------===//
+
+/// \p M stored inside a larger matrix (leading dimension M.rows() + 3):
+/// a view with a unit row step and a column step past its row count.
+Value withLeadingDim(const Value &M) {
+  Value Big(M.rows() + 3, M.cols() + 1, 7.0);
+  for (size_t R = 0; R != M.rows(); ++R)
+    for (size_t C = 0; C != M.cols(); ++C)
+      Big.at(R + 2, C + 1) = M.at(R, C);
+  return Big.view(M.rows(), M.cols(), 2 + Big.rows(), 1, Big.rows(), false);
+}
+
+/// \p M as the transpose view of its stored transpose: a unit column
+/// step, optionally with a leading dimension past the stored rows.
+Value asTransposeView(const Value &M, bool WithLd) {
+  Value T = transpose(M);
+  T.materialize();
+  return transpose(WithLd ? withLeadingDim(T) : T);
+}
+
+/// \p M as every other row of a matrix twice its height: neither step is 1.
+Value asSteppedRows(const Value &M) {
+  Value Big(2 * M.rows(), M.cols(), -3.0);
+  for (size_t R = 0; R != M.rows(); ++R)
+    for (size_t C = 0; C != M.cols(); ++C)
+      Big.at(2 * R, C) = M.at(R, C);
+  return Big.view(M.rows(), M.cols(), 0, 2, Big.rows(), false);
+}
+
+/// Every layout a kernel operand can take, holding \p M's values.
+std::vector<std::pair<std::string, Value>> layoutsOf(const Value &M) {
+  std::vector<std::pair<std::string, Value>> Out;
+  Out.emplace_back("plain", M);
+  if (M.numel() > 1) {
+    Out.emplace_back("ld", withLeadingDim(M));
+    Out.emplace_back("trans", asTransposeView(M, false));
+    Out.emplace_back("trans-ld", asTransposeView(M, true));
+    Out.emplace_back("stepped", asSteppedRows(M));
+  }
+  return Out;
+}
+
+TEST(SimdDifferentialTest, StridedMatMulOperandsBitExactAcrossLevels) {
+  // ld > rows on both sides, a row-vector A (M == 1), Table 3's 40x40 and
+  // a 1000 x 1 result; B carries 0, -0, NaN and Inf (density 2) and the
+  // zero-skip probe (density 3).
+  const size_t Shapes[][3] = {{1, 37, 9},  {1, 499, 37}, {3, 5, 2},
+                              {9, 130, 13}, {40, 40, 40}, {1000, 60, 1}};
+  TestRng Rng(0x51D);
+  for (const auto &D : Shapes) {
+    size_t M = D[0], K = D[1], N = D[2];
+    for (int Density = 0; Density != NumDotDensities; ++Density) {
+      Value A = dotOperandA(Rng, Density, M, K, /*InnerIsRows=*/false);
+      Value B = dotOperandB(Rng, Density, K, N);
+      std::string Shape = std::to_string(M) + "x" + std::to_string(K) + "*" +
+                          std::to_string(K) + "x" + std::to_string(N) + " d" +
+                          std::to_string(Density);
+      OpError ErrW;
+      Value Want;
+      {
+        ScopedSimdLevel Pin(simd::Level::Scalar);
+        Want = matMul(A, B, ErrW);
+      }
+      ASSERT_FALSE(ErrW.failed());
+      for (simd::Level L : supportedLevels()) {
+        ScopedSimdLevel Pin(L);
+        for (const auto &[AName, AV] : layoutsOf(A))
+          for (const auto &[BName, BV] : layoutsOf(B)) {
+            OpError Err;
+            Value Got = matMul(AV, BV, Err);
+            ASSERT_FALSE(Err.failed());
+            expectBitIdentical(Got, Want,
+                               std::string(simd::levelName(L)) + " " + AName +
+                                   " * " + BName + " " + Shape);
+          }
+      }
+    }
+  }
+}
+
+TEST(DifferentialTest, StridedElementwiseMatchesPlain) {
+  const BinaryOp Ops[] = {BinaryOp::Add,    BinaryOp::Sub, BinaryOp::DotMul,
+                          BinaryOp::DotDiv, BinaryOp::Lt,  BinaryOp::Ne,
+                          BinaryOp::DotPow};
+  const size_t Shapes[][2] = {{1, 9}, {9, 1}, {3, 5}, {17, 9}, {64, 3}};
+  TestRng Rng(0x57E);
+  for (const auto &Shape : Shapes) {
+    Value A = randomWithSpecials(Rng, Shape[0], Shape[1]);
+    Value B = randomWithSpecials(Rng, Shape[0], Shape[1]);
+    Value C = randomValue(Rng, Shape[0], Shape[1]);
+    Value S = Value::scalar(Rng.next());
+    for (simd::Level L : supportedLevels()) {
+      ScopedSimdLevel Pin(L);
+      std::string Tag = std::string(simd::levelName(L)) + " " +
+                        std::to_string(Shape[0]) + "x" +
+                        std::to_string(Shape[1]);
+      for (BinaryOp Op : Ops) {
+        OpError E1, E2, E3;
+        Value Want = elementwiseBinary(Op, A, B, E1);
+        Value WantSA = elementwiseBinary(Op, S, B, E2);
+        Value WantAS = elementwiseBinary(Op, A, S, E3);
+        for (const auto &[AName, AV] : layoutsOf(A))
+          for (const auto &[BName, BV] : layoutsOf(B)) {
+            OpError Err;
+            Value Got = elementwiseBinary(Op, AV, BV, Err);
+            ASSERT_FALSE(Err.failed());
+            EXPECT_EQ(Got.isLogical(), Want.isLogical());
+            expectBitIdentical(Got, Want, Tag + " " + AName + " op " + BName);
+          }
+        for (const auto &[Name, V] : layoutsOf(B)) {
+          OpError Err;
+          expectBitIdentical(elementwiseBinary(Op, S, V, Err), WantSA,
+                             Tag + " scalar op " + Name);
+        }
+        for (const auto &[Name, V] : layoutsOf(A)) {
+          OpError Err;
+          expectBitIdentical(elementwiseBinary(Op, V, S, Err), WantAS,
+                             Tag + " " + Name + " op scalar");
+        }
+      }
+      // The fused multiply-add reads all three operands in place.
+      for (bool Subtract : {false, true}) {
+        Value Want = fusedMulAdd(A, B, C, Subtract, /*ProductOnLeft=*/true);
+        for (const auto &[AName, AV] : layoutsOf(A))
+          for (const auto &[CName, CV] : layoutsOf(C))
+            expectBitIdentical(
+                fusedMulAdd(AV, asTransposeView(B, true), CV, Subtract, true),
+                Want, Tag + " fma " + AName + " " + CName);
+      }
+      // Unary kernels and concatenation take views through a dense copy.
+      for (const auto &[Name, V] : layoutsOf(A)) {
+        expectBitIdentical(unaryMinus(V), unaryMinus(A), Tag + " neg " + Name);
+        OpError Err;
+        expectBitIdentical(horzcat(V, V, Err), horzcat(A, A, Err),
+                           Tag + " horzcat " + Name);
+        expectBitIdentical(vertcat(V, V, Err), vertcat(A, A, Err),
+                           Tag + " vertcat " + Name);
+      }
     }
   }
 }

@@ -553,6 +553,25 @@ TEST(ServiceResilienceTest, SharedFullExtentReadStillChargesItsCopy) {
   EXPECT_EQ(R.VectorizedSource, Source);
 }
 
+TEST(ServiceResilienceTest, SteppedTransposedViewStillChargesItsCopies) {
+  // B = A(1:2:end,:)' is two O(1) views of A, but each charges the copy it
+  // stands for (the subscript when made, the transpose when the store
+  // materializes it), so the budget verdict is the copies': ~2.9 MB over
+  // the two validation runs against a 2 MiB cap, where the views alone
+  // would fit.
+  ServiceConfig Config;
+  Config.Workers = 1;
+  Config.CacheCapacity = 0;
+  Config.Resilience.MaxJobBytes = 2 << 20;
+  VectorizationService Service(Config);
+  const std::string Source = "n = 300;\nA = zeros(n,n);\nB = A(1:2:end,:)';\n";
+  JobResult R = Service.submit(makeSpec("view", Source)).get();
+  EXPECT_EQ(R.Status, JobStatus::Degraded);
+  EXPECT_EQ(R.Class, ErrorClass::Resource);
+  EXPECT_NE(R.Message.find("memory budget exceeded"), std::string::npos);
+  EXPECT_EQ(R.VectorizedSource, Source);
+}
+
 TEST(ServiceResilienceTest, ForcedDeadlineBecomesTimedOut) {
   FaultPlan Plan;
   Plan.Rules.push_back({FaultSite::WorkerPickup, FaultKind::DeadlineExpire,

@@ -20,6 +20,7 @@
 #include "resilience/ResourceGovernor.h"
 #include "service/ResultStore.h"
 #include "service/ServiceMetrics.h"
+#include "support/ContentHash.h"
 #include "vm/CodeCache.h"
 #include "vm/Compiler.h"
 #include "vm/Serialize.h"
@@ -100,8 +101,7 @@ TEST(VMDisasm, ForLoop) {
 
 TEST(VMDisasm, FusedKernels) {
   // Elementwise a.*b+c fuses with the dotmul flag; M*V'-1 fuses the
-  // subtraction and keeps the transpose explicit (MulTransB only fires
-  // when the product itself is the A*B' shape).
+  // subtraction and keeps the transpose explicit.
   expectDisasm("y = a .* b + c;\nz = M * V' - 1;\n",
                "; regs=4 consts=1 strings=0 vars=7 loops=0 instrs=11\n"
                "   0  Step          @1:1\n"
@@ -119,28 +119,23 @@ TEST(VMDisasm, FusedKernels) {
                "  10  Halt\n");
 }
 
-TEST(VMDisasm, MulTransB) {
-  std::string Text = vm::disassemble(compile("C = A * B';\n"));
-  EXPECT_NE(Text.find("MulTransB"), std::string::npos) << Text;
-}
-
-TEST(VMDisasm, MulTransA) {
-  // A' * B lowers to one MulTransA over the untransposed operand; with a
-  // transposed right operand as well, MulTransB keeps precedence.
-  expectDisasm("C = A' * B;\nD = A' * B';\n",
-               "; regs=3 consts=0 strings=0 vars=4 loops=0 instrs=12\n"
+TEST(VMDisasm, TransposedProducts) {
+  // A' * B and A * B' are a Transpose and a plain product: the product
+  // reads the transpose view in place (or packs it), so no fused opcode
+  // exists for them.
+  expectDisasm("C = A' * B;\nD = A * B';\n",
+               "; regs=4 consts=0 strings=0 vars=4 loops=0 instrs=11\n"
                "   0  Step          @1:1\n"
-               "   1  LoadIdent     r1, v0:A @1:5\n"
-               "   2  LoadIdent     r2, v1:B @1:10\n"
-               "   3  MulTransA     r0, r1, r2 @1:8\n"
-               "   4  StoreVar      v2:C, r0 @1:1\n"
+               "   1  LoadIdent     r2, v0:A @1:5\n"
+               "   2  Transpose     r1, r2\n"
+               "   3  LoadIdent     r2, v1:B @1:10\n"
+               "   4  Binary        v2:C, r1, r2 [Mul,store] @1:8\n"
                "   5  Step          @2:1\n"
-               "   6  LoadIdent     r2, v0:A @2:5\n"
-               "   7  Transpose     r1, r2\n"
-               "   8  LoadIdent     r2, v1:B @2:10\n"
-               "   9  MulTransB     r0, r1, r2 @2:8\n"
-               "  10  StoreVar      v3:D, r0 @2:1\n"
-               "  11  Halt\n");
+               "   6  LoadIdent     r1, v0:A @2:5\n"
+               "   7  LoadIdent     r3, v1:B @2:9\n"
+               "   8  Transpose     r2, r3\n"
+               "   9  Binary        v3:D, r1, r2 [Mul,store] @2:7\n"
+               "  10  Halt\n");
 }
 
 TEST(VMDisasm, CallsCarryArgPoolDepth) {
@@ -522,6 +517,17 @@ TEST(VMParity, GovernorChargesIdentically) {
       // 'end' resolves from the subscript's extent on both engines; no
       // rewritten copy of the subscript is allocated per evaluation.
       "v = rand(1,50); s = 0; for i = 1:50; s = s + v(end) + v(end-1); end\n",
+      // A transposed view read in place, materialized by a store, and as
+      // both product operands.
+      "X = rand(30, 20);\nT = X';\nY = sum(X' .* X', 1);\nP = X' * X;\n"
+      "Q = X * X';\nZ = rand(20, 20);\nR = Z' * Z';\n",
+      // Stepped-subscript views, one of them transposed.
+      "X = rand(30, 20);\nS = X(1:2:end, 2:3:end);\nR = S * 2;\n"
+      "Q = X(2*(1:10), :)' * X(1:10, :);\n",
+      // Whole-array writes adopting their right-hand side, the second
+      // into a target shared with C.
+      "A = zeros(30, 20);\nB = rand(30, 20);\nA(1:30, 1:20) = B + 1;\n"
+      "C = A;\nA(1:30, 1:20) = B .* 2;\nv = zeros(1, 40);\nv(1:40) = 1:40;\n",
   };
   for (const char *Source : Sources) {
     DiagnosticEngine D1, D2;
@@ -601,6 +607,99 @@ public:
   unsigned Loads = 0;
   unsigned Stores = 0;
 };
+
+TEST(VMParity, RowUpdateNeverDetachesItsTarget) {
+  // The Table 3 ex.1 statement reads three views of X and writes one row
+  // of it. The views die before the write, so X's payload is updated in
+  // place (no copy-on-write detach), and the charges are those of the
+  // copies the views stand for, the subscript vectors and the two
+  // results: 504 bytes at i = 4, p = 6.
+  const std::string Setup = "X = rand(5, 6);\nL = rand(5, 5);\ni = 4;\n";
+  const std::string Kernel = "X(i,:) = X(i,:) - L(i,1:i-1)*X(1:i-1,:);\n";
+  for (bool UseVM : {false, true}) {
+    DiagnosticEngine D1, D2;
+    ParseResult S = parseMatlab(Setup, D1);
+    ParseResult K = parseMatlab(Kernel, D2);
+    ASSERT_FALSE(D1.hasErrors() || D2.hasErrors());
+    Interpreter I;
+    ASSERT_TRUE(I.run(S.Prog));
+    const double *Before = I.getVariable("X")->raw();
+    std::vector<double> Row(6);
+    for (size_t C = 0; C != 6; ++C)
+      Row[C] = I.getVariable("X")->at(3, C);
+    ResourceGovernor G(0);
+    {
+      GovernorScope Scope(&G);
+      if (UseVM) {
+        vm::CompiledProgram CP = vm::compileProgram(K.Prog, Kernel);
+        ASSERT_TRUE(vm::execute(CP, I)) << I.errorMessage();
+      } else {
+        ASSERT_TRUE(I.run(K.Prog)) << I.errorMessage();
+      }
+    }
+    const Value *X = I.getVariable("X");
+    EXPECT_EQ(X->raw(), Before) << (UseVM ? "vm" : "ast");
+    EXPECT_EQ(G.usedBytes(), 504u) << (UseVM ? "vm" : "ast");
+    bool Changed = false;
+    for (size_t C = 0; C != 6; ++C)
+      Changed |= X->at(3, C) != Row[C];
+    EXPECT_TRUE(Changed);
+  }
+}
+
+TEST(VMParity, LogicalFlagBuiltins) {
+  const char *Cases[] = {
+      "a = true(2, 3);\nb = false(1, 0);\nn = numel(a);\ns = size(b);\n"
+      "c = true;\nd = false(2);\n",
+      "x = true(-1);\n",
+      "v = 1:10;\nk = v > 5;\na = v(repmat(k, 1, 1));\nb = v(fliplr(k));\n"
+      "c = [k, k];\nd = [k; k];\ne = flipud(k');\nf = [k, []];\n"
+      "h = [k, 1];\nw = v(c(1:10));\n",
+  };
+  for (const char *Source : Cases) {
+    DiffOutcome Out = engineDiffRun(Source);
+    EXPECT_TRUE(Out.agreed()) << "engines diverge on:\n"
+                              << Source << "\n"
+                              << Out.Message;
+  }
+}
+
+TEST(VMCodeCache, FormatV4EntryIsRecompiled) {
+  // A persisted program of the previous bytecode format (v4, which still
+  // had the MulTransA/MulTransB opcodes) is never executed: under its own
+  // (v4) key a v5 lookup never finds it, and v4 bytes under the current
+  // key fail the version check. Either way the program is recompiled.
+  const std::string Source = "A = [1 2; 3 4];\nB = [1 0; 2 1];\nC = A' * B;\n";
+  ParseResult R = parseOk(Source);
+  MapStore Store;
+  {
+    ServiceMetrics M;
+    vm::CodeCache Warm(8, M, &Store);
+    Warm.obtain(Source, R.Prog);
+  }
+  ASSERT_EQ(Store.Entries.size(), 1u);
+  uint64_t Key = Store.Entries.begin()->first;
+  EXPECT_EQ(Key, vm::codeKeyFor(Source));
+  JobResult V4 = Store.Entries.begin()->second;
+  ASSERT_GT(V4.VectorizedSource.size(), 8u);
+  EXPECT_EQ(static_cast<uint8_t>(V4.VectorizedSource[4]),
+            vm::kBytecodeFormatVersion);
+  V4.VectorizedSource[4] = 4;
+  for (bool UnderOldKey : {true, false}) {
+    Store.Entries.clear();
+    Store.Entries[UnderOldKey ? fnv1aMix(4, fnv1aHash(Source)) : Key] = V4;
+    ServiceMetrics M;
+    vm::CodeCache Cold(8, M, &Store);
+    auto CP = Cold.obtain(Source, R.Prog);
+    ASSERT_TRUE(CP);
+    EXPECT_EQ(M.BytecodeCompiles.load(), 1u) << UnderOldKey;
+    Interpreter I;
+    ASSERT_TRUE(vm::execute(*CP, I));
+    EXPECT_EQ(std::vector<double>(I.getVariable("C")->begin(),
+                                  I.getVariable("C")->end()),
+              (std::vector<double>{7, 10, 3, 4}));
+  }
+}
 
 TEST(VMCodeCache, HitsShareOneCompilation) {
   const std::string Source = "x = 1 + 2;\n";

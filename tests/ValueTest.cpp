@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace mvec;
@@ -81,10 +82,9 @@ TEST(CowValueTest, ScalarsStayInline) {
   B.linear(0) = 7;
   EXPECT_DOUBLE_EQ(A.scalarValue(), 3.5);
   EXPECT_DOUBLE_EQ(B.scalarValue(), 7);
-  EXPECT_TRUE(Value().releaseBuffer() == nullptr);
 }
 
-TEST(CowValueTest, AdoptAndReleaseBufferRoundTrip) {
+TEST(CowValueTest, AdoptTakesExclusivePayloads) {
   auto Buf = std::make_shared<PayloadBuffer>(6, 2.0);
   double *Payload = Buf->data();
   Value M = Value::adoptBuffer(std::move(Buf), 2, 3);
@@ -92,17 +92,24 @@ TEST(CowValueTest, AdoptAndReleaseBufferRoundTrip) {
   EXPECT_EQ(M.cols(), 3u);
   EXPECT_EQ(M.raw(), Payload);
 
-  // Exclusive owner gets the buffer back; the value empties.
-  auto Out = M.releaseBuffer();
-  ASSERT_NE(Out, nullptr);
-  EXPECT_EQ(Out->data(), Payload);
+  // A target of the same element count takes an exclusively owned payload
+  // over and keeps its own shape and logical flag; the source empties.
+  Value T(3, 2);
+  T.setLogical(true);
+  ASSERT_TRUE(T.adoptPayload(M));
+  EXPECT_EQ(T.raw(), Payload);
+  EXPECT_EQ(T.rows(), 3u);
+  EXPECT_TRUE(T.isLogical());
   EXPECT_TRUE(M.isEmpty());
 
-  // A shared payload is not released.
-  Value A = Value::adoptBuffer(std::move(Out), 3, 2);
-  Value B = A;
-  EXPECT_EQ(A.releaseBuffer(), nullptr);
-  EXPECT_DOUBLE_EQ(B.at(2, 1), 2.0); // sharer keeps the data
+  // Shared payloads, views and other element counts are never adopted.
+  Value Shared = T;
+  Value Other = iota(2, 3), View = transpose(iota(3, 4));
+  EXPECT_FALSE(Value(3, 2).adoptPayload(Shared));
+  EXPECT_FALSE(Value(2, 2).adoptPayload(Other));
+  EXPECT_FALSE(Value(4, 3).adoptPayload(View));
+  EXPECT_TRUE(Shared.sharesBufferWith(T));
+  EXPECT_EQ(Other.numel(), 6u);
 }
 
 TEST(CowValueTest, PayloadsAre64ByteAlignedAcrossPoolRecycle) {
@@ -113,22 +120,25 @@ TEST(CowValueTest, PayloadsAre64ByteAlignedAcrossPoolRecycle) {
   Value Direct(5, 9);
   EXPECT_TRUE(isAligned(Direct.raw()));
 
-  // The alignment must survive the full pool round trip the kernels use:
-  // acquire -> adoptBuffer -> releaseBuffer/recycle -> re-acquire. The
-  // SIMD backend depends on this holding for every pooled buffer, not
-  // just fresh ones.
-  OpWorkspace WS;
-  auto Buf = WS.acquire(33); // odd count: alignment is not size luck
-  EXPECT_TRUE(isAligned(Buf->data()));
-  Value Adopted = Value::adoptBuffer(std::move(Buf), 3, 11);
-  EXPECT_TRUE(isAligned(Adopted.raw()));
-  WS.recycle(std::move(Adopted));
-  auto Recycled = WS.acquire(24);
-  EXPECT_TRUE(isAligned(Recycled->data()));
-  // Pool resize to a larger payload must re-land aligned too.
-  WS.recycleBuffer(std::move(Recycled));
-  auto Grown = WS.acquire(1024);
-  EXPECT_TRUE(isAligned(Grown->data()));
+  // A large payload that dies goes to the recycler, and the next request
+  // of its size takes the same block back, still aligned: the SIMD
+  // backend depends on this holding for every recycled block, not just
+  // fresh ones. Odd counts show alignment is not size luck.
+  for (size_t N : {size_t(4099), size_t(5000)}) {
+    ASSERT_GE(N * sizeof(double), RecycleMinBytes);
+    const double *First;
+    {
+      Value Big(1, N);
+      First = Big.raw();
+      EXPECT_TRUE(isAligned(First));
+    }
+    PayloadRecyclerStats Before = payloadRecyclerStats();
+    OpWorkspace WS;
+    auto Again = WS.acquire(N);
+    EXPECT_EQ(Again->data(), First);
+    EXPECT_TRUE(isAligned(Again->data()));
+    EXPECT_EQ(payloadRecyclerStats().Hits, Before.Hits + 1);
+  }
 }
 
 TEST(CowValueTest, GrowToPreservesPositionsWhenShared) {
@@ -235,6 +245,127 @@ TEST(CowInterpreterTest, SnapshotSurvivesClear) {
   I.clearWorkspace();
   EXPECT_EQ(I.getVariable("v"), nullptr);
   EXPECT_TRUE(Snap.at("v").equals(Value::vector({5, 6, 7}, true)));
+}
+
+//===----------------------------------------------------------------------===//
+// Strided views
+//===----------------------------------------------------------------------===//
+
+TEST(ValueViewTest, TransposeAndSubscriptViewsShareUntilWritten) {
+  Value X = iota(3, 4);
+  Value T = transpose(X);
+  EXPECT_TRUE(T.isView());
+  EXPECT_TRUE(T.sharesBufferWith(X));
+  EXPECT_EQ(T.rows(), 4u);
+  EXPECT_EQ(T.cols(), 3u);
+  for (size_t R = 0; R != 3; ++R)
+    for (size_t C = 0; C != 4; ++C)
+      EXPECT_DOUBLE_EQ(T.at(C, R), X.at(R, C));
+
+  // A view of a view composes the steps: rows 2..3 of X' are columns 2..3
+  // of X.
+  Value V = T.view(2, 2, T.rowStep(), T.rowStep(), 2 * T.colStep(), false);
+  EXPECT_DOUBLE_EQ(V.at(0, 0), X.at(0, 1));
+  EXPECT_DOUBLE_EQ(V.at(1, 1), X.at(2, 2));
+  EXPECT_DOUBLE_EQ(V.linear(3), X.at(2, 2));
+
+  // Writing a view materializes it; the source never changes.
+  T.at(0, 0) = 99;
+  EXPECT_FALSE(T.isView());
+  EXPECT_FALSE(T.sharesBufferWith(X));
+  EXPECT_DOUBLE_EQ(X.at(0, 0), 1);
+  EXPECT_DOUBLE_EQ(T.at(1, 0), X.at(0, 1));
+
+  // A transposed vector is dense: a plain value sharing the payload.
+  Value Row = iota(1, 5);
+  Value Col = transpose(Row);
+  EXPECT_FALSE(Col.isView());
+  EXPECT_TRUE(Col.sharesBufferWith(Row));
+  EXPECT_EQ(Col.raw(), Row.raw());
+}
+
+TEST(ValueViewTest, ViewsChargeTheirCopyExactlyOnce) {
+  Value X = iota(4, 4);
+  ResourceGovernor G(0);
+  GovernorScope Scope(&G);
+  // A subscript view is prepaid: materializing it charges nothing more.
+  Value S = X.view(2, 4, 0, 2, 4, false);
+  EXPECT_EQ(S.owedBytes(), 0u);
+  S.materialize();
+  EXPECT_EQ(G.usedBytes(), 0u);
+  EXPECT_FALSE(S.isView());
+  // A transpose owes its copy until materialized, then owes nothing.
+  Value T = transpose(X);
+  EXPECT_EQ(T.owedBytes(), 16 * sizeof(double));
+  T.materialize();
+  EXPECT_EQ(G.usedBytes(), 16 * sizeof(double));
+  EXPECT_EQ(T.owedBytes(), 0u);
+  // A COW copy of a view shares no prepayment: it charges its own copy.
+  Value V = X.view(3, 3, 5, 1, 4, false);
+  Value Copy = V;
+  Copy.materialize();
+  EXPECT_EQ(G.usedBytes(), 25 * sizeof(double));
+}
+
+//===----------------------------------------------------------------------===//
+// Payload recycler
+//===----------------------------------------------------------------------===//
+
+TEST(PayloadRecyclerTest, CapBoundsHeldBytes) {
+  // Distinct large sizes die one after another: the oldest are returned
+  // to the system so the cache never holds more than its cap.
+  size_t Doubles = RecycleCapBytes / 16 / sizeof(double);
+  for (size_t I = 0; I != 40; ++I) {
+    Value V(1, Doubles + I);
+    EXPECT_LE(payloadRecyclerStats().HeldBytes, RecycleCapBytes);
+  }
+  EXPECT_LE(payloadRecyclerStats().HeldBytes, RecycleCapBytes);
+  EXPECT_GT(payloadRecyclerStats().HeldBytes, RecycleCapBytes / 2);
+  // Small payloads bypass the cache entirely.
+  PayloadRecyclerStats Before = payloadRecyclerStats();
+  { Value Small(8, 8); }
+  Value Small(8, 8);
+  EXPECT_EQ(payloadRecyclerStats().Hits, Before.Hits);
+  EXPECT_EQ(payloadRecyclerStats().Misses, Before.Misses);
+}
+
+TEST(PayloadRecyclerTest, CrossThreadFreeJoinsTheFreeingThread) {
+  Value V(100, 100);
+  const double *Payload = V.raw();
+  size_t Bytes = V.numel() * sizeof(double);
+  std::thread Worker([&V, Payload, Bytes] {
+    // Dies on this thread, so it joins this thread's cache...
+    size_t Held = payloadRecyclerStats().HeldBytes;
+    V = Value();
+    EXPECT_EQ(payloadRecyclerStats().HeldBytes, Held + Bytes);
+    // ...and serves the next request of its size here. The block is
+    // released when the thread exits.
+    Value W(100, 100);
+    EXPECT_EQ(W.raw(), Payload);
+  });
+  Worker.join();
+  EXPECT_TRUE(V.isEmpty());
+}
+
+TEST(PayloadRecyclerTest, RepeatedKernelTakesEveryLargeBlockFromTheRecycler) {
+  // The Table 2 repmat shape: every large temporary (repmat result, sum,
+  // the target's old payload) dies within the statement, so from the
+  // second call on the recycler serves every large allocation.
+  DiagnosticEngine Diags;
+  ParseResult Setup = parseMatlab(
+      "B = rand(200,200);\nC = rand(200,1);\nA = zeros(200,200);\n", Diags);
+  ParseResult Kernel = parseMatlab(
+      "A(1:200,1:200) = B(1:200,1:200) + repmat(C(1:200),1,200);\n", Diags);
+  ASSERT_FALSE(Diags.hasErrors());
+  Interpreter I;
+  ASSERT_TRUE(I.run(Setup.Prog));
+  ASSERT_TRUE(I.run(Kernel.Prog)) << I.errorMessage();
+  PayloadRecyclerStats Warm = payloadRecyclerStats();
+  for (int Call = 0; Call != 3; ++Call)
+    ASSERT_TRUE(I.run(Kernel.Prog)) << I.errorMessage();
+  PayloadRecyclerStats After = payloadRecyclerStats();
+  EXPECT_EQ(After.Misses, Warm.Misses);
+  EXPECT_GE(After.Hits, Warm.Hits + 3 * 2);
 }
 
 } // namespace
