@@ -277,7 +277,11 @@ DiffOutcome mvec::engineDiffRun(const std::string &Source,
   if (Diags.hasErrors())
     return DiffOutcome{DiffStatus::Error,
                        "program does not parse: " + Diags.str()};
+  return engineDiffRun(Parsed.Prog, Source, Limits, Seed);
+}
 
+DiffOutcome mvec::engineDiffRun(const Program &Prog, const std::string &Source,
+                                const RunLimits &Limits, uint64_t Seed) {
   Interpreter Ast, Vm;
   for (Interpreter *I : {&Ast, &Vm}) {
     I->seedRandom(Seed);
@@ -291,8 +295,8 @@ DiffOutcome mvec::engineDiffRun(const std::string &Source,
   AstLimits.Engine = ExecEngine::Ast;
   RunLimits VmLimits = Limits;
   VmLimits.Engine = ExecEngine::Vm;
-  bool AstOk = runWithEngine(Ast, Parsed.Prog, Source, AstLimits);
-  bool VmOk = runWithEngine(Vm, Parsed.Prog, Source, VmLimits);
+  bool AstOk = runWithEngine(Ast, Prog, Source, AstLimits);
+  bool VmOk = runWithEngine(Vm, Prog, Source, VmLimits);
 
   // A wall-clock interrupt (deadline/cancel) on either side makes the
   // comparison inconclusive: where the clock fires is nondeterministic,

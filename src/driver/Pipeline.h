@@ -143,6 +143,11 @@ DiffOutcome diffRunLimited(const std::string &OriginalSource,
 DiffOutcome engineDiffRun(const std::string &Source,
                           const RunLimits &Limits = {},
                           uint64_t Seed = 12345);
+/// engineDiffRun on an already parsed (or programmatically built)
+/// program; \p Source keys the VM's code cache.
+DiffOutcome engineDiffRun(const Program &Prog, const std::string &Source,
+                          const RunLimits &Limits = {},
+                          uint64_t Seed = 12345);
 
 /// Differential validation: executes \p OriginalSource and
 /// \p TransformedSource in fresh interpreters (same RNG seed) and compares

@@ -259,7 +259,7 @@ Interpreter::Flow Interpreter::execFor(const ForStmt &S) {
       break;
     }
     if (RangeV.rows() == 1) {
-      Env.define(IdxSlot, Value::scalar(RangeV.at(0, Col)));
+      Env.defineScalar(IdxSlot, RangeV.at(0, Col));
     } else {
       Value Slice(RangeV.rows(), 1);
       double *SliceD = Slice.mutableRaw();
@@ -312,16 +312,29 @@ Interpreter::Flow Interpreter::execIf(const IfStmt &S) {
 }
 
 void Interpreter::execAssign(const AssignStmt &S) {
-  Value RHS = eval(*S.rhs());
-  if (Failed)
-    return;
-  if (const auto *Ident = dyn_cast<IdentExpr>(S.lhs())) {
+  // A right-hand side in the scalar subset is computed unboxed; a bare
+  // variable stored into a variable stays a COW copy of it (sharing any
+  // heap payload), which a fresh scalar would not reproduce.
+  const auto *Ident = dyn_cast<IdentExpr>(S.lhs());
+  double D;
+  bool Scalar =
+      !(Ident && isa<IdentExpr>(S.rhs())) && scalarOf(*S.rhs(), -1, D);
+  Value RHS;
+  if (!Scalar) {
+    RHS = eval(*S.rhs());
+    if (Failed)
+      return;
+  }
+  if (Ident) {
     unsigned Slot;
     if (const NodeInfo *Info = cachedInfo(Ident))
       Slot = static_cast<unsigned>(Info->Slot);
     else
       Slot = Env.intern(Ident->name());
-    Env.define(Slot, std::move(RHS));
+    if (Scalar)
+      Env.defineScalar(Slot, D);
+    else
+      Env.define(Slot, std::move(RHS));
     checkShapeCap(Slot, S.loc());
     return;
   }
@@ -343,7 +356,14 @@ void Interpreter::execAssign(const AssignStmt &S) {
   // Marks the slot defined even if the write then fails — same as the old
   // map-based store, whose operator[] created the [] entry up front.
   Value &Target = defineSlotRef(static_cast<unsigned>(Slot));
-  writeIndexed(Target, *Index, std::move(RHS));
+  // An in-range element takes the scalar right-hand side directly (with
+  // the general write's COW detach); growth, masks and bad subscripts
+  // take the general write, handed the value eval() would have built.
+  size_t Offset;
+  if (Scalar && scalarOffset(*Index, Target, Offset))
+    Target.mutableRaw()[Offset] = D;
+  else
+    writeIndexed(Target, *Index, Scalar ? Value::scalar(D) : std::move(RHS));
   checkShapeCap(static_cast<unsigned>(Slot), S.loc());
 }
 
@@ -375,7 +395,7 @@ Value Interpreter::eval(const Expr &E) {
   if (Failed)
     return Value();
   if (EvalDepth >= MaxEvalDepth) {
-    fail(E.loc(), "expression nesting exceeds the evaluator depth limit");
+    fail(E.loc(), EvalDepthMessage);
     return Value();
   }
   ++EvalDepth;
@@ -469,6 +489,123 @@ Value Interpreter::evalImpl(const Expr &E) {
     return evalMatrixLiteral(cast<MatrixExpr>(E));
   }
   return Value();
+}
+
+bool Interpreter::scalarOf(const Expr &E, double End, double &Out) {
+  if (EvalDepth >= MaxEvalDepth)
+    return false;
+  // One eval() frame, released on every return.
+  struct DepthGuard {
+    unsigned &D;
+    ~DepthGuard() { --D; }
+  } Guard{++EvalDepth};
+  switch (E.kind()) {
+  case Expr::Kind::Number:
+    Out = cast<NumberExpr>(E).value();
+    return true;
+  case Expr::Kind::EndKeyword:
+    Out = End;
+    return End >= 0;
+  case Expr::Kind::Ident: {
+    // A logical scalar would select by mask as a subscript; 'pi' and
+    // builtins are undefined slots.
+    const NodeInfo *Info = cachedInfo(&E);
+    if (!Info || Info->Slot < 0 || !Env.isDefined(Info->Slot))
+      return false;
+    const Value &V = Env.slotValue(Info->Slot);
+    if (!V.isScalar() || V.isLogical())
+      return false;
+    Out = V.raw()[0];
+    return true;
+  }
+  case Expr::Kind::Unary: {
+    const auto &U = cast<UnaryExpr>(E);
+    if (U.op() != UnaryOp::Minus || !scalarOf(*U.operand(), End, Out))
+      return false;
+    Out = -Out;
+    return true;
+  }
+  case Expr::Kind::Transpose:
+    return scalarOf(*cast<TransposeExpr>(E).operand(), End, Out);
+  case Expr::Kind::Binary: {
+    const auto &B = cast<BinaryExpr>(E);
+    BinaryOp Op = B.op();
+    if (Op != BinaryOp::Add && Op != BinaryOp::Sub && Op != BinaryOp::Mul &&
+        Op != BinaryOp::DotMul && Op != BinaryOp::Div &&
+        Op != BinaryOp::DotDiv)
+      return false;
+    double L, R;
+    if (!scalarOf(*B.lhs(), End, L) || !scalarOf(*B.rhs(), End, R))
+      return false;
+    switch (Op) {
+    case BinaryOp::Add: {
+      // evalBinary fuses a product operand (left one first), and
+      // applyFusedMulAdd adds as product + other: a product on the right
+      // only is added first.
+      auto IsProduct = [](const Expr *X) {
+        const auto *P = dyn_cast<BinaryExpr>(X);
+        return P && (P->op() == BinaryOp::Mul || P->op() == BinaryOp::DotMul);
+      };
+      Out = !IsProduct(B.lhs()) && IsProduct(B.rhs()) ? R + L : L + R;
+      return true;
+    }
+    case BinaryOp::Sub:
+      Out = L - R;
+      return true;
+    case BinaryOp::Mul:
+    case BinaryOp::DotMul:
+      Out = L * R;
+      return true;
+    default:
+      Out = L / R;
+      return true;
+    }
+  }
+  case Expr::Kind::Index: {
+    const auto &Index = cast<IndexExpr>(E);
+    const NodeInfo *Info = cachedInfo(&Index);
+    return Info && Info->Slot >= 0 && Env.isDefined(Info->Slot) &&
+           scalarElement(Index, Env.slotValue(Info->Slot), Out);
+  }
+  default:
+    return false;
+  }
+}
+
+bool Interpreter::scalarElement(const IndexExpr &E, const Value &Base,
+                                double &Out) {
+  // A logical base yields a logical element. A variable is never a view
+  // and owes nothing (Workspace::define materializes), so raw() applies.
+  size_t Offset;
+  if (Base.isLogical() || !scalarOffset(E, Base, Offset))
+    return false;
+  Out = Base.raw()[Offset];
+  return true;
+}
+
+bool Interpreter::scalarOffset(const IndexExpr &E, const Value &Base,
+                               size_t &Offset) {
+  // Each subscript binds its own 'end'; toIndex's fast check without its
+  // slow path (which reports the errors the general path will report).
+  auto Subscript = [&](const Expr &Arg, size_t Extent, size_t &Index) {
+    double D;
+    if (!scalarOf(Arg, static_cast<double>(Extent), D) || !(D >= 1.0) ||
+        !(D <= indexLimit(Extent)))
+      return false;
+    Index = static_cast<size_t>(D);
+    if (static_cast<double>(Index) != D)
+      return false;
+    --Index;
+    return true;
+  };
+  if (E.numArgs() == 1)
+    return Subscript(*E.arg(0), Base.numel(), Offset);
+  size_t Row, Col;
+  if (E.numArgs() != 2 || !Subscript(*E.arg(0), Base.rows(), Row) ||
+      !Subscript(*E.arg(1), Base.cols(), Col))
+    return false;
+  Offset = Col * Base.rows() + Row;
+  return true;
 }
 
 const Value &Interpreter::evalOperand(const Expr &E, Value &Storage) {
@@ -1109,8 +1246,13 @@ Value Interpreter::evalIndexOrCall(const IndexExpr &E) {
     Slot = Env.lookup(Name);
     Builtin = builtinIdFor(Name);
   }
-  if (Slot >= 0 && Env.isDefined(Slot))
-    return readIndexed(Env.slotValue(Slot), E);
+  if (Slot >= 0 && Env.isDefined(Slot)) {
+    const Value &Base = Env.slotValue(Slot);
+    double D;
+    if (scalarElement(E, Base, D))
+      return Value::scalar(D);
+    return readIndexed(Base, E);
+  }
   if (Builtin != InvalidBuiltinId) {
     if (ArgDepth == ArgPool.size())
       ArgPool.emplace_back();

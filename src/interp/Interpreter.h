@@ -13,8 +13,21 @@
 /// run() begins with a pre-pass over the program that interns every
 /// variable name into a dense workspace slot and resolves builtin names to
 /// table ids, keyed by AST node. The hot evaluation loop then works on
-/// integer slots and ids; only AST nodes materialized after the pre-pass
-/// (the 'end'-keyword rewrites) fall back to name-based resolution.
+/// integer slots and ids; only nodes the pre-pass never saw (an expression
+/// handed to eval() directly) fall back to name-based resolution.
+///
+/// Scalar statements skip Value boxing: scalarOf() computes a double
+/// straight from the AST and the workspace for the subset a scalar loop
+/// body is made of (numbers, 'end', non-logical 1x1 variables, + - * / .*
+/// ./, unary minus, transpose, and in-range integer element reads of
+/// non-logical variables). It is side-effect free: it never fails,
+/// allocates, charges the governor or advances the RNG, so when any node
+/// is outside the subset it returns false having done nothing observable,
+/// and the general path evaluates the whole statement from scratch. That
+/// keeps every error text and location, growth rule, mask semantics,
+/// governor charge and fault site on the one general path. Assignments
+/// and element reads use it; a for-loop binds its variable in place
+/// (Workspace::defineScalar), in both engines.
 ///
 /// Runtime errors do not throw; they put the interpreter into a failed
 /// state carrying a message and location (checked via failed()).
@@ -147,6 +160,12 @@ public:
 
   Workspace &env() { return Env; }
   OpWorkspace &pool() { return Pool; }
+
+  /// eval() recursion ceiling; the parser caps parse trees far below this.
+  /// The VM compiler fails at the same nesting with the same message.
+  static constexpr unsigned MaxEvalDepth = 2000;
+  static constexpr const char *EvalDepthMessage =
+      "expression nesting exceeds the evaluator depth limit";
 
   /// Samples the thread's fault-injection context and arms the in-kernel
   /// poll hook, exactly as run() does for the tree-walker. An engine must
@@ -380,6 +399,24 @@ private:
   Value evalFusedMulAdd(const BinaryExpr &E, const BinaryExpr &Prod,
                         bool ProductOnLeft);
   Value evalIndexOrCall(const IndexExpr &E);
+
+  /// Side-effect-free scalar evaluation (see the file comment): sets
+  /// \p Out to the value of \p E and returns true when every node is in
+  /// the scalar subset, with \p End the value 'end' denotes (negative
+  /// outside a subscript); returns false, having changed nothing, when
+  /// any node is not. Results are bit-identical to the general path's:
+  /// the same IEEE operations in the same order as applyBinary's and
+  /// applyFusedMulAdd's scalar cases. Shares eval()'s depth budget and
+  /// bails at its limit, so the general path reports the depth error.
+  bool scalarOf(const Expr &E, double End, double &Out);
+  /// The 0-based linear offset of element \p E of \p Base when \p E has
+  /// one or two subscripts, each a scalarOf() value that is an in-range
+  /// integer (checked as toIndex's fast path checks it), else false.
+  bool scalarOffset(const IndexExpr &E, const Value &Base, size_t &Offset);
+  /// scalarOffset's element of variable \p Base, read into \p Out, when
+  /// the base is not logical (the scalar read of evalIndexOrCall and
+  /// scalarOf).
+  bool scalarElement(const IndexExpr &E, const Value &Base, double &Out);
   Value evalMatrixLiteral(const MatrixExpr &E);
 
   /// Evaluates subscript argument \p Arg for a dimension of extent
@@ -480,8 +517,7 @@ private:
   InterruptKind Interrupt = InterruptKind::None;
   uint64_t RandState = 0x9E3779B97F4A7C15ull;
 
-  /// eval() recursion ceiling; the parser caps parse trees far below this.
-  static constexpr unsigned MaxEvalDepth = 2000;
+  /// Active eval() frames, shared with scalarOf().
   unsigned EvalDepth = 0;
   /// The thread's fault-injection context, sampled once per run() so the
   /// per-statement gate is a cached member null check, not a TLS load.

@@ -112,6 +112,21 @@ public:
     return Result;
   }
 
+  /// Becomes exactly what Value::scalar(V) would be, in place: a plain
+  /// non-logical 1x1 with an inline payload (a heap payload is released).
+  void setScalar(double V) {
+    if (Heap)
+      Heap.reset();
+    NumRows = NumCols = 1;
+    Offset = 0;
+    RowStep = 1;
+    ColStep = 0;
+    InlineVal = V;
+    Logical = false;
+    View = false;
+    Charge = ChargeSlot();
+  }
+
   /// Builds a vector from \p Elems, as a row when \p Row is true, else a
   /// column.
   static Value vector(std::vector<double> Elems, bool Row) {

@@ -66,6 +66,13 @@ public:
     DefinedFlags[Slot] = 1;
   }
 
+  /// define(Slot, Value::scalar(V)) without building a Value: the slot is
+  /// rewritten in place.
+  void defineScalar(unsigned Slot, double V) {
+    Slots[Slot].setScalar(V);
+    DefinedFlags[Slot] = 1;
+  }
+
   /// Marks \p Slot defined and returns its value for in-place mutation.
   /// A previously undefined slot starts as [] (indexed-write creation).
   Value &defineRef(unsigned Slot) {

@@ -19,6 +19,10 @@
 //     below its operand temporaries and the stack top is restored per
 //     statement, so register numbering — and therefore the bytecode — is
 //     a pure function of the AST.
+//  4. Nesting is counted in the walker's eval() frames: where the walker
+//     would refuse a frame at its depth limit, a Fail carrying its message
+//     takes the node's place, so both engines fail at the same node and
+//     the compiler's own recursion stays bounded.
 //
 // On top of that, operand folding: constants, and variables a forward
 // definedness analysis proves assigned on every path to the use, fold
@@ -37,6 +41,7 @@
 #include "vm/Compiler.h"
 
 #include "frontend/ASTUtils.h"
+#include "interp/Interpreter.h"
 #include "support/ContentHash.h"
 
 #include <cstring>
@@ -80,6 +85,15 @@ private:
   /// Syntactic call-argument nesting depth; stamped on CallBuiltin so the
   /// VM's argument scratch vectors mirror the walker's ArgPool exactly.
   int ArgNest = 0;
+  /// The walker's eval() frames active around the node being compiled
+  /// (the compile-time image of Interpreter::EvalDepth).
+  unsigned EvalDepth = 0;
+
+  bool atDepthLimit() const { return EvalDepth >= Interpreter::MaxEvalDepth; }
+  void emitDepthFail(const Expr &E) {
+    emit(Op::Fail, 0, strIdx(Interpreter::EvalDepthMessage), 0, 0, 0,
+         E.loc());
+  }
 
   //===--------------------------------------------------------------------===//
   // Pools and emission
@@ -372,8 +386,11 @@ private:
       case BinaryOp::Ge:
       case BinaryOp::Eq:
       case BinaryOp::Ne: {
-        int32_t L = compileOperand(*B->lhs(), -1);
-        int32_t R = compileOperand(*B->rhs(), -1);
+        // The condition is one eval() frame; statements start at depth 0.
+        ++EvalDepth;
+        int32_t L = compileOperandOf(*B->lhs(), -1);
+        int32_t R = compileOperandOf(*B->rhs(), -1);
+        --EvalDepth;
         size_t J = emit(Op::CmpJump, static_cast<uint8_t>(B->op()), L, R, 0, 0,
                         B->loc());
         Top = Save;
@@ -424,21 +441,73 @@ private:
     return Dst;
   }
 
-  /// Compiles \p E for a Src-class operand field: constants and
-  /// definitely-defined identifiers fold into the consumer (no load
-  /// instruction, no register); everything else compiles normally.
+  /// Compiles \p E for a Src-class operand field where the walker
+  /// evaluates it with eval(): constants and definitely-defined
+  /// identifiers fold into the consumer (no load instruction, no
+  /// register); everything else compiles normally. Nothing folds at the
+  /// depth limit, where eval() refuses even a constant.
   int32_t compileOperand(const Expr &E, int32_t ExtReg) {
-    if (const auto *Num = dyn_cast<NumberExpr>(&E))
-      return packConstOperand(constIdx(Num->value()));
-    if (const auto *Ident = dyn_cast<IdentExpr>(&E)) {
-      int32_t V = varIdx(Ident->name());
-      if (isDefinedVar(V))
-        return packSlotOperand(V);
+    if (!atDepthLimit()) {
+      if (const auto *Num = dyn_cast<NumberExpr>(&E))
+        return packConstOperand(constIdx(Num->value()));
+      if (const auto *Ident = dyn_cast<IdentExpr>(&E)) {
+        int32_t V = varIdx(Ident->name());
+        if (isDefinedVar(V))
+          return packSlotOperand(V);
+      }
     }
     return compileExpr(E, ExtReg);
   }
 
+  /// compileOperand where the walker reads \p E through evalOperand,
+  /// which takes a defined variable without an eval() frame.
+  int32_t compileOperandOf(const Expr &E, int32_t ExtReg) {
+    const auto *Ident = dyn_cast<IdentExpr>(&E);
+    if (!Ident || !atDepthLimit())
+      return compileOperand(E, ExtReg);
+    int32_t V = varIdx(Ident->name());
+    return isDefinedVar(V) ? packSlotOperand(V) : compileOperandReg(E, ExtReg);
+  }
+
+  /// compileExpr for an operand the walker reads through evalOperand.
+  int32_t compileOperandReg(const Expr &E, int32_t ExtReg) {
+    int32_t Dst = allocReg();
+    if (!emitOperandAtLimit(Dst, E))
+      emitExprInto(Dst, E, ExtReg);
+    return Dst;
+  }
+
+  /// At the depth limit, an evalOperand read of a variable succeeds when
+  /// the variable is defined and fails the depth check otherwise: emits
+  /// that test and returns true. Returns false, emitting nothing, for any
+  /// other expression or below the limit.
+  bool emitOperandAtLimit(int32_t Dst, const Expr &E) {
+    const auto *Ident = dyn_cast<IdentExpr>(&E);
+    if (!Ident || !atDepthLimit())
+      return false;
+    int32_t V = varIdx(Ident->name());
+    size_t TD = emit(Op::TestDefined, 0, V, 0);
+    emit(Op::LoadIdent, 0, Dst, V, 0, 0, E.loc());
+    size_t J = emit(Op::Jump, 0, 0);
+    setTarget(TD, here());
+    emitDepthFail(E);
+    setTarget(J, here());
+    return true;
+  }
+
+  /// Compiles \p E as one walker eval() frame, or as the depth failure
+  /// where eval() would refuse it.
   void emitExprInto(int32_t Dst, const Expr &E, int32_t ExtReg) {
+    if (atDepthLimit()) {
+      emitDepthFail(E);
+      return;
+    }
+    ++EvalDepth;
+    emitNodeInto(Dst, E, ExtReg);
+    --EvalDepth;
+  }
+
+  void emitNodeInto(int32_t Dst, const Expr &E, int32_t ExtReg) {
     switch (E.kind()) {
     case Expr::Kind::Number:
       emit(Op::LoadConst, 0, Dst, constIdx(cast<NumberExpr>(E).value()));
@@ -474,11 +543,13 @@ private:
     case Expr::Kind::Unary: {
       const auto &U = cast<UnaryExpr>(E);
       if (U.op() == UnaryOp::Plus) {
-        emitExprInto(Dst, *U.operand(), ExtReg); // unary plus is identity
+        // Unary plus is identity.
+        if (!emitOperandAtLimit(Dst, *U.operand()))
+          emitExprInto(Dst, *U.operand(), ExtReg);
         return;
       }
       int32_t Save = Top;
-      int32_t Src = compileExpr(*U.operand(), ExtReg);
+      int32_t Src = compileOperandReg(*U.operand(), ExtReg);
       emit(U.op() == UnaryOp::Minus ? Op::UnaryMinus : Op::UnaryNot, 0, Dst,
            Src);
       Top = Save;
@@ -486,7 +557,8 @@ private:
     }
     case Expr::Kind::Transpose: {
       int32_t Save = Top;
-      int32_t Src = compileExpr(*cast<TransposeExpr>(E).operand(), ExtReg);
+      int32_t Src =
+          compileOperandReg(*cast<TransposeExpr>(E).operand(), ExtReg);
       emit(Op::Transpose, 0, Dst, Src);
       Top = Save;
       return;
@@ -535,13 +607,13 @@ private:
         int32_t Save = Top;
         int32_t A, B, C;
         if (ProductOnLeft) {
-          A = compileOperand(*Prod->lhs(), ExtReg);
-          B = compileOperand(*Prod->rhs(), ExtReg);
-          C = compileOperand(*E.rhs(), ExtReg);
+          A = compileOperandOf(*Prod->lhs(), ExtReg);
+          B = compileOperandOf(*Prod->rhs(), ExtReg);
+          C = compileOperandOf(*E.rhs(), ExtReg);
         } else {
-          C = compileOperand(*E.lhs(), ExtReg);
-          A = compileOperand(*Prod->lhs(), ExtReg);
-          B = compileOperand(*Prod->rhs(), ExtReg);
+          C = compileOperandOf(*E.lhs(), ExtReg);
+          A = compileOperandOf(*Prod->lhs(), ExtReg);
+          B = compileOperandOf(*Prod->rhs(), ExtReg);
         }
         uint8_t F = (O == BinaryOp::Sub ? flags::FmaSubtract : 0) |
                     (ProductOnLeft ? flags::FmaProductOnLeft : 0) |
@@ -552,8 +624,8 @@ private:
       }
     }
     int32_t Save = Top;
-    int32_t L = compileOperand(*E.lhs(), ExtReg);
-    int32_t R = compileOperand(*E.rhs(), ExtReg);
+    int32_t L = compileOperandOf(*E.lhs(), ExtReg);
+    int32_t R = compileOperandOf(*E.rhs(), ExtReg);
     emit(Op::Binary, static_cast<uint8_t>(O), Dst, L, R, 0, E.loc());
     Top = Save;
   }

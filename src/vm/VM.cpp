@@ -872,7 +872,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
         if (F.Col != F.NumIters) {
           const Value &RangeV = Regs[F.RangeReg];
           if (RangeV.rows() == 1) {
-            Env.define(F.IdxSlot, Value::scalar(RangeV.at(0, F.Col)));
+            Env.defineScalar(F.IdxSlot, RangeV.at(0, F.Col));
           } else {
             Value Slice(RangeV.rows(), 1);
             double *SliceD = Slice.mutableRaw();

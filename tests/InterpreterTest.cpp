@@ -840,4 +840,143 @@ TEST(InterpreterTest, RepmatFlipsAndConcatenationKeepTheLogicalFlag) {
   EXPECT_DOUBLE_EQ(scalarVar(I, "h"), 0);
 }
 
+//===----------------------------------------------------------------------===//
+// Scalar evaluator (scalarOf): bails before any effect, results and errors
+// as on the general path
+//===----------------------------------------------------------------------===//
+
+/// The first \p N draws of a generator seeded like a fresh interpreter.
+std::vector<double> draws(unsigned N) {
+  Interpreter Ref;
+  std::vector<double> Out;
+  for (unsigned I = 0; I != N; ++I)
+    Out.push_back(Ref.nextRandom());
+  return Out;
+}
+
+TEST(ScalarEvaluatorTest, BailsBeforeAdvancingTheRng) {
+  // rand(1) is outside the subset: the statement is evaluated once, by the
+  // general path, so each rand draws exactly once.
+  std::vector<double> R = draws(4);
+  Interpreter I = runOk("y = 2;\nx = y + rand(1);\nr = rand(1);\n"
+                        "A = [1 2 3];\ni = 2;\nA(i) = A(i) + rand(1);\n"
+                        "q = rand(1);\n");
+  EXPECT_EQ(scalarVar(I, "x"), 2 + R[0]);
+  EXPECT_EQ(scalarVar(I, "r"), R[1]);
+  EXPECT_EQ(contents(I, "A"), (std::vector<double>{1, 2 + R[2], 3}));
+  EXPECT_EQ(scalarVar(I, "q"), R[3]);
+}
+
+TEST(ScalarEvaluatorTest, SubscriptErrorsMatchTheGeneralPath) {
+  struct Case {
+    const char *K;
+    const char *Message;
+  };
+  const Case Reads[] = {
+      {"0", "subscript indices must be positive integers"},
+      {"-1", "subscript indices must be positive integers"},
+      {"1.5", "subscript indices must be positive integers"},
+      {"0/0", "subscript indices must be positive integers"},
+      {"1/0", "subscript indices must be positive integers"},
+      {"1e300", "index 1e+300 exceeds matrix dimension (6)"},
+      {"7", "index 7 exceeds matrix dimension (6)"},
+  };
+  for (const Case &C : Reads) {
+    std::string Prefix = std::string("A = ones(2, 3);\nk = ") + C.K + ";\n";
+    // Line 3, at the subscript's opening parenthesis.
+    DiagnosticEngine Diags;
+    ParseResult R = parseMatlab(Prefix + "x = A(k);\n", Diags);
+    Interpreter I;
+    EXPECT_FALSE(I.run(R.Prog)) << C.K;
+    EXPECT_EQ(I.errorMessage(), C.Message) << C.K;
+    EXPECT_EQ(I.errorLoc().Line, 3u) << C.K;
+    EXPECT_EQ(I.errorLoc().Col, 6u) << C.K;
+    EXPECT_EQ(I.getVariable("x"), nullptr) << C.K;
+  }
+  // Two subscripts: each checked against its own extent.
+  EXPECT_EQ(runError("A = ones(2, 3);\nx = A(3, 1);\n"),
+            "index 3 exceeds matrix dimension (2)");
+  EXPECT_EQ(runError("A = ones(2, 3);\nx = A(1, 4);\n"),
+            "index 4 exceeds matrix dimension (3)");
+  EXPECT_EQ(runError("A = ones(2, 3);\nk = 0/0;\nx = A(1, k);\n"),
+            "subscript indices must be positive integers");
+  // Writes: bad subscripts fail, and 1e300 fails the size check.
+  EXPECT_EQ(runError("A = ones(2, 3);\nA(1.5) = 1;\n"),
+            "subscript indices must be positive integers");
+  EXPECT_EQ(runError("A = ones(2, 3);\nk = 1/0;\nA(1, k) = 1;\n"),
+            "subscript indices must be positive integers");
+  EXPECT_EQ(runError("v = ones(1, 3);\nv(1e300) = 1;\n"),
+            "requested 1x1e+300 array exceeds the maximum array size");
+  EXPECT_EQ(runError("A = ones(2, 3);\nA(7) = 1;\n"),
+            "linear indexed assignment cannot grow a matrix");
+}
+
+TEST(ScalarEvaluatorTest, EndBindsPerSubscript) {
+  Interpreter I = runOk("v = [4 5 6];\n"
+                        "A = [1 2 3 4; 5 6 7 8; 9 10 11 12; 13 14 15 16];\n"
+                        "B = [2 3];\n"
+                        "a = v(end);\nb = A(end, end-1);\nc = A(B(end), end);\n"
+                        "d = v(end) - v(end-2) * 2;\n");
+  EXPECT_EQ(scalarVar(I, "a"), 6);
+  EXPECT_EQ(scalarVar(I, "b"), 15);
+  EXPECT_EQ(scalarVar(I, "c"), 12);
+  EXPECT_EQ(scalarVar(I, "d"), -2);
+}
+
+TEST(ScalarEvaluatorTest, LogicalValuesKeepMaskSemantics) {
+  Interpreter I = runOk("v = [5 6 7];\nt = 1 > 0;\nf = 1 < 0;\nx = v(t);\n"
+                        "y = v(f);\nm = [1 0 1] > 0;\nz = m(2);\n"
+                        "w = m(1) + 1;\n");
+  EXPECT_EQ(scalarVar(I, "x"), 5);
+  const Value *Y = I.getVariable("y");
+  ASSERT_NE(Y, nullptr);
+  EXPECT_EQ(Y->rows(), 1u);
+  EXPECT_EQ(Y->cols(), 0u);
+  ASSERT_NE(I.getVariable("z"), nullptr);
+  EXPECT_TRUE(I.getVariable("z")->isLogical());
+  EXPECT_FALSE(I.getVariable("w")->isLogical());
+  EXPECT_EQ(scalarVar(I, "w"), 2);
+}
+
+TEST(ScalarEvaluatorTest, GrowthCreationAndCopyOnWrite) {
+  Interpreter I = runOk("v = [1 2];\nv(4) = 9;\nA = eye(2);\nA(3, 1) = 5;\n"
+                        "n(2) = 3;\nB = A;\nB(2) = 7;\n"
+                        "s = 0;\nfor i = 1:4\n  s = s + v(i);\nend\n");
+  EXPECT_EQ(contents(I, "v"), (std::vector<double>{1, 2, 0, 9}));
+  EXPECT_EQ(I.getVariable("A")->rows(), 3u);
+  EXPECT_EQ(contents(I, "n"), (std::vector<double>{0, 3}));
+  EXPECT_EQ(contents(I, "A"), (std::vector<double>{1, 0, 5, 0, 1, 0}));
+  EXPECT_EQ(contents(I, "B"), (std::vector<double>{1, 7, 5, 0, 1, 0}));
+  EXPECT_EQ(scalarVar(I, "s"), 12);
+  EXPECT_EQ(scalarVar(I, "i"), 4);
+}
+
+TEST(ScalarEvaluatorTest, BinaryChainPastTheDepthLimitFails) {
+  // ((y + y) + y) + ...: scalarOf shares eval()'s depth budget, so the
+  // general path reports the limit; a chain inside it evaluates.
+  auto Chain = [](unsigned N) {
+    ExprPtr E = std::make_unique<IdentExpr>("y");
+    for (unsigned I = 1; I != N; ++I)
+      E = std::make_unique<BinaryExpr>(BinaryOp::Add, std::move(E),
+                                       std::make_unique<IdentExpr>("y"));
+    return E;
+  };
+  for (unsigned N : {1500u, 2500u}) {
+    Program P;
+    P.Stmts.push_back(std::make_unique<AssignStmt>(
+        std::make_unique<IdentExpr>("x"), Chain(N)));
+    Interpreter I;
+    I.setVariable("y", Value::scalar(1.0));
+    bool Ok = I.run(P);
+    if (N < Interpreter::MaxEvalDepth) {
+      EXPECT_TRUE(Ok) << I.errorMessage();
+      EXPECT_EQ(scalarVar(I, "x"), N);
+    } else {
+      EXPECT_FALSE(Ok);
+      EXPECT_EQ(I.errorMessage(), Interpreter::EvalDepthMessage);
+      EXPECT_EQ(I.getVariable("x"), nullptr);
+    }
+  }
+}
+
 } // namespace

@@ -20,6 +20,7 @@
 #include "resilience/ResourceGovernor.h"
 
 #include "deps/LoopNest.h"
+#include "driver/Pipeline.h"
 #include "frontend/ASTPrinter.h"
 #include "frontend/Parser.h"
 #include "fuzz/Generator.h"
@@ -28,6 +29,8 @@
 #include "service/VectorizationService.h"
 #include "shape/AnnotationParser.h"
 #include "vectorizer/DimChecker.h"
+#include "vm/Compiler.h"
+#include "vm/VM.h"
 
 #include "gtest/gtest.h"
 
@@ -335,6 +338,54 @@ TEST(DepthGuardTest, EvaluatorRefusesPathologicalDepth) {
   Interp.setVariable("y", Value(1, 1, 1.0));
   EXPECT_FALSE(Interp.run(P));
   EXPECT_NE(Interp.errorMessage().find("depth"), std::string::npos);
+}
+
+/// y = 1; x = <Expr>, as built by a program generator (the parser caps
+/// nesting far below the evaluator limit).
+Program deepAssignment(ExprPtr Expr, bool DefineY = true) {
+  Program P;
+  if (DefineY)
+    P.Stmts.push_back(std::make_unique<AssignStmt>(
+        std::make_unique<IdentExpr>("y"), std::make_unique<NumberExpr>(1.0)));
+  P.Stmts.push_back(std::make_unique<AssignStmt>(
+      std::make_unique<IdentExpr>("x"), std::move(Expr)));
+  return P;
+}
+
+TEST(DepthGuardTest, EnginesAgreeAtPathologicalDepth) {
+  // The VM compiler counts nesting in the walker's eval() frames: past
+  // the limit both engines fail at the same node with the same message,
+  // and the compiler's recursion stops there instead of overflowing.
+  for (unsigned Depth : {2500u, 20000u}) {
+    Program P = deepAssignment(deepUnaryChain("y", Depth));
+    DiffOutcome Out = engineDiffRun(P, "deep");
+    EXPECT_TRUE(Out.agreed()) << Depth << ": " << Out.Message;
+    Interpreter Vm;
+    vm::CompiledProgram CP = vm::compileProgram(P, "deep");
+    EXPECT_FALSE(vm::execute(CP, Vm)) << Depth;
+    EXPECT_EQ(Vm.errorMessage(), Interpreter::EvalDepthMessage) << Depth;
+    EXPECT_EQ(Vm.getVariable("x"), nullptr) << Depth;
+  }
+  // Exactly at the limit the innermost operand is read without a frame
+  // when it is a defined variable, and fails the depth check when not.
+  for (bool DefineY : {true, false}) {
+    Program P = deepAssignment(
+        deepUnaryChain("y", Interpreter::MaxEvalDepth), DefineY);
+    DiffOutcome Out = engineDiffRun(P, "limit");
+    EXPECT_TRUE(Out.agreed()) << DefineY << ": " << Out.Message;
+    Interpreter Ast;
+    EXPECT_EQ(Ast.run(P), DefineY) << Ast.errorMessage();
+    if (!DefineY)
+      EXPECT_EQ(Ast.errorMessage(), Interpreter::EvalDepthMessage);
+  }
+  // A left-nested binary chain: its right operands are variable reads.
+  ExprPtr Chain = std::make_unique<IdentExpr>("y");
+  for (unsigned I = 1; I != 2500; ++I)
+    Chain = std::make_unique<BinaryExpr>(BinaryOp::Add, std::move(Chain),
+                                         std::make_unique<IdentExpr>("y"));
+  Program P = deepAssignment(std::move(Chain));
+  DiffOutcome Out = engineDiffRun(P, "chain");
+  EXPECT_TRUE(Out.agreed()) << Out.Message;
 }
 
 //===----------------------------------------------------------------------===//

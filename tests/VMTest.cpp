@@ -396,6 +396,67 @@ TEST(VMParity, DataMovementFastPaths) {
   }
 }
 
+TEST(VMParity, ScalarStatementsMatchTheVm) {
+  // The walker evaluates these through its scalar evaluator where it can
+  // and through the general path where it bails; the VM has no such path, so
+  // every value, error text and location must still agree byte for byte.
+  const char *Subscripts[] = {"0", "-1", "1.5", "0/0", "1/0", "1e300",
+                              "7"};
+  const char *Forms[] = {"x = A(k);",       "x = A(k, 1);", "x = A(1, k);",
+                         "x = 1 + A(k)*2;", "A(k) = 5;",    "A(k, 1) = 5;",
+                         "A(1, k) = 5;",    "v(k) = 5;"};
+  for (const char *K : Subscripts)
+    for (const char *Form : Forms) {
+      std::string Source = std::string("A = ones(2, 3);\nv = [1 2 3];\nk = ") +
+                           K + ";\n" + Form + "\n";
+      DiffOutcome Out = engineDiffRun(Source);
+      EXPECT_TRUE(Out.agreed()) << Source << Out.Message;
+    }
+  const char *Cases[] = {
+      "v = [4 5 6];\nA = [1 2 3; 4 5 6; 7 8 9];\nB = [2 3];\n"
+      "a = v(end);\nb = A(end, end-1);\nc = A(B(end), end);\n",
+      "v = [5 6 7];\nt = 1 > 0;\nf = 1 < 0;\nx = v(t);\ny = v(f);\n"
+      "m = [1 0 1] > 0;\nz = m(2);\nw = m(1) + 1;\n",
+      "y = 2;\nx = y + rand(1);\nA = [1 2 3];\ni = 2;\n"
+      "A(i) = A(i) + rand(1);\nr = rand(1);\n",
+      "v = [1 2];\nv(4) = 9;\nA = eye(2);\nA(3, 1) = 5;\nn(2) = 3;\n"
+      "B = A;\nB(2) = 7;\n",
+      "a = 0/0;\nb = -a;\nc = 3;\nx = a + b*c;\ny = b*c + a;\n"
+      "z = a - b*c;\nw = -(a')/c;\n",
+      "x = 0.1;\ny = 0.2;\nz = 0.3;\nfor i = 1:50\n"
+      "  x = x + y*z - z/y + x.*y./z;\n  y = -y + z*x;\nend\n",
+      "s = 0;\nfor i = 1:10\n  s = s + i;\n  i = s;\nend\n",
+      "for i = [1 2; 3 4]\n  x = i;\nend\n",
+  };
+  for (const char *Source : Cases) {
+    DiffOutcome Out = engineDiffRun(Source);
+    EXPECT_TRUE(Out.agreed()) << Source << Out.Message;
+  }
+}
+
+TEST(VMParity, ShapeCapsFailScalarWritesThatWiden) {
+  // An in-range scalar write never changes a shape; the widening write
+  // grows on the general path and trips the annotated cap there.
+  const std::string Widening = "%! v(1,*)\nv = zeros(1, 3);\n"
+                               "for i = 1:3\n  v(1, i) = i;\nend\n"
+                               "v(2, 1) = 4;\n";
+  const std::string InRange = "%! v(1,*)\nv = zeros(1, 3);\n"
+                              "for i = 1:3\n  v(1, i) = i;\n  v(i) = v(i) * 2;\n"
+                              "end\n";
+  for (ExecEngine Engine : {ExecEngine::Ast, ExecEngine::Vm}) {
+    RunLimits Limits;
+    Limits.CheckAnnotations = true;
+    Limits.Engine = Engine;
+    DiffOutcome Bad = diffRunLimited(Widening, Widening, Limits);
+    EXPECT_EQ(Bad.Status, DiffStatus::Error);
+    EXPECT_NE(Bad.Message.find("'v' exceeds its annotated shape (2x3)"),
+              std::string::npos)
+        << Bad.Message;
+    DiffOutcome Good = diffRunLimited(InRange, InRange, Limits);
+    EXPECT_TRUE(Good.agreed()) << Good.Message;
+  }
+}
+
 TEST(VMParity, HugeSubscriptsFailIdentically) {
   // Each fails before any cast or allocation, on the VM's scalar fast
   // paths as on the walker's general path, with the same message.
@@ -528,6 +589,13 @@ TEST(VMParity, GovernorChargesIdentically) {
       // into a target shared with C.
       "A = zeros(30, 20);\nB = rand(30, 20);\nA(1:30, 1:20) = B + 1;\n"
       "C = A;\nA(1:30, 1:20) = B .* 2;\nv = zeros(1, 40);\nv(1:40) = 1:40;\n",
+      // Scalar loop bodies (the walker's scalar evaluator): element reads
+      // and writes, a COW detach on the first write into a shared target,
+      // and accumulator growth with a reserve hint.
+      "X = rand(20, 30);\nL = rand(20, 20);\nY = X;\nfor k = 1:30\n"
+      "  for j = 1:19\n    Y(20, k) = Y(20, k) - L(20, j) * Y(j, k);\n"
+      "  end\nend\ns = 0;\nfor i = 1:20\n  s = s + X(i, i) / 2;\n"
+      "  a(i) = -s';\nend\n",
   };
   for (const char *Source : Sources) {
     DiagnosticEngine D1, D2;
