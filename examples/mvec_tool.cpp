@@ -50,6 +50,7 @@
 
 #include "cost/CostModel.h"
 #include "driver/Pipeline.h"
+#include "driver/ToolFlags.h"
 #include "frontend/Parser.h"
 #include "interp/Interpreter.h"
 #include "interp/simd/SimdDispatch.h"
@@ -191,9 +192,8 @@ int main(int argc, char **argv) {
   unsigned DeadlineMs = 10000;
   bool NoValidate = false, Stats = false;
   std::string StatsJsonPath;
-  std::string EngineName = "ast";
-  bool CostOn = false, ExplainCost = false;
-  std::string CostProfile;
+  ToolFlags Flags;
+  bool ExplainCost = false;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -217,19 +217,12 @@ int main(int argc, char **argv) {
       DeadlineMs = static_cast<unsigned>(std::atoi(argv[++I]));
     else if (Arg == "--no-validate")
       NoValidate = true;
-    else if (Arg == "--engine" && I + 1 < argc)
-      EngineName = argv[++I];
-    else if (Arg == "--cost-model" && I + 1 < argc) {
-      std::string Mode = argv[++I];
-      if (Mode == "off")
-        CostOn = false;
-      else if (Mode == "on")
-        CostOn = true;
-      else
+    else if (FlagParse F = parseToolFlag(argc, argv, I, {/*EngineBoth=*/true},
+                                         Flags);
+             F != FlagParse::NotMine) {
+      if (F == FlagParse::Invalid)
         return usage(argv[0]);
-    } else if (Arg == "--cost-profile" && I + 1 < argc)
-      CostProfile = argv[++I];
-    else if (Arg == "--explain-cost")
+    } else if (Arg == "--explain-cost")
       ExplainCost = true;
     else if (simd::handleSimdFlag(argc, argv, I)) {
       // kernel dispatch configured (exits with status 2 on a bad level)
@@ -260,26 +253,19 @@ int main(int argc, char **argv) {
   }
   if (BatchDir.empty() == InputPath.empty())
     return usage(argv[0]);
-  if (EngineName != "ast" && EngineName != "vm" && EngineName != "both")
-    return usage(argv[0]);
   // "both" fans one validation out into three runs; the batch path keeps
   // one engine per service instead.
-  if (EngineName == "both" && !BatchDir.empty())
+  if (Flags.Engine == "both" && !BatchDir.empty())
     return usage(argv[0]);
   // The decision log is a single-translation artifact; batch jobs go
   // through the (cost-fingerprinted) caches instead.
   if (ExplainCost && !BatchDir.empty())
     return usage(argv[0]);
-  ExecEngine Engine =
-      EngineName == "vm" ? ExecEngine::Vm : ExecEngine::Ast;
+  ExecEngine Engine = Flags.engine();
 
   std::unique_ptr<cost::CostModel> Model;
-  if (CostOn || ExplainCost) {
-    std::string Diag;
-    Model = std::make_unique<cost::CostModel>(
-        cost::loadCostProfileOrDefault(CostProfile, Diag));
-    if (!Diag.empty())
-      std::fprintf(stderr, "warning: %s\n", Diag.c_str());
+  if (Flags.CostModel == "on" || ExplainCost) {
+    Model = loadToolCostModel(Flags.CostProfile, "warning");
     Opts.Cost = Model.get();
   }
   std::vector<cost::CostDecision> Decisions;
@@ -377,7 +363,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "validation: transformed program is semantically "
                          "equivalent\n");
   }
-  if (EngineName == "both") {
+  if (Flags.Engine == "both") {
     // Cross-check the execution tiers on both programs: the tree-walker
     // and the bytecode VM must behave byte-identically.
     for (const auto &[What, Src] :

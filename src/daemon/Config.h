@@ -57,8 +57,8 @@ struct DaemonConfig {
   /// Default per-request deadline in ms (0 = none).
   unsigned DeadlineMs = 10000;
   /// Execution tier for differential validation: "ast" (tree-walker) or
-  /// "vm" (register bytecode; compiled programs are cached per shard and
-  /// persisted beside results when a store_dir is configured).
+  /// "vm" (register bytecode; compiled programs are cached in memory per
+  /// shard).
   std::string Engine = "ast";
   /// Per-shard compiled-program cache entries (vm engine only).
   size_t CodeCacheCapacity = 64;

@@ -537,29 +537,17 @@ bool Interpreter::scalarOf(const Expr &E, double End, double &Out) {
     double L, R;
     if (!scalarOf(*B.lhs(), End, L) || !scalarOf(*B.rhs(), End, R))
       return false;
-    switch (Op) {
-    case BinaryOp::Add: {
-      // evalBinary fuses a product operand (left one first), and
-      // applyFusedMulAdd adds as product + other: a product on the right
-      // only is added first.
-      auto IsProduct = [](const Expr *X) {
-        const auto *P = dyn_cast<BinaryExpr>(X);
-        return P && (P->op() == BinaryOp::Mul || P->op() == BinaryOp::DotMul);
-      };
-      Out = !IsProduct(B.lhs()) && IsProduct(B.rhs()) ? R + L : L + R;
-      return true;
-    }
-    case BinaryOp::Sub:
-      Out = L - R;
-      return true;
-    case BinaryOp::Mul:
-    case BinaryOp::DotMul:
-      Out = L * R;
-      return true;
-    default:
-      Out = L / R;
-      return true;
-    }
+    // evalBinary fuses a product operand (the left one first), and
+    // scalarMulAdd makes the product the left addend: a product on the
+    // right only is added first.
+    auto IsProduct = [](const Expr *X) {
+      const auto *P = dyn_cast<BinaryExpr>(X);
+      return P && (P->op() == BinaryOp::Mul || P->op() == BinaryOp::DotMul);
+    };
+    if (Op == BinaryOp::Add && !IsProduct(B.lhs()) && IsProduct(B.rhs()))
+      std::swap(L, R);
+    Out = scalarBinary(Op, L, R);
+    return true;
   }
   case Expr::Kind::Index: {
     const auto &Index = cast<IndexExpr>(E);
@@ -589,14 +577,8 @@ bool Interpreter::scalarOffset(const IndexExpr &E, const Value &Base,
   // slow path (which reports the errors the general path will report).
   auto Subscript = [&](const Expr &Arg, size_t Extent, size_t &Index) {
     double D;
-    if (!scalarOf(Arg, static_cast<double>(Extent), D) || !(D >= 1.0) ||
-        !(D <= indexLimit(Extent)))
-      return false;
-    Index = static_cast<size_t>(D);
-    if (static_cast<double>(Index) != D)
-      return false;
-    --Index;
-    return true;
+    return scalarOf(Arg, static_cast<double>(Extent), D) &&
+           integralIndex(D, indexLimit(Extent), Index);
   };
   if (E.numArgs() == 1)
     return Subscript(*E.arg(0), Base.numel(), Offset);
@@ -646,15 +628,10 @@ Value Interpreter::applyFusedMulAdd(const Value &A, const Value &B,
                                     const Value &C, bool Subtract,
                                     bool ProductOnLeft, bool DotMul,
                                     SourceLoc ELoc, SourceLoc ProdLoc) {
-  // All-scalar: combine directly, rounding the product first exactly like
-  // the two-step evaluation does.
-  if (A.isScalar() && B.isScalar() && C.isScalar()) {
-    double P = A.scalarValue() * B.scalarValue();
-    double CV = C.scalarValue();
-    if (!Subtract)
-      return Value::scalar(P + CV);
-    return Value::scalar(ProductOnLeft ? P - CV : CV - P);
-  }
+  if (A.isScalar() && B.isScalar() && C.isScalar())
+    return Value::scalar(scalarMulAdd(A.scalarValue() * B.scalarValue(),
+                                      C.scalarValue(), Subtract,
+                                      ProductOnLeft));
 
   // '*' is elementwise only when one operand is scalar; a true matrix
   // product keeps the exact two-step path below.
@@ -732,47 +709,10 @@ Value Interpreter::evalBinary(const BinaryExpr &E) {
 
 Value Interpreter::applyBinary(BinaryOp Op, const Value &LHS, const Value &RHS,
                                SourceLoc Loc) {
-  // Scalar fast path: no kernel dispatch, no allocation. Semantics are
-  // those of applyScalarOp in MatrixOps (comparisons and elementwise
-  // logic yield logical values, division by zero yields Inf/NaN).
-  if (LHS.isScalar() && RHS.isScalar()) {
-    double A = LHS.scalarValue(), B = RHS.scalarValue();
-    auto Logical = [](bool V) {
-      Value R = Value::scalar(V ? 1.0 : 0.0);
-      R.setLogical(true);
-      return R;
-    };
-    switch (Op) {
-    case BinaryOp::Add:
-      return Value::scalar(A + B);
-    case BinaryOp::Sub:
-      return Value::scalar(A - B);
-    case BinaryOp::Mul:
-    case BinaryOp::DotMul:
-      return Value::scalar(A * B);
-    case BinaryOp::Div:
-    case BinaryOp::DotDiv:
-      return Value::scalar(A / B);
-    case BinaryOp::Lt:
-      return Logical(A < B);
-    case BinaryOp::Gt:
-      return Logical(A > B);
-    case BinaryOp::Le:
-      return Logical(A <= B);
-    case BinaryOp::Ge:
-      return Logical(A >= B);
-    case BinaryOp::Eq:
-      return Logical(A == B);
-    case BinaryOp::Ne:
-      return Logical(A != B);
-    case BinaryOp::And:
-      return Logical(A != 0.0 && B != 0.0);
-    case BinaryOp::Or:
-      return Logical(A != 0.0 || B != 0.0);
-    default: // Pow/DotPow keep the powOp/elementwise path below.
-      break;
-    }
-  }
+  // Scalar fast path: no kernel dispatch, no allocation.
+  if (LHS.isScalar() && RHS.isScalar() && hasScalarForm(Op))
+    return scalarResult(Op,
+                        scalarBinary(Op, LHS.scalarValue(), RHS.scalarValue()));
 
   OpError Err;
   Value Result;

@@ -40,6 +40,7 @@
 #include "frontend/AST.h"
 #include "interp/Builtins.h"
 #include "interp/MatrixOps.h"
+#include "interp/ScalarOps.h"
 #include "interp/Value.h"
 #include "interp/Workspace.h"
 #include "resilience/FaultInjection.h"
@@ -405,13 +406,15 @@ private:
   /// the scalar subset, with \p End the value 'end' denotes (negative
   /// outside a subscript); returns false, having changed nothing, when
   /// any node is not. Results are bit-identical to the general path's:
-  /// the same IEEE operations in the same order as applyBinary's and
-  /// applyFusedMulAdd's scalar cases. Shares eval()'s depth budget and
-  /// bails at its limit, so the general path reports the depth error.
+  /// the ScalarOps.h helpers that applyBinary's and applyFusedMulAdd's
+  /// scalar cases call, in the same operand order. Shares eval()'s depth
+  /// budget and bails at its limit, so the general path reports the depth
+  /// error.
   bool scalarOf(const Expr &E, double End, double &Out);
   /// The 0-based linear offset of element \p E of \p Base when \p E has
   /// one or two subscripts, each a scalarOf() value that is an in-range
-  /// integer (checked as toIndex's fast path checks it), else false.
+  /// integer (integralIndex, as toIndex's fast path checks it), else
+  /// false.
   bool scalarOffset(const IndexExpr &E, const Value &Base, size_t &Offset);
   /// scalarOffset's element of variable \p Base, read into \p Out, when
   /// the base is not logical (the scalar read of evalIndexOrCall and
@@ -448,24 +451,14 @@ private:
   bool toIndices(const Value &Idx, size_t Extent, std::vector<size_t> &Out,
                  SourceLoc Loc);
 
-  /// The bound below which toIndex's fast check may cast a subscript:
-  /// \p Extent, capped where doubles stop being exact integers.
-  static double indexLimit(size_t Extent) {
-    return std::min(static_cast<double>(Extent), 9007199254740992.0);
-  }
-  /// Converts one subscript value to a validated 0-based index, failing
-  /// with toIndices' exact messages. The common in-range integer costs two
-  /// compares and a cast; everything else takes the full check.
+  /// Converts one subscript value to a validated 0-based index (\p Limit
+  /// is indexLimit(\p Extent)), failing with toIndices' exact messages.
+  /// The common in-range integer takes integralIndex's two compares and a
+  /// cast; everything else takes the full check.
   bool toIndex(double D, size_t Extent, double Limit, size_t &Index,
                SourceLoc Loc) {
-    if (D >= 1.0 && D <= Limit) {
-      Index = static_cast<size_t>(D);
-      if (static_cast<double>(Index) == D) {
-        --Index;
-        return true;
-      }
-    }
-    return toIndexSlow(D, Extent, Index, Loc);
+    return integralIndex(D, Limit, Index) ||
+           toIndexSlow(D, Extent, Index, Loc);
   }
   bool toIndexSlow(double D, size_t Extent, size_t &Index, SourceLoc Loc);
 

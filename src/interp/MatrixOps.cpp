@@ -6,6 +6,7 @@
 
 #include "interp/MatrixOps.h"
 
+#include "interp/ScalarOps.h"
 #include "interp/simd/SimdDispatch.h"
 #include "resilience/ResourceGovernor.h"
 
@@ -86,45 +87,6 @@ bool isLinear(const Walk &W, size_t R, size_t C) {
   return C <= 1 || W.CS == W.RS * R;
 }
 
-double applyScalarOp(BinaryOp Op, double A, double B, OpError &Err) {
-  switch (Op) {
-  case BinaryOp::Add:
-    return A + B;
-  case BinaryOp::Sub:
-    return A - B;
-  case BinaryOp::Mul:
-  case BinaryOp::DotMul:
-    return A * B;
-  case BinaryOp::Div:
-  case BinaryOp::DotDiv:
-    return A / B; // MATLAB yields Inf/NaN on division by zero.
-  case BinaryOp::Pow:
-  case BinaryOp::DotPow:
-    return std::pow(A, B);
-  case BinaryOp::Lt:
-    return A < B ? 1.0 : 0.0;
-  case BinaryOp::Gt:
-    return A > B ? 1.0 : 0.0;
-  case BinaryOp::Le:
-    return A <= B ? 1.0 : 0.0;
-  case BinaryOp::Ge:
-    return A >= B ? 1.0 : 0.0;
-  case BinaryOp::Eq:
-    return A == B ? 1.0 : 0.0;
-  case BinaryOp::Ne:
-    return A != B ? 1.0 : 0.0;
-  case BinaryOp::And:
-    return (A != 0.0 && B != 0.0) ? 1.0 : 0.0;
-  case BinaryOp::Or:
-    return (A != 0.0 || B != 0.0) ? 1.0 : 0.0;
-  case BinaryOp::AndAnd:
-  case BinaryOp::OrOr:
-    Err.set("short-circuit operators require scalar operands");
-    return 0.0;
-  }
-  return 0.0;
-}
-
 /// Comparisons and elementwise logic produce MATLAB logical values.
 bool producesLogical(BinaryOp Op) {
   return isElementwiseRelOp(Op);
@@ -171,6 +133,8 @@ void ewLoop(BinaryOp Op, Walk A, Walk B, double *RD, size_t R, size_t C,
     countDispatch(Counters.Elementwise);
   else if (IsCmp)
     countDispatch(Counters.Compare);
+  if ((Op == BinaryOp::AndAnd || Op == BinaryOp::OrOr) && R * C != 0)
+    Err.set("short-circuit operators require scalar operands");
   size_t Cols = C, N = R;
   if (isLinear(A, R, C) && isLinear(B, R, C)) {
     Cols = C == 0 ? 0 : 1;
@@ -185,7 +149,7 @@ void ewLoop(BinaryOp Op, Walk A, Walk B, double *RD, size_t R, size_t C,
       K.EwCmp(Pred, AD, A.RS, BD, B.RS, Out, N);
     else
       for (size_t I = 0; I != N; ++I)
-        Out[I] = applyScalarOp(Op, AD[I * A.RS], BD[I * B.RS], Err);
+        Out[I] = scalarBinary(Op, AD[I * A.RS], BD[I * B.RS]);
   }
 }
 

@@ -189,15 +189,17 @@ void SandboxPool::retireWorker(Slot &S, const WorkerFailure *Forced,
     if (Signal == 0)
       Signal = SIGKILL;
   }
-  noteDeath(S, Fail);
+  std::lock_guard<std::mutex> Lock(Mutex);
+  noteDeathLocked(S, &Fail);
 }
 
-void SandboxPool::noteDeath(Slot &S, WorkerFailure Fail) {
-  if (Fail == WorkerFailure::WatchdogTimeout)
-    Metrics.SandboxWatchdogKills.fetch_add(1, std::memory_order_relaxed);
-  else
-    Metrics.SandboxCrashes.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(Mutex);
+void SandboxPool::noteDeathLocked(Slot &S, const WorkerFailure *Fail) {
+  if (Fail) {
+    if (*Fail == WorkerFailure::WatchdogTimeout)
+      Metrics.SandboxWatchdogKills.fetch_add(1, std::memory_order_relaxed);
+    else
+      Metrics.SandboxCrashes.fetch_add(1, std::memory_order_relaxed);
+  }
   S.St = Slot::State::Dead;
   S.FailStreak = std::min(S.FailStreak + 1, 16u);
   // Jittered exponential backoff before the slot respawns; seeded by the
@@ -358,14 +360,7 @@ void SandboxPool::supervise() {
         S->Proc.Pid = -1;
         int Sig, Code;
         WorkerFailure Fail = classifyStatus(Status, Sig, Code);
-        Metrics.SandboxCrashes.fetch_add(1, std::memory_order_relaxed);
-        S->St = Slot::State::Dead;
-        S->FailStreak = std::min(S->FailStreak + 1, 16u);
-        S->NextSpawnAt = Clock::now() +
-                         std::chrono::duration_cast<Clock::duration>(
-                             backoffDelay(Config.Respawn, S->FailStreak,
-                                          reinterpret_cast<uintptr_t>(S.get())));
-        (void)Fail;
+        noteDeathLocked(*S, &Fail);
       }
     }
 
@@ -427,11 +422,7 @@ void SandboxPool::supervise() {
           Metrics.SandboxRespawns.fetch_add(1, std::memory_order_relaxed);
         IdleCv.notify_all();
       } else {
-        Raw->FailStreak = std::min(Raw->FailStreak + 1, 16u);
-        Raw->NextSpawnAt =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               backoffDelay(Config.Respawn, Raw->FailStreak,
-                                            reinterpret_cast<uintptr_t>(Raw)));
+        noteDeathLocked(*Raw, nullptr); // still Dead: just back off again
       }
     }
   }

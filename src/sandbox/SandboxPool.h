@@ -105,7 +105,11 @@ private:
   /// \p Forced names the failure when the parent initiated the kill.
   void retireWorker(Slot &S, const WorkerFailure *Forced, WorkerFailure &Fail,
                     int &Signal, int &ExitCode);
-  void noteDeath(Slot &S, WorkerFailure Fail);
+  /// Marks \p S Dead and schedules its respawn after a jittered backoff
+  /// that grows with its fail streak; a worker death (\p Fail non-null)
+  /// also counts as a watchdog kill or a crash. The caller holds Mutex.
+  /// A failed respawn passes null: no worker died, the slot backs off.
+  void noteDeathLocked(Slot &S, const WorkerFailure *Fail);
   void supervise();
 
   SandboxConfig Config;

@@ -83,7 +83,7 @@ struct ServiceMetrics {
   /// Deepest the submission queue has ever been.
   std::atomic<uint64_t> QueueDepthHighWater{0};
   /// Compiled-execution tier: programs lowered to bytecode, and
-  /// CodeCache hits (memory or persisted) vs misses (had to lower).
+  /// CodeCache hits vs misses (had to lower).
   std::atomic<uint64_t> BytecodeCompiles{0};
   std::atomic<uint64_t> CodeCacheHits{0};
   std::atomic<uint64_t> CodeCacheMisses{0};

@@ -74,8 +74,7 @@ VectorizationService::VectorizationService(ServiceConfig Config)
     DB = &OwnedDB;
   }
   if (Config.Engine == ExecEngine::Vm)
-    Code = std::make_unique<vm::CodeCache>(Config.CodeCacheCapacity, Metrics,
-                                           Config.Store);
+    Code = std::make_unique<vm::CodeCache>(Config.CodeCacheCapacity, Metrics);
   Pool = std::make_unique<ThreadPool>(Config.Workers, Config.QueueCapacity);
 }
 

@@ -93,9 +93,8 @@ struct ServiceConfig {
   /// never served as the other's.
   ExecEngine Engine = ExecEngine::Ast;
   /// Compiled-program (bytecode) cache entries when Engine == Vm; 0
-  /// disables the memory tier. The cache writes serialized programs
-  /// through to Store (when wired), so a restarted daemon re-executes
-  /// warm scripts without re-lowering them.
+  /// disables the cache. Programs stay in memory: Store holds results
+  /// only.
   size_t CodeCacheCapacity = 64;
   /// Profitability cost model applied to every job that did not bring its
   /// own (null = vectorize whenever legal). Must outlive the service; its

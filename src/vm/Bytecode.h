@@ -8,9 +8,9 @@
 /// The compiled-program representation of the mvec::vm execution tier: a
 /// register-based instruction stream lowered from a prepared AST, plus the
 /// pools it references (doubles, strings, variable names, for-loop
-/// metadata). The format is deliberately flat and position-independent:
-/// variables are *name* indices bound to workspace slots at execution time,
-/// so a program serialized by one process executes in another.
+/// metadata). Programs live in memory only (the CodeCache). Variables are
+/// *name* indices bound to workspace slots at execution time, so one
+/// immutable program executes against any number of interpreters.
 ///
 /// Register discipline: the compiler allocates registers as an expression
 /// stack (destination first, operand temporaries above it) and restores the
@@ -45,9 +45,8 @@
 namespace mvec {
 namespace vm {
 
-/// One opcode per primitive step the tree-walker performs. Keep the order
-/// stable: the numeric value is part of the serialized format (bump
-/// kBytecodeFormatVersion in Serialize.h when it changes).
+/// One opcode per primitive step the tree-walker performs. The order is
+/// that of the opInfo table (Bytecode.cpp) and the VM's dispatch table.
 enum class Op : uint8_t {
   Halt,       ///< stop execution (program end / return / top-level break)
   Step,       ///< per-statement accounting: step limit, poll, fault site
@@ -175,8 +174,6 @@ struct CompiledProgram {
   std::vector<ForInfo> ForInfos;
   std::vector<Instr> Instrs;
   uint32_t NumRegs = 0;
-  /// FNV-1a hash of the source this program was lowered from.
-  uint64_t SourceHash = 0;
 };
 
 /// How the disassembler/validator interpret one operand field.

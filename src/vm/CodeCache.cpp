@@ -6,45 +6,24 @@
 
 #include "vm/CodeCache.h"
 
-#include "service/ResultStore.h"
 #include "service/ServiceMetrics.h"
 #include "support/ContentHash.h"
 #include "vm/Compiler.h"
-#include "vm/Serialize.h"
 
 #include <chrono>
 
 using namespace mvec;
 using namespace mvec::vm;
 
-CodeCache::CodeCache(size_t Capacity, ServiceMetrics &Metrics,
-                     ResultStore *Disk)
-    : Memory(Capacity), Metrics(Metrics), Disk(Disk) {}
+CodeCache::CodeCache(size_t Capacity, ServiceMetrics &Metrics)
+    : Memory(Capacity), Metrics(Metrics) {}
 
 std::shared_ptr<const CompiledProgram>
 CodeCache::obtain(const std::string &Source, const Program &P) {
-  uint64_t Key = codeKeyFor(Source);
+  uint64_t Key = fnv1aHash(Source);
   if (auto CP = Memory.get(Key)) {
     Metrics.CodeCacheHits.fetch_add(1, std::memory_order_relaxed);
     return *CP;
-  }
-
-  // Second tier: persisted bytecode. Corruption of any kind — failed
-  // deserialization, a wrong status, a source-hash mismatch — is a miss.
-  if (Disk) {
-    if (auto Stored = Disk->load(Key)) {
-      if (Stored->Status == JobStatus::Succeeded) {
-        if (auto Decoded = deserializeProgram(Stored->VectorizedSource)) {
-          if (Decoded->SourceHash == fnv1aHash(Source)) {
-            auto CP = std::make_shared<const CompiledProgram>(
-                std::move(*Decoded));
-            Metrics.CodeCacheHits.fetch_add(1, std::memory_order_relaxed);
-            Memory.put(Key, CP);
-            return CP;
-          }
-        }
-      }
-    }
   }
 
   Metrics.CodeCacheMisses.fetch_add(1, std::memory_order_relaxed);
@@ -57,12 +36,5 @@ CodeCache::obtain(const std::string &Source, const Program &P) {
   Metrics.CompileLatency.record(Seconds);
 
   Memory.put(Key, CP);
-  if (Disk) {
-    JobResult Result;
-    Result.Status = JobStatus::Succeeded;
-    Result.Name = "bytecode";
-    Result.VectorizedSource = serializeProgram(*CP);
-    Disk->store(Key, Result);
-  }
   return CP;
 }

@@ -6,13 +6,9 @@
 ///
 /// \file
 /// The "warm path all the way down" piece: compiled programs cached by
-/// source content. Two tiers, mirroring the service's result cache — an
-/// in-memory LRU of shared immutable programs, and an optional
-/// write-through to the service's ResultStore so a daemon's DiskStore
-/// persists bytecode beside results and a restarted shard re-executes
-/// without re-lowering. Keys come from codeKeyFor (source hash x format
-/// version); a persisted entry that fails deserialization or hash check
-/// is silently a miss.
+/// source content in an in-memory LRU of shared immutable programs, keyed
+/// by the source's FNV-1a hash. Programs are not persisted: compiling
+/// one afresh costs less than loading a stored one did (DESIGN.md §5i).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +24,6 @@
 
 namespace mvec {
 
-class ResultStore;
 struct Program;
 struct ServiceMetrics;
 
@@ -36,15 +31,13 @@ namespace vm {
 
 class CodeCache {
 public:
-  /// \p Capacity bounds the in-memory tier (0 disables it; programs are
-  /// still served, compiled per call or loaded from \p Disk). Hits,
-  /// misses, compiles and compile latency are counted in \p Metrics.
-  /// \p Disk may be null; neither is owned.
-  CodeCache(size_t Capacity, ServiceMetrics &Metrics,
-            ResultStore *Disk = nullptr);
+  /// \p Capacity bounds the cache (0 disables it; programs are still
+  /// served, compiled per call). Hits, misses, compiles and compile
+  /// latency are counted in \p Metrics, which is not owned.
+  CodeCache(size_t Capacity, ServiceMetrics &Metrics);
 
-  /// Returns the compiled form of \p Source, from memory, disk, or a
-  /// fresh lowering of \p P (which must be the parse of \p Source).
+  /// Returns the compiled form of \p Source, from the cache or a fresh
+  /// lowering of \p P (which must be the parse of \p Source).
   /// Thread-safe; the returned program is immutable and shared.
   std::shared_ptr<const CompiledProgram> obtain(const std::string &Source,
                                                 const Program &P);
@@ -57,7 +50,6 @@ private:
   /// overwriting the earlier is harmless.
   LruCache<uint64_t, std::shared_ptr<const CompiledProgram>> Memory;
   ServiceMetrics &Metrics;
-  ResultStore *Disk;
 };
 
 } // namespace vm

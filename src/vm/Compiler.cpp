@@ -42,7 +42,6 @@
 
 #include "frontend/ASTUtils.h"
 #include "interp/Interpreter.h"
-#include "support/ContentHash.h"
 
 #include <cstring>
 #include <unordered_map>
@@ -54,12 +53,11 @@ namespace {
 
 class Compiler {
 public:
-  CompiledProgram compile(const Program &P, const std::string &Source) {
+  CompiledProgram compile(const Program &P) {
     for (const StmtPtr &S : P.Stmts)
       compileStmt(*S);
     emit(Op::Halt, 0, 0, 0, 0, 0, SourceLoc());
     CP.NumRegs = static_cast<uint32_t>(MaxTop);
-    CP.SourceHash = fnv1aHash(Source);
     return std::move(CP);
   }
 
@@ -779,7 +777,6 @@ private:
 
 } // namespace
 
-CompiledProgram vm::compileProgram(const Program &P,
-                                   const std::string &Source) {
-  return Compiler().compile(P, Source);
+CompiledProgram vm::compileProgram(const Program &P, const std::string &) {
+  return Compiler().compile(P);
 }

@@ -9,9 +9,9 @@
 /// program that parses compiles, with statically detectable runtime errors
 /// (':' outside a subscript, N-d indexing, ...) lowered to Fail
 /// instructions carrying the exact message and location the tree-walker
-/// would produce. Compilation is deterministic — same source, same bytes —
-/// which is what lets the CodeCache content-address compiled programs by
-/// source hash alone.
+/// would produce. Compilation is deterministic — same source, same
+/// program — which is what lets the in-memory CodeCache key compiled
+/// programs by source hash alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,8 +26,8 @@
 namespace mvec {
 namespace vm {
 
-/// Lowers \p P to bytecode. \p Source is the text \p P was parsed from;
-/// it is hashed into CompiledProgram::SourceHash for cache addressing.
+/// Lowers \p P to bytecode. The second argument, the text \p P was
+/// parsed from, is not read: the lowering depends on the AST alone.
 CompiledProgram compileProgram(const Program &P, const std::string &Source);
 
 } // namespace vm

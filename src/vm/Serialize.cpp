@@ -1,4 +1,4 @@
-//===- Serialize.cpp - Bytecode (de)serialization and disassembly ---------===//
+//===- Serialize.cpp - Bytecode validation and disassembly ----------------===//
 //
 // Part of the mvec project, released under the MIT license.
 //
@@ -7,221 +7,11 @@
 #include "vm/Serialize.h"
 
 #include "frontend/AST.h"
-#include "support/ContentHash.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace mvec;
 using namespace mvec::vm;
-
-//===----------------------------------------------------------------------===//
-// Cache key
-//===----------------------------------------------------------------------===//
-
-uint64_t vm::codeKeyFor(const std::string &Source) {
-  return fnv1aMix(kBytecodeFormatVersion, fnv1aHash(Source));
-}
-
-//===----------------------------------------------------------------------===//
-// Serialization
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-constexpr char kMagic[4] = {'M', 'V', 'B', 'C'};
-
-// Size sanity caps: far above anything the compiler produces, low enough
-// that a corrupt length field cannot drive a giant allocation.
-constexpr uint32_t kMaxPoolEntries = 1u << 22;
-constexpr uint32_t kMaxStringBytes = 1u << 20;
-constexpr uint32_t kMaxRegs = 1u << 20;
-
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-
-void putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-
-void putI32(std::string &Out, int32_t V) { putU32(Out, static_cast<uint32_t>(V)); }
-
-void putStr(std::string &Out, const std::string &S) {
-  putU32(Out, static_cast<uint32_t>(S.size()));
-  Out.append(S);
-}
-
-struct Reader {
-  const std::string &Bytes;
-  size_t Pos = 0;
-  bool Ok = true;
-
-  bool take(void *Dst, size_t N) {
-    if (!Ok || Bytes.size() - Pos < N) {
-      Ok = false;
-      return false;
-    }
-    std::memcpy(Dst, Bytes.data() + Pos, N);
-    Pos += N;
-    return true;
-  }
-
-  uint32_t u32() {
-    unsigned char B[4] = {};
-    take(B, 4);
-    return static_cast<uint32_t>(B[0]) | (static_cast<uint32_t>(B[1]) << 8) |
-           (static_cast<uint32_t>(B[2]) << 16) |
-           (static_cast<uint32_t>(B[3]) << 24);
-  }
-
-  uint64_t u64() {
-    uint64_t Lo = u32(), Hi = u32();
-    return Lo | (Hi << 32);
-  }
-
-  int32_t i32() { return static_cast<int32_t>(u32()); }
-
-  uint8_t u8() {
-    unsigned char B = 0;
-    take(&B, 1);
-    return B;
-  }
-
-  std::string str() {
-    uint32_t N = u32();
-    if (!Ok || N > kMaxStringBytes || Bytes.size() - Pos < N) {
-      Ok = false;
-      return std::string();
-    }
-    std::string S(Bytes.data() + Pos, N);
-    Pos += N;
-    return S;
-  }
-};
-
-} // namespace
-
-std::string vm::serializeProgram(const CompiledProgram &P) {
-  std::string Out;
-  Out.append(kMagic, sizeof(kMagic));
-  putU32(Out, kBytecodeFormatVersion);
-  putU64(Out, P.SourceHash);
-  putU32(Out, static_cast<uint32_t>(P.Constants.size()));
-  for (double C : P.Constants) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &C, sizeof(Bits));
-    putU64(Out, Bits);
-  }
-  putU32(Out, static_cast<uint32_t>(P.Strings.size()));
-  for (const std::string &S : P.Strings)
-    putStr(Out, S);
-  putU32(Out, static_cast<uint32_t>(P.VarNames.size()));
-  for (const std::string &S : P.VarNames)
-    putStr(Out, S);
-  putU32(Out, static_cast<uint32_t>(P.ForInfos.size()));
-  for (const ForInfo &FI : P.ForInfos) {
-    putI32(Out, FI.IdxVar);
-    putU32(Out, static_cast<uint32_t>(FI.HintVars.size()));
-    for (int32_t H : FI.HintVars)
-      putI32(Out, H);
-  }
-  putU32(Out, P.NumRegs);
-  putU32(Out, static_cast<uint32_t>(P.Instrs.size()));
-  for (const Instr &I : P.Instrs) {
-    Out.push_back(static_cast<char>(I.Opcode));
-    Out.push_back(static_cast<char>(I.Flags));
-    putI32(Out, I.A);
-    putI32(Out, I.B);
-    putI32(Out, I.C);
-    putI32(Out, I.D);
-    putU32(Out, I.Loc.Line);
-    putU32(Out, I.Loc.Col);
-    putU32(Out, I.Loc2.Line);
-    putU32(Out, I.Loc2.Col);
-  }
-  return Out;
-}
-
-std::optional<CompiledProgram> vm::deserializeProgram(const std::string &Bytes) {
-  Reader R{Bytes};
-  char Magic[4] = {};
-  if (!R.take(Magic, 4) || std::memcmp(Magic, kMagic, 4) != 0)
-    return std::nullopt;
-  if (R.u32() != kBytecodeFormatVersion)
-    return std::nullopt;
-
-  CompiledProgram P;
-  P.SourceHash = R.u64();
-
-  uint32_t NumConsts = R.u32();
-  if (!R.Ok || NumConsts > kMaxPoolEntries)
-    return std::nullopt;
-  P.Constants.reserve(NumConsts);
-  for (uint32_t I = 0; I != NumConsts && R.Ok; ++I) {
-    uint64_t Bits = R.u64();
-    double D;
-    std::memcpy(&D, &Bits, sizeof(D));
-    P.Constants.push_back(D);
-  }
-
-  uint32_t NumStrings = R.u32();
-  if (!R.Ok || NumStrings > kMaxPoolEntries)
-    return std::nullopt;
-  for (uint32_t I = 0; I != NumStrings && R.Ok; ++I)
-    P.Strings.push_back(R.str());
-
-  uint32_t NumVars = R.u32();
-  if (!R.Ok || NumVars > kMaxPoolEntries)
-    return std::nullopt;
-  for (uint32_t I = 0; I != NumVars && R.Ok; ++I)
-    P.VarNames.push_back(R.str());
-
-  uint32_t NumFors = R.u32();
-  if (!R.Ok || NumFors > kMaxPoolEntries)
-    return std::nullopt;
-  for (uint32_t I = 0; I != NumFors && R.Ok; ++I) {
-    ForInfo FI;
-    FI.IdxVar = R.i32();
-    uint32_t NumHints = R.u32();
-    if (!R.Ok || NumHints > kMaxPoolEntries)
-      return std::nullopt;
-    for (uint32_t H = 0; H != NumHints && R.Ok; ++H)
-      FI.HintVars.push_back(R.i32());
-    P.ForInfos.push_back(std::move(FI));
-  }
-
-  P.NumRegs = R.u32();
-  uint32_t NumInstrs = R.u32();
-  if (!R.Ok || P.NumRegs > kMaxRegs || NumInstrs > kMaxPoolEntries)
-    return std::nullopt;
-  P.Instrs.reserve(NumInstrs);
-  for (uint32_t I = 0; I != NumInstrs && R.Ok; ++I) {
-    Instr In;
-    uint8_t OpByte = R.u8();
-    if (OpByte >= kNumOps)
-      return std::nullopt;
-    In.Opcode = static_cast<Op>(OpByte);
-    In.Flags = R.u8();
-    In.A = R.i32();
-    In.B = R.i32();
-    In.C = R.i32();
-    In.D = R.i32();
-    In.Loc.Line = R.u32();
-    In.Loc.Col = R.u32();
-    In.Loc2.Line = R.u32();
-    In.Loc2.Col = R.u32();
-    P.Instrs.push_back(In);
-  }
-
-  if (!R.Ok || R.Pos != Bytes.size())
-    return std::nullopt;
-  if (!validateProgram(P).empty())
-    return std::nullopt;
-  return P;
-}
 
 //===----------------------------------------------------------------------===//
 // Validation

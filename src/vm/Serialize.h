@@ -1,17 +1,15 @@
-//===- Serialize.h - Bytecode (de)serialization and disassembly -*- C++ -*-===//
+//===- Serialize.h - Bytecode validation and disassembly --------*- C++ -*-===//
 //
 // Part of the mvec project, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Flat little-endian serialization of CompiledProgram, the cache-key
-/// derivation that addresses compiled programs, and a textual
-/// disassembler for tests and diagnostics. Deserialization performs full
-/// structural validation (operand ranges, jump targets, pool indices):
-/// anything that does not prove out is a nullopt — the CodeCache treats
-/// it as a miss and re-lowers, mirroring how the daemon's DiskStore
-/// treats torn result entries.
+/// Structural validation of a CompiledProgram and a textual disassembler
+/// for tests and diagnostics. Compiled programs live only in memory (the
+/// CodeCache), so these are compiler invariants, not a load-time guard:
+/// the tests demand that every program the compiler emits validates, and
+/// pin the listing of representative lowerings as goldens.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,30 +18,10 @@
 
 #include "vm/Bytecode.h"
 
-#include <optional>
 #include <string>
 
 namespace mvec {
 namespace vm {
-
-/// Bumped whenever the serialized layout or opcode numbering changes.
-/// Part of the cache key, so stale persisted programs from an older
-/// format version can never be loaded — they simply miss.
-constexpr uint32_t kBytecodeFormatVersion = 5;
-
-/// The content-address of the compiled form of \p Source: the source
-/// hash mixed with the format version. Pure function of the source text,
-/// so cache lookups don't need to lower first.
-uint64_t codeKeyFor(const std::string &Source);
-
-/// Serializes \p P ("MVBC" magic, version, pools, instructions). The
-/// encoding is deterministic: equal programs produce equal bytes.
-std::string serializeProgram(const CompiledProgram &P);
-
-/// Parses and validates serialized bytes. Returns nullopt on any
-/// malformation — wrong magic/version, truncation, trailing garbage, or
-/// an instruction whose operands fail validateProgram.
-std::optional<CompiledProgram> deserializeProgram(const std::string &Bytes);
 
 /// Structural validation: every operand index in range for its class,
 /// jump targets inside the instruction stream, flags meaningful for

@@ -18,16 +18,15 @@
 //   buffer and constructing one charges nothing, so this changes
 //   representation, not behavior. Logical
 //   scalars (comparison results) stay boxed so mask-indexing semantics
-//   survive; the scalar fast paths below mirror applyBinary's scalar
-//   cases and applyFusedMulAdd's all-scalar case bit-for-bit.
+//   survive; the scalar fast paths below compute with the ScalarOps.h
+//   helpers that applyBinary, applyFusedMulAdd and toIndex call.
 //
-//   Threaded dispatch. With GNU extensions, each handler jumps straight
-//   to the next opcode's handler (computed goto), and handlers that
-//   provably cannot enter the failed state skip the per-instruction
-//   failure check (VM_NEXT_NOFAIL). A portable switch fallback keeps the
-//   exact same handler bodies via the VM_CASE/VM_NEXT macros.
+//   Threaded dispatch. Each handler jumps straight to the next opcode's
+//   handler (computed goto, a GNU extension every supported compiler
+//   has), and handlers that provably cannot enter the failed state skip
+//   the per-instruction failure check (VM_NEXT_NOFAIL).
 //
-// Scope discipline for threaded mode: computed goto does NOT run
+// Scope discipline: computed goto does NOT run
 // destructors when it jumps out of a scope (unlike plain goto), so any
 // handler local with a nontrivial destructor must be dead — destroyed by
 // an inner scope or moved-from — before VM_NEXT()/VM_NEXT_NOFAIL() runs.
@@ -41,10 +40,10 @@
 #include "interp/Builtins.h"
 #include "interp/Interpreter.h"
 #include "interp/MatrixOps.h"
+#include "interp/ScalarOps.h"
 #include "interp/Workspace.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace mvec;
 using namespace mvec::vm;
@@ -70,29 +69,16 @@ struct ForFrame {
   size_t HintsBefore = 0;
 };
 
-/// A 1x1 logical Value (comparison / logical-op result). Free of heap
-/// allocation, same as Interpreter::applyBinary's scalar path builds.
-Value logicalScalar(bool V) {
-  Value R = Value::scalar(V ? 1.0 : 0.0);
-  R.setLogical(true);
-  return R;
-}
-
 } // namespace
 
-#if defined(MVEC_VM_FORCE_PORTABLE)
-#define MVEC_VM_THREADED 0 // test hook: exercise the switch dispatcher
-#elif defined(__GNUC__) || defined(__clang__)
-#define MVEC_VM_THREADED 1
-#else
-#define MVEC_VM_THREADED 0
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the VM's dispatch loop needs computed goto (GNU labels as values)"
 #endif
 
-#if MVEC_VM_THREADED
-// Threaded mode: VM_CASE opens a label, VM_NEXT re-dispatches directly.
-// The failed() check runs only after handlers that can fail — a handler
-// that never calls fail()/stmtStep leaves the flag exactly as the
-// previous check saw it.
+// VM_CASE opens a handler label; VM_NEXT re-dispatches directly. The
+// failed() check runs only after handlers that can fail — a handler that
+// never calls fail()/stmtStep leaves the flag exactly as the previous
+// check saw it.
 #define VM_CASE(name) Lbl_##name
 #define VM_DISPATCH()                                                          \
   do {                                                                         \
@@ -108,12 +94,6 @@ Value logicalScalar(bool V) {
     VM_DISPATCH();                                                             \
   } while (0)
 #define VM_NEXT_NOFAIL() VM_DISPATCH()
-#else
-// Portable mode: plain switch in a loop; the postlude always checks.
-#define VM_CASE(name) case Op::name
-#define VM_NEXT() break
-#define VM_NEXT_NOFAIL() break
-#endif
 
 bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
   Workspace &Env = Host.env();
@@ -259,6 +239,23 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
     if (X >= 0)
       clearReg(X);
   };
+  // The base operand B of an indexing op: a variable or a register.
+  auto baseOf = [&](const Instr &I) -> const Value & {
+    return (I.Flags & flags::BaseIsSlot) ? Env.slotValue(Bound[I.B].Slot)
+                                         : box(I.B);
+  };
+  // The extent of baseOf(I) that flags::DimMask names.
+  auto extentOf = [&](const Instr &I) -> size_t {
+    const Value &Base = baseOf(I);
+    switch (I.Flags & flags::DimMask) {
+    case flags::DimRows:
+      return Base.rows();
+    case flags::DimCols:
+      return Base.cols();
+    default:
+      return Base.numel();
+    }
+  };
 
   Host.engineBegin();
 
@@ -275,7 +272,6 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
   // and StoreVar with the identical statement loc.
   SourceLoc CurStmt;
   try {
-#if MVEC_VM_THREADED
     // Label-address table; order must match the Op enum exactly.
     static const void *Table[] = {
         &&Lbl_Halt,        &&Lbl_Step,        &&Lbl_Drop,
@@ -297,12 +293,6 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
     static_assert(sizeof(Table) / sizeof(Table[0]) == kNumOps,
                   "dispatch table out of sync with the opcode list");
     goto *Table[static_cast<uint8_t>(In->Opcode)];
-#else
-    for (;;) {
-      In = &P.Instrs[IP];
-      NextIP = IP + 1;
-      switch (In->Opcode) {
-#endif
 
       VM_CASE(Halt) : { goto Lbl_Stop; }
       VM_CASE(Step) : {
@@ -415,15 +405,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
       VM_CASE(CmpJump) : {
         double A, B;
         if (srcSca(In->A, A) && srcSca(In->B, B)) {
-          bool V = false;
-          switch (static_cast<BinaryOp>(In->Flags)) {
-          case BinaryOp::Lt: V = A < B; break;
-          case BinaryOp::Gt: V = A > B; break;
-          case BinaryOp::Le: V = A <= B; break;
-          case BinaryOp::Ge: V = A >= B; break;
-          case BinaryOp::Eq: V = A == B; break;
-          default:           V = A != B; break;
-          }
+          bool V = scalarBinary(static_cast<BinaryOp>(In->Flags), A, B) != 0.0;
           clearSrc(In->A);
           clearSrc(In->B);
           if (!V)
@@ -495,46 +477,22 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
       VM_CASE(Binary) : {
         BinaryOp BO = static_cast<BinaryOp>(In->Flags & ~flags::StoreToSlot);
         double L, R;
-        if (srcSca(In->B, L) && srcSca(In->C, R) && BO != BinaryOp::Pow &&
-            BO != BinaryOp::DotPow && BO < BinaryOp::AndAnd) {
-          // Mirrors Interpreter::applyBinary's scalar fast path exactly
-          // (Pow/DotPow keep the generic powOp route there too; the
-          // short-circuit ops are never compiler-emitted as Binary and
-          // take the generic route like the walker's default does).
+        if (hasScalarForm(BO) && srcSca(In->B, L) && srcSca(In->C, R)) {
+          // Interpreter::applyBinary's scalar fast path (the short-circuit
+          // ops are never compiler-emitted as Binary).
           clearSrc(In->B);
           clearSrc(In->C);
-          double Num = 0;
-          bool Logical = false, IsCmp = true;
-          switch (BO) {
-          case BinaryOp::Add:    Num = L + R; IsCmp = false; break;
-          case BinaryOp::Sub:    Num = L - R; IsCmp = false; break;
-          case BinaryOp::Mul:
-          case BinaryOp::DotMul: Num = L * R; IsCmp = false; break;
-          case BinaryOp::Div:
-          case BinaryOp::DotDiv: Num = L / R; IsCmp = false; break;
-          case BinaryOp::Lt:  Logical = L < R; break;
-          case BinaryOp::Gt:  Logical = L > R; break;
-          case BinaryOp::Le:  Logical = L <= R; break;
-          case BinaryOp::Ge:  Logical = L >= R; break;
-          case BinaryOp::Eq:  Logical = L == R; break;
-          case BinaryOp::Ne:  Logical = L != R; break;
-          case BinaryOp::And: Logical = L != 0.0 && R != 0.0; break;
-          case BinaryOp::Or:  Logical = L != 0.0 || R != 0.0; break;
-          default: // unreachable: every op passing the guard has a case
-            internalFail(In->Loc);
-            break;
-          }
+          double Num = scalarBinary(BO, L, R);
           if (In->Flags & flags::StoreToSlot) {
             unsigned Slot = Bound[In->A].Slot;
-            Env.define(Slot,
-                       IsCmp ? logicalScalar(Logical) : Value::scalar(Num));
+            Env.define(Slot, scalarResult(BO, Num));
             if (!Host.hasShapeCaps())
               VM_NEXT_NOFAIL();
             Host.checkShapeCap(Slot, CurStmt);
             VM_NEXT();
           }
-          if (IsCmp)
-            setVal(In->A, logicalScalar(Logical));
+          if (scalarIsLogical(BO))
+            setVal(In->A, scalarResult(BO, Num));
           else
             setSca(In->A, Num);
           VM_NEXT_NOFAIL();
@@ -561,17 +519,13 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
       VM_CASE(FusedMulAdd) : {
         double SA, SB, SC;
         if (srcSca(In->B, SA) && srcSca(In->C, SB) && srcSca(In->D, SC)) {
-          // applyFusedMulAdd's all-scalar case: round the product first,
-          // exactly like the two-step evaluation does.
-          double Prod = SA * SB;
+          // applyFusedMulAdd's all-scalar case.
           clearSrc(In->B);
           clearSrc(In->C);
           clearSrc(In->D);
-          double R;
-          if (!(In->Flags & flags::FmaSubtract))
-            R = Prod + SC;
-          else
-            R = (In->Flags & flags::FmaProductOnLeft) ? Prod - SC : SC - Prod;
+          double R =
+              scalarMulAdd(SA * SB, SC, (In->Flags & flags::FmaSubtract) != 0,
+                           (In->Flags & flags::FmaProductOnLeft) != 0);
           if (In->Flags & flags::StoreToSlot) {
             unsigned Slot = Bound[In->A].Slot;
             Env.define(Slot, Value::scalar(R));
@@ -607,29 +561,11 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
         VM_NEXT();
       }
       VM_CASE(LoadExtent) : {
-        const Value &Base = (In->Flags & flags::BaseIsSlot)
-                                ? Env.slotValue(Bound[In->B].Slot)
-                                : box(In->B);
-        size_t Ext;
-        switch (In->Flags & flags::DimMask) {
-        case flags::DimRows: Ext = Base.rows(); break;
-        case flags::DimCols: Ext = Base.cols(); break;
-        default:             Ext = Base.numel(); break;
-        }
-        setSca(In->A, static_cast<double>(Ext));
+        setSca(In->A, static_cast<double>(extentOf(*In)));
         VM_NEXT_NOFAIL();
       }
       VM_CASE(MakeColon) : {
-        const Value &Base = (In->Flags & flags::BaseIsSlot)
-                                ? Env.slotValue(Bound[In->B].Slot)
-                                : box(In->B);
-        size_t Ext;
-        switch (In->Flags & flags::DimMask) {
-        case flags::DimRows: Ext = Base.rows(); break;
-        case flags::DimCols: Ext = Base.cols(); break;
-        default:             Ext = Base.numel(); break;
-        }
-        setVal(In->A, Interpreter::makeColonVector(Ext));
+        setVal(In->A, Interpreter::makeColonVector(extentOf(*In)));
         VM_NEXT_NOFAIL();
       }
       VM_CASE(TestDefined) : {
@@ -667,23 +603,19 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
         VM_NEXT_NOFAIL();
       }
       VM_CASE(IndexReadAll) : {
-        const Value &Base = (In->Flags & flags::BaseIsSlot)
-                                ? Env.slotValue(Bound[In->B].Slot)
-                                : box(In->B);
+        const Value &Base = baseOf(*In);
         setVal(In->A, Host.indexReadAll(Base));
         VM_NEXT();
       }
       VM_CASE(IndexRead1) : {
-        const Value &Base = (In->Flags & flags::BaseIsSlot)
-                                ? Env.slotValue(Bound[In->B].Slot)
-                                : box(In->B);
+        const Value &Base = baseOf(*In);
         double D;
-        if (!Base.isLogical() && srcScaPlain(In->C, D) && std::isfinite(D) &&
-            D >= 1.0 && D == std::floor(D) &&
-            D <= static_cast<double>(Base.numel())) {
+        size_t I;
+        if (!Base.isLogical() && srcScaPlain(In->C, D) &&
+            integralIndex(D, indexLimit(Base.numel()), I)) {
           // In-bounds plain scalar subscript of a plain base: indexRead1
           // would build a fresh plain 1x1 holding the selected element.
-          double V = Base.linear(static_cast<size_t>(D) - 1);
+          double V = Base.linear(I);
           clearSrc(In->C);
           setSca(In->A, V);
           VM_NEXT_NOFAIL();
@@ -696,18 +628,14 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
         VM_NEXT();
       }
       VM_CASE(IndexRead2) : {
-        const Value &Base = (In->Flags & flags::BaseIsSlot)
-                                ? Env.slotValue(Bound[In->B].Slot)
-                                : box(In->B);
+        const Value &Base = baseOf(*In);
         double RD, CD;
+        size_t R, C;
         if (!Base.isLogical() && srcScaPlain(In->C, RD) &&
-            srcScaPlain(In->D, CD) && std::isfinite(RD) && RD >= 1.0 &&
-            RD == std::floor(RD) &&
-            RD <= static_cast<double>(Base.rows()) && std::isfinite(CD) &&
-            CD >= 1.0 && CD == std::floor(CD) &&
-            CD <= static_cast<double>(Base.cols())) {
-          double V = Base.at(static_cast<size_t>(RD) - 1,
-                             static_cast<size_t>(CD) - 1);
+            srcScaPlain(In->D, CD) &&
+            integralIndex(RD, indexLimit(Base.rows()), R) &&
+            integralIndex(CD, indexLimit(Base.cols()), C)) {
+          double V = Base.at(R, C);
           clearSrc(In->C);
           clearSrc(In->D);
           setSca(In->A, V);
@@ -744,22 +672,22 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
       VM_CASE(IndexWrite1) : {
         unsigned Slot = Bound[In->A].Slot;
         double D, RV;
-        if (srcScaPlain(In->B, D) && srcSca(In->C, RV) && std::isfinite(D) &&
-            D >= 1.0 && D == std::floor(D) && D <= 9.007199254740992e15) {
+        size_t I;
+        if (srcScaPlain(In->B, D) && srcSca(In->C, RV) &&
+            integralIndex(D, MaxExactSubscript, I)) {
           // Plain integral scalar subscript, scalar RHS: replicate
           // indexWrite1's scalar-index behavior — growth rules included
           // — without the index-vector machinery. The RHS double was
           // read above, before any mutation, which is also what the
           // walker's pre-evaluated RHS temporary guarantees.
           Value &Target = Env.slotValue(Slot);
-          auto I = static_cast<size_t>(D);
-          if (I > Target.numel() &&
+          if (I >= Target.numel() &&
               !Host.growLinear(Target, D, /*ColumnIdx=*/false, In->Loc)) {
             clearSrc(In->B);
             clearSrc(In->C);
             VM_NEXT();
           }
-          Target.mutableRaw()[I - 1] = RV;
+          Target.mutableRaw()[I] = RV;
           clearSrc(In->B);
           clearSrc(In->C);
           Host.checkShapeCap(Slot, In->Loc2);
@@ -779,21 +707,19 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
       VM_CASE(IndexWrite2) : {
         unsigned Slot = Bound[In->A].Slot;
         double RD, CD, RV;
+        size_t R, C;
         if (srcScaPlain(In->B, RD) && srcScaPlain(In->C, CD) &&
-            srcSca(In->D, RV) && std::isfinite(RD) && RD >= 1.0 &&
-            RD == std::floor(RD) && RD <= 9.007199254740992e15 &&
-            std::isfinite(CD) && CD >= 1.0 && CD == std::floor(CD) &&
-            CD <= 9.007199254740992e15) {
+            srcSca(In->D, RV) && integralIndex(RD, MaxExactSubscript, R) &&
+            integralIndex(CD, MaxExactSubscript, C)) {
           Value &Target = Env.slotValue(Slot);
-          auto R = static_cast<size_t>(RD), C = static_cast<size_t>(CD);
-          if ((R > Target.rows() || C > Target.cols()) &&
+          if ((R >= Target.rows() || C >= Target.cols()) &&
               !Host.growShape(Target, RD, CD, In->Loc)) {
             clearSrc(In->B);
             clearSrc(In->C);
             clearSrc(In->D);
             VM_NEXT();
           }
-          Target.mutableRaw()[(C - 1) * Target.rows() + (R - 1)] = RV;
+          Target.mutableRaw()[C * Target.rows() + R] = RV;
           clearSrc(In->B);
           clearSrc(In->C);
           clearSrc(In->D);
@@ -903,16 +829,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
         VM_NEXT_NOFAIL();
       }
 
-#if MVEC_VM_THREADED
   Lbl_Stop:;
-#else
-      }
-      if (Host.failed())
-        break;
-      IP = NextIP;
-    }
-  Lbl_Stop:;
-#endif
   } catch (...) {
     // Injected faults and budget exhaustion unwind by exception, exactly
     // as through the walker: no hint restoration, just detach from the

@@ -467,6 +467,37 @@ TEST(DiskStore, PruneRacesConcurrentChurnSafely) {
   EXPECT_EQ(Reopened.corruptDropped(), 0u);
 }
 
+TEST(DiskStore, VmServiceStoresOnlyResults) {
+  // Under the vm engine, compiled programs stay in memory: N distinct
+  // validated jobs leave exactly N result entries, each found by one
+  // store probe (the miss that precedes its put).
+  ScratchDir Scratch("vmresults");
+  DiskStore Store(DiskStoreConfig{Scratch.path(), 0});
+  ServiceConfig Config;
+  Config.Workers = 1;
+  Config.Store = &Store;
+  Config.Engine = ExecEngine::Vm;
+  constexpr unsigned N = 3;
+  {
+    VectorizationService Service(Config);
+    for (unsigned I = 0; I != N; ++I) {
+      JobSpec Spec;
+      Spec.Name = "job" + std::to_string(I);
+      Spec.Source = "%! a(1,*) b(1,*)\nb = rand(1, 8);\na = zeros(1, 8);\n"
+                    "for i=1:8\n  a(i) = b(i) * " +
+                    std::to_string(I + 2) + ";\nend\n";
+      JobResult R = Service.submit(std::move(Spec)).get();
+      ASSERT_EQ(R.Status, JobStatus::Succeeded) << R.Message;
+    }
+    EXPECT_EQ(Service.metrics().BytecodeCompiles.load(), 2 * N)
+        << "each validation compiles the original and the vectorized form";
+  }
+  EXPECT_EQ(Store.entries(), N);
+  EXPECT_EQ(Store.puts(), N);
+  EXPECT_EQ(Store.misses(), N);
+  EXPECT_EQ(Store.hits(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // QoS
 //===----------------------------------------------------------------------===//

@@ -7,10 +7,9 @@
 /// \file
 /// The mvec::vm contract, pinned: golden disassembly for representative
 /// lowerings (superinstructions included), deterministic compilation
-/// (same source, same bytes, same content key), serialize/deserialize
-/// fidelity with corrupt inputs rejected, byte-identical engine parity
-/// against the tree-walker (values, errors, interrupts, governor
-/// charges), and the CodeCache's LRU + disk-store tiers.
+/// (same source, same program, same cache key), byte-identical engine
+/// parity against the tree-walker (values, errors, interrupts, governor
+/// charges), and the CodeCache's LRU.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,9 +17,7 @@
 #include "frontend/Parser.h"
 #include "interp/Interpreter.h"
 #include "resilience/ResourceGovernor.h"
-#include "service/ResultStore.h"
 #include "service/ServiceMetrics.h"
-#include "support/ContentHash.h"
 #include "vm/CodeCache.h"
 #include "vm/Compiler.h"
 #include "vm/Serialize.h"
@@ -30,18 +27,21 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <sstream>
 
 using namespace mvec;
 
 namespace {
 
-vm::CompiledProgram compile(const std::string &Source) {
+ParseResult parseOk(const std::string &Source) {
   DiagnosticEngine Diags;
   ParseResult R = parseMatlab(Source, Diags);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  return vm::compileProgram(R.Prog, Source);
+  return R;
+}
+
+vm::CompiledProgram compile(const std::string &Source) {
+  return vm::compileProgram(parseOk(Source).Prog, Source);
 }
 
 /// Strips trailing blanks per line so golden pins stay readable (the
@@ -213,16 +213,18 @@ TEST(VMDisasm, IndexingFeatures) {
 TEST(VMCompile, DeterministicBytesAndKey) {
   const std::string Source =
       "A = rand(4, 4);\nB = A * A';\nfor i = 1:3\n  B = B + i;\nend\n";
-  vm::CompiledProgram P1 = compile(Source);
-  vm::CompiledProgram P2 = compile(Source);
-  std::string B1 = vm::serializeProgram(P1);
-  std::string B2 = vm::serializeProgram(P2);
-  EXPECT_EQ(B1, B2) << "same source must lower to identical bytes";
-  EXPECT_EQ(P1.SourceHash, P2.SourceHash);
-  // The content key is a pure function of the source text; a different
-  // program gets a different key.
-  EXPECT_EQ(vm::codeKeyFor(Source), vm::codeKeyFor(Source));
-  EXPECT_NE(vm::codeKeyFor(Source), vm::codeKeyFor(Source + " "));
+  EXPECT_EQ(vm::disassemble(compile(Source)), vm::disassemble(compile(Source)))
+      << "same source must lower to the same program";
+  // The cache key is a pure function of the source text: the same text
+  // hits, any other text (even an identical program) compiles again.
+  ParseResult R = parseOk(Source);
+  ServiceMetrics M;
+  vm::CodeCache Cache(8, M);
+  Cache.obtain(Source, R.Prog);
+  Cache.obtain(Source, R.Prog);
+  Cache.obtain(Source + " ", R.Prog);
+  EXPECT_EQ(M.CodeCacheHits.load(), 1u);
+  EXPECT_EQ(M.BytecodeCompiles.load(), 2u);
 }
 
 TEST(VMCompile, EveryParseCompilesValid) {
@@ -234,48 +236,6 @@ TEST(VMCompile, EveryParseCompilesValid) {
   };
   for (const char *S : Sources)
     EXPECT_EQ(vm::validateProgram(compile(S)), "") << S;
-}
-
-//===----------------------------------------------------------------------===//
-// Serialization
-//===----------------------------------------------------------------------===//
-
-TEST(VMSerialize, RoundTripIsByteExact) {
-  vm::CompiledProgram P = compile(
-      "s = 'hi';\nv = [1 2 3];\nfor i = 1:numel(v)\n  v(i) = v(i) * 2;\n"
-      "end\ndisp(v);\n");
-  std::string Bytes = vm::serializeProgram(P);
-  std::optional<vm::CompiledProgram> Back = vm::deserializeProgram(Bytes);
-  ASSERT_TRUE(Back.has_value());
-  EXPECT_EQ(vm::serializeProgram(*Back), Bytes);
-  EXPECT_EQ(Back->SourceHash, P.SourceHash);
-  EXPECT_EQ(vm::validateProgram(*Back), "");
-}
-
-TEST(VMSerialize, MalformedBytesRejected) {
-  std::string Bytes = vm::serializeProgram(compile("x = 1 + 2;\n"));
-  EXPECT_TRUE(vm::deserializeProgram(Bytes).has_value());
-
-  std::string BadMagic = Bytes;
-  BadMagic[0] ^= 0x40;
-  EXPECT_FALSE(vm::deserializeProgram(BadMagic).has_value());
-
-  EXPECT_FALSE(
-      vm::deserializeProgram(Bytes.substr(0, Bytes.size() / 2)).has_value());
-  EXPECT_FALSE(vm::deserializeProgram(Bytes + "x").has_value());
-  EXPECT_FALSE(vm::deserializeProgram("").has_value());
-
-  // A flipped operand that lands out of range must fail validation, not
-  // execute: corrupt every byte position in turn and demand that any
-  // accepted variant still validates structurally.
-  for (size_t I = 0; I < Bytes.size(); ++I) {
-    std::string Mut = Bytes;
-    Mut[I] ^= 0x7f;
-    std::optional<vm::CompiledProgram> Got = vm::deserializeProgram(Mut);
-    if (Got.has_value()) {
-      EXPECT_EQ(vm::validateProgram(*Got), "") << "flipped byte " << I;
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -644,38 +604,6 @@ TEST(VMParity, GovernorChargesIdentically) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// CodeCache
-//===----------------------------------------------------------------------===//
-
-ParseResult parseOk(const std::string &Source) {
-  DiagnosticEngine Diags;
-  ParseResult R = parseMatlab(Source, Diags);
-  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  return R;
-}
-
-/// Minimal in-process ResultStore so CodeCache's disk tier is testable
-/// without a daemon DiskStore.
-class MapStore : public ResultStore {
-public:
-  std::optional<JobResult> load(uint64_t Key) override {
-    auto It = Entries.find(Key);
-    if (It == Entries.end())
-      return std::nullopt;
-    ++Loads;
-    return It->second;
-  }
-  void store(uint64_t Key, const JobResult &Result) override {
-    Entries[Key] = Result;
-    ++Stores;
-  }
-
-  std::map<uint64_t, JobResult> Entries;
-  unsigned Loads = 0;
-  unsigned Stores = 0;
-};
-
 TEST(VMParity, RowUpdateNeverDetachesItsTarget) {
   // The Table 3 ex.1 statement reads three views of X and writes one row
   // of it. The views die before the write, so X's payload is updated in
@@ -732,42 +660,9 @@ TEST(VMParity, LogicalFlagBuiltins) {
   }
 }
 
-TEST(VMCodeCache, FormatV4EntryIsRecompiled) {
-  // A persisted program of the previous bytecode format (v4, which still
-  // had the MulTransA/MulTransB opcodes) is never executed: under its own
-  // (v4) key a v5 lookup never finds it, and v4 bytes under the current
-  // key fail the version check. Either way the program is recompiled.
-  const std::string Source = "A = [1 2; 3 4];\nB = [1 0; 2 1];\nC = A' * B;\n";
-  ParseResult R = parseOk(Source);
-  MapStore Store;
-  {
-    ServiceMetrics M;
-    vm::CodeCache Warm(8, M, &Store);
-    Warm.obtain(Source, R.Prog);
-  }
-  ASSERT_EQ(Store.Entries.size(), 1u);
-  uint64_t Key = Store.Entries.begin()->first;
-  EXPECT_EQ(Key, vm::codeKeyFor(Source));
-  JobResult V4 = Store.Entries.begin()->second;
-  ASSERT_GT(V4.VectorizedSource.size(), 8u);
-  EXPECT_EQ(static_cast<uint8_t>(V4.VectorizedSource[4]),
-            vm::kBytecodeFormatVersion);
-  V4.VectorizedSource[4] = 4;
-  for (bool UnderOldKey : {true, false}) {
-    Store.Entries.clear();
-    Store.Entries[UnderOldKey ? fnv1aMix(4, fnv1aHash(Source)) : Key] = V4;
-    ServiceMetrics M;
-    vm::CodeCache Cold(8, M, &Store);
-    auto CP = Cold.obtain(Source, R.Prog);
-    ASSERT_TRUE(CP);
-    EXPECT_EQ(M.BytecodeCompiles.load(), 1u) << UnderOldKey;
-    Interpreter I;
-    ASSERT_TRUE(vm::execute(*CP, I));
-    EXPECT_EQ(std::vector<double>(I.getVariable("C")->begin(),
-                                  I.getVariable("C")->end()),
-              (std::vector<double>{7, 10, 3, 4}));
-  }
-}
+//===----------------------------------------------------------------------===//
+// CodeCache
+//===----------------------------------------------------------------------===//
 
 TEST(VMCodeCache, HitsShareOneCompilation) {
   const std::string Source = "x = 1 + 2;\n";
@@ -799,91 +694,6 @@ TEST(VMCodeCache, LRUEviction) {
   EXPECT_EQ(M.BytecodeCompiles.load(), 3u);
   Cache.obtain(S1, R1.Prog); // evicted: compiles again
   EXPECT_EQ(M.BytecodeCompiles.load(), 4u);
-}
-
-TEST(VMCodeCache, DiskRoundTripSurvivesRestart) {
-  const std::string Source = "v = 1:5;\ns = sum(v);\n";
-  ParseResult R = parseOk(Source);
-  MapStore Store;
-  {
-    ServiceMetrics M;
-    vm::CodeCache Warm(8, M, &Store);
-    Warm.obtain(Source, R.Prog);
-    EXPECT_EQ(M.BytecodeCompiles.load(), 1u);
-    EXPECT_EQ(Store.Stores, 1u);
-  }
-  // A fresh cache over the same store models a restarted shard: the
-  // program loads from the persisted bytes without re-lowering.
-  ServiceMetrics M;
-  vm::CodeCache Cold(8, M, &Store);
-  auto CP = Cold.obtain(Source, R.Prog);
-  ASSERT_TRUE(CP);
-  EXPECT_EQ(M.BytecodeCompiles.load(), 0u);
-  EXPECT_EQ(M.CodeCacheHits.load(), 1u);
-  EXPECT_EQ(M.CodeCacheMisses.load(), 0u);
-  // And the loaded program actually runs.
-  Interpreter I;
-  EXPECT_TRUE(vm::execute(*CP, I));
-  const Value *S = I.getVariable("s");
-  ASSERT_NE(S, nullptr);
-  EXPECT_EQ(S->scalarValue(), 15.0);
-}
-
-TEST(VMCodeCache, CorruptPersistedEntryIsAMiss) {
-  const std::string Source = "x = 42;\n";
-  ParseResult R = parseOk(Source);
-  MapStore Store;
-  {
-    ServiceMetrics M;
-    vm::CodeCache Warm(8, M, &Store);
-    Warm.obtain(Source, R.Prog);
-  }
-  ASSERT_EQ(Store.Entries.size(), 1u);
-  // Truncate the persisted bytecode in place; the cold cache must treat
-  // the entry as a miss and recompile rather than trust it.
-  JobResult &Entry = Store.Entries.begin()->second;
-  Entry.VectorizedSource = Entry.VectorizedSource.substr(
-      0, Entry.VectorizedSource.size() / 2);
-  ServiceMetrics M;
-  vm::CodeCache Cold(8, M, &Store);
-  auto CP = Cold.obtain(Source, R.Prog);
-  ASSERT_TRUE(CP);
-  EXPECT_EQ(M.BytecodeCompiles.load(), 1u) << "corrupt entry must recompile";
-  EXPECT_EQ(M.CodeCacheMisses.load(), 1u);
-  Interpreter I;
-  EXPECT_TRUE(vm::execute(*CP, I));
-  const Value *X = I.getVariable("x");
-  ASSERT_NE(X, nullptr);
-  EXPECT_EQ(X->scalarValue(), 42.0);
-}
-
-TEST(VMCodeCache, WrongSourceHashIsAMiss) {
-  // A store entry whose bytes deserialize fine but were compiled from
-  // different source (hash mismatch after a collisionless key mixup)
-  // must also be rejected.
-  const std::string SourceA = "x = 1;\n", SourceB = "y = 2;\n";
-  ParseResult RA = parseOk(SourceA), RB = parseOk(SourceB);
-  MapStore Store;
-  {
-    ServiceMetrics M;
-    vm::CodeCache Warm(8, M, &Store);
-    Warm.obtain(SourceB, RB.Prog);
-  }
-  ASSERT_EQ(Store.Entries.size(), 1u);
-  // Graft B's payload onto A's key.
-  JobResult Payload = Store.Entries.begin()->second;
-  Store.Entries.clear();
-  Store.Entries[vm::codeKeyFor(SourceA)] = Payload;
-  ServiceMetrics M;
-  vm::CodeCache Cold(8, M, &Store);
-  auto CP = Cold.obtain(SourceA, RA.Prog);
-  ASSERT_TRUE(CP);
-  EXPECT_EQ(M.BytecodeCompiles.load(), 1u);
-  EXPECT_EQ(M.CodeCacheMisses.load(), 1u);
-  Interpreter I;
-  EXPECT_TRUE(vm::execute(*CP, I));
-  EXPECT_NE(I.getVariable("x"), nullptr);
-  EXPECT_EQ(I.getVariable("y"), nullptr);
 }
 
 } // namespace

@@ -53,7 +53,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cost/CostModel.h"
+#include "driver/ToolFlags.h"
 #include "interp/simd/SimdDispatch.h"
 #include "resilience/FaultInjection.h"
 #include "service/VectorizationService.h"
@@ -226,9 +226,7 @@ int main(int Argc, char **Argv) {
   unsigned Jobs = 4;
   unsigned DeadlineMs = 5000;
   unsigned Period = 1;
-  ExecEngine Engine = ExecEngine::Ast;
-  bool CostOn = false;
-  std::string CostProfile;
+  ToolFlags Flags;
   bool Chaos = true;
   bool Json = false;
   std::vector<std::string> Dirs;
@@ -259,24 +257,10 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--kinds" && I + 1 != Argc) {
       if (!parseList(Argv[++I], KindNames))
         return usage(Argv[0]);
-    } else if (Arg == "--engine" && I + 1 != Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "ast")
-        Engine = ExecEngine::Ast;
-      else if (Mode == "vm")
-        Engine = ExecEngine::Vm;
-      else
+    } else if (FlagParse F = parseToolFlag(Argc, Argv, I, {}, Flags);
+               F != FlagParse::NotMine) {
+      if (F == FlagParse::Invalid)
         return usage(Argv[0]);
-    } else if (Arg == "--cost-model" && I + 1 != Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "off")
-        CostOn = false;
-      else if (Mode == "on")
-        CostOn = true;
-      else
-        return usage(Argv[0]);
-    } else if (Arg == "--cost-profile" && I + 1 != Argc) {
-      CostProfile = Argv[++I];
     } else if (simd::handleSimdFlag(Argc, Argv, I)) {
       // kernel dispatch configured (exits with status 2 on a bad level)
     } else if (Arg == "--no-chaos")
@@ -368,13 +352,8 @@ int main(int Argc, char **Argv) {
   }
 
   std::unique_ptr<cost::CostModel> Cost;
-  if (CostOn) {
-    std::string Diag;
-    Cost = std::make_unique<cost::CostModel>(
-        cost::loadCostProfileOrDefault(CostProfile, Diag));
-    if (!Diag.empty())
-      std::fprintf(stderr, "mvec_faultrun: %s\n", Diag.c_str());
-  }
+  if (Flags.CostModel == "on")
+    Cost = loadToolCostModel(Flags.CostProfile, "mvec_faultrun");
 
   auto Start = std::chrono::steady_clock::now();
   uint64_t TotalJobs = 0, TotalViolations = 0;
@@ -386,7 +365,8 @@ int main(int Argc, char **Argv) {
       break;
     ++PlansRun;
     const Campaign &C = Campaigns[P];
-    PlanTally T = runPlan(C, Specs, Jobs, DeadlineMs, Engine, Cost.get());
+    PlanTally T =
+        runPlan(C, Specs, Jobs, DeadlineMs, Flags.engine(), Cost.get());
     TotalJobs += Specs.size();
     TotalViolations += T.Violations.size();
     if (Json) {

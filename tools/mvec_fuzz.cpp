@@ -49,7 +49,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cost/CostModel.h"
+#include "driver/ToolFlags.h"
 #include "fuzz/Corpus.h"
 #include "interp/simd/SimdDispatch.h"
 #include "fuzz/Generator.h"
@@ -105,9 +105,7 @@ struct FuzzOptions {
   unsigned DeadlineMs = 2000;
   uint64_t MaxSteps = 2000000;
   int MutatePercent = 40;
-  EngineMode Engine = EngineMode::Ast;
-  CostMode Cost = CostMode::Off;
-  std::string CostProfile;
+  ToolFlags Flags; ///< --engine, --cost-model, --cost-profile
   bool Reduce = true;
   bool SaveNew = false;
   bool Replay = false;
@@ -205,28 +203,11 @@ int main(int Argc, char **Argv) {
       Opt.MaxSteps = Value;
     else if (Arg == "--mutate-percent" && NextValue(Value))
       Opt.MutatePercent = std::min(100, static_cast<int>(Value));
-    else if (Arg == "--engine" && I + 1 != Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "ast")
-        Opt.Engine = EngineMode::Ast;
-      else if (Mode == "vm")
-        Opt.Engine = EngineMode::Vm;
-      else if (Mode == "both")
-        Opt.Engine = EngineMode::Both;
-      else
+    else if (FlagParse F =
+                 parseToolFlag(Argc, Argv, I, {true, true}, Opt.Flags);
+             F != FlagParse::NotMine) {
+      if (F == FlagParse::Invalid)
         return usage(Argv[0]);
-    } else if (Arg == "--cost-model" && I + 1 != Argc) {
-      std::string Mode = Argv[++I];
-      if (Mode == "off")
-        Opt.Cost = CostMode::Off;
-      else if (Mode == "on")
-        Opt.Cost = CostMode::On;
-      else if (Mode == "both")
-        Opt.Cost = CostMode::Both;
-      else
-        return usage(Argv[0]);
-    } else if (Arg == "--cost-profile" && I + 1 != Argc) {
-      Opt.CostProfile = Argv[++I];
     } else if (simd::handleSimdFlag(Argc, Argv, I)) {
       // kernel dispatch configured (exits with status 2 on a bad level)
     } else if (Arg == "--no-reduce")
@@ -248,15 +229,16 @@ int main(int Argc, char **Argv) {
   OC.Jobs = Opt.Jobs;
   OC.Deadline = std::chrono::milliseconds(Opt.DeadlineMs);
   OC.MaxSteps = Opt.MaxSteps;
-  OC.Engine = Opt.Engine;
-  OC.Cost = Opt.Cost;
+  const ToolFlags &F = Opt.Flags;
+  OC.Engine = F.Engine == "both" ? EngineMode::Both
+              : F.Engine == "vm" ? EngineMode::Vm
+                                 : EngineMode::Ast;
+  OC.Cost = F.CostModel == "both" ? CostMode::Both
+            : F.CostModel == "on" ? CostMode::On
+                                  : CostMode::Off;
   std::unique_ptr<cost::CostModel> Model;
-  if (Opt.Cost != CostMode::Off) {
-    std::string Diag;
-    Model = std::make_unique<cost::CostModel>(
-        cost::loadCostProfileOrDefault(Opt.CostProfile, Diag));
-    if (!Diag.empty())
-      std::fprintf(stderr, "mvec_fuzz: %s\n", Diag.c_str());
+  if (OC.Cost != CostMode::Off) {
+    Model = loadToolCostModel(F.CostProfile, "mvec_fuzz");
     OC.Model = Model.get();
   }
   Oracle O(OC);
