@@ -27,7 +27,10 @@
 /// still produce a loadable profile) and assumed_trip_count keeps its
 /// conservative default — calibration measures speeds, not workloads.
 ///
-/// Usage: calibrate_costs [output.json] [--quick] [--simd LEVEL]
+/// Usage: calibrate_costs [output.json] [--quick]
+///
+/// The profile is measured at the kernel level MVEC_SIMD selects (default:
+/// the best one the host supports) and records that level's name.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,9 +104,7 @@ int main(int argc, char **argv) {
     if (std::strcmp(argv[I], "--quick") == 0)
       Budget = 0.03; // CI smoke: prove the harness runs and emits a
                      // loadable profile; the numbers are noisy
-    else if (simd::handleSimdFlag(argc, argv, I)) {
-      // kernel dispatch configured (exits with status 2 on a bad level)
-    } else
+    else
       OutPath = argv[I];
   }
 

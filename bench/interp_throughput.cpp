@@ -151,9 +151,7 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--quick") == 0)
       BudgetSecs = 0.2; // CI smoke: just prove it runs and emits valid JSON
-    else if (mvec::simd::handleSimdFlag(argc, argv, I)) {
-      // kernel dispatch configured (exits with status 2 on a bad level)
-    } else
+    else
       OutPath = argv[I];
   }
 

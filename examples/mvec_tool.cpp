@@ -53,7 +53,6 @@
 #include "driver/ToolFlags.h"
 #include "frontend/Parser.h"
 #include "interp/Interpreter.h"
-#include "interp/simd/SimdDispatch.h"
 #include "patterns/PluginAPI.h"
 #include "service/VectorizationService.h"
 #include "vm/Compiler.h"
@@ -82,10 +81,9 @@ int usage(const char *Argv0) {
                "  -o FILE, --remarks, --validate, --run, "
                "--engine ast|vm|both, --plugin PATH,\n"
                "  --cost-model off|on, --cost-profile FILE, --explain-cost,\n"
-               "  --simd %s (or MVEC_SIMD env),\n"
                "  --no-transposes, --no-patterns, --no-reductions,\n"
                "  --no-reassociation, --no-normalize\n",
-               Argv0, Argv0, simd::flagValues());
+               Argv0, Argv0);
   return 2;
 }
 
@@ -224,9 +222,7 @@ int main(int argc, char **argv) {
         return usage(argv[0]);
     } else if (Arg == "--explain-cost")
       ExplainCost = true;
-    else if (simd::handleSimdFlag(argc, argv, I)) {
-      // kernel dispatch configured (exits with status 2 on a bad level)
-    } else if (Arg == "--stats")
+    else if (Arg == "--stats")
       Stats = true;
     else if (Arg == "--stats-json" && I + 1 < argc)
       StatsJsonPath = argv[++I];

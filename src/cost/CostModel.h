@@ -46,8 +46,8 @@ struct CostProfile {
   static constexpr int CurrentVersion = 1;
 
   int Version = CurrentVersion;
-  /// SIMD dispatch level the calibration ran at ("scalar", "sse2",
-  /// "sse4.1", "avx2" — or "default" for the built-in profile).
+  /// SIMD dispatch level the calibration ran at (simd::levelName:
+  /// "scalar", "sse2", "avx2" — or "default" for the built-in profile).
   std::string SimdLevel = "default";
   /// False for the built-in conservative profile, true once measured.
   bool Calibrated = false;

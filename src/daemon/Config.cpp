@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "daemon/Config.h"
+#include "support/StringExtras.h"
 
 #include <cstdlib>
 #include <fstream>
@@ -13,14 +14,6 @@
 using namespace mvec::daemon;
 
 namespace {
-
-std::string trim(const std::string &S) {
-  size_t B = S.find_first_not_of(" \t\r");
-  if (B == std::string::npos)
-    return "";
-  size_t E = S.find_last_not_of(" \t\r");
-  return S.substr(B, E - B + 1);
-}
 
 bool parseUnsigned(const std::string &V, uint64_t &Out) {
   char *End = nullptr;
@@ -44,7 +37,7 @@ bool mvec::daemon::parseDaemonConfig(const std::string &Text,
   unsigned LineNo = 0;
   while (std::getline(In, Line)) {
     ++LineNo;
-    std::string T = trim(Line);
+    std::string T(mvec::trim(Line));
     if (T.empty() || T[0] == '#')
       continue;
     size_t Eq = T.find('=');
@@ -52,8 +45,8 @@ bool mvec::daemon::parseDaemonConfig(const std::string &Text,
       Error = "line " + std::to_string(LineNo) + ": expected 'key = value'";
       return false;
     }
-    std::string Key = trim(T.substr(0, Eq));
-    std::string Value = trim(T.substr(Eq + 1));
+    std::string Key(mvec::trim(T.substr(0, Eq)));
+    std::string Value(mvec::trim(T.substr(Eq + 1)));
     uint64_t U = 0;
     double D = 0;
     if (Key == "shards" && parseUnsigned(Value, U) && U >= 1 && U <= 256)

@@ -68,16 +68,6 @@ void AdmissionController::setLimits(double NewRatePerSec, double NewBurst) {
   }
 }
 
-double AdmissionController::ratePerSec() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return RatePerSec;
-}
-
-double AdmissionController::burst() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Burst;
-}
-
 std::vector<TenantStats> AdmissionController::snapshot() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   std::vector<TenantStats> Out;

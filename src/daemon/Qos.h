@@ -79,9 +79,6 @@ public:
   /// (clamped to the new burst) and counters.
   void setLimits(double NewRatePerSec, double NewBurst);
 
-  double ratePerSec() const;
-  double burst() const;
-
   /// Per-tenant accounting snapshot, sorted by tenant id.
   std::vector<TenantStats> snapshot() const;
   uint64_t totalShed() const;

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// One parser for the execution-tier and cost-model flags of mvec_tool,
-/// mvec_fuzz and mvec_faultrun (--simd has its own, simd::handleSimdFlag):
+/// mvec_fuzz and mvec_faultrun (the kernel level is not a flag: the
+/// MVEC_SIMD environment variable sets it, see SimdDispatch.h):
 ///
 ///   --engine ast|vm|both   --cost-model off|on|both   --cost-profile FILE
 ///

@@ -34,10 +34,6 @@ const char *mvec::fuzz::findingKindName(FindingKind Kind) {
 
 namespace {
 
-bool startsWith(const std::string &S, const char *Prefix) {
-  return S.rfind(Prefix, 0) == 0;
-}
-
 /// Extracts the text between the first pair of single quotes ("variable
 /// 'name' differs" -> "name"); empty when there is no quoted token.
 std::string firstQuoted(const std::string &S) {
@@ -78,16 +74,16 @@ Verdict classifyDiff(DiffStatus Status, const std::string &Msg) {
   case DiffStatus::TimedOut:
     // A slow original is the input's fault; a slow transformed program
     // means the transformation changed the amount of work.
-    if (startsWith(Msg, "original program"))
+    if (Msg.starts_with("original program"))
       return rejected();
     return finding(FindingKind::Hang, "hang:transformed", Msg);
   case DiffStatus::Error:
-    if (startsWith(Msg, "original program"))
+    if (Msg.starts_with("original program"))
       return rejected();
-    if (startsWith(Msg, "transformed program does not parse"))
+    if (Msg.starts_with("transformed program does not parse"))
       return finding(FindingKind::TransformedRunError,
                      "trun:parse:" + Oracle::normalizeForBucket(Msg), Msg);
-    if (startsWith(Msg, "transformed program failed: ")) {
+    if (Msg.starts_with("transformed program failed: ")) {
       std::string Err = Msg.substr(std::string("transformed program failed: ")
                                        .size());
       return finding(FindingKind::TransformedRunError,
@@ -96,13 +92,13 @@ Verdict classifyDiff(DiffStatus Status, const std::string &Msg) {
     return finding(FindingKind::TransformedRunError,
                    "trun:" + Oracle::normalizeForBucket(Msg), Msg);
   case DiffStatus::Mismatch:
-    if (startsWith(Msg, "variable '")) {
+    if (Msg.starts_with("variable '")) {
       std::string Var = firstQuoted(Msg);
       if (Msg.find("missing after transformation") != std::string::npos)
         return finding(FindingKind::Mismatch, "mismatch:missing:" + Var, Msg);
       return finding(FindingKind::Mismatch, "mismatch:var:" + Var, Msg);
     }
-    if (startsWith(Msg, "transformation introduced variable"))
+    if (Msg.starts_with("transformation introduced variable"))
       return finding(FindingKind::Mismatch,
                      "mismatch:introduced:" + firstQuoted(Msg), Msg);
     return finding(FindingKind::Mismatch, "mismatch:output", Msg);
@@ -332,16 +328,16 @@ Verdict Oracle::classifyJob(const JobResult &R) {
     // constructor); treat it as non-finding if a custom config allows it.
     return rejected();
   case JobStatus::TimedOut: {
-    if (startsWith(R.Message, "deadline exceeded during vectorization"))
+    if (R.Message.starts_with("deadline exceeded during vectorization"))
       return finding(FindingKind::Hang, "hang:vectorize", R.Message);
     const char *Prefix = "validation timed out: ";
-    std::string Msg = startsWith(R.Message, Prefix)
+    std::string Msg = R.Message.starts_with(Prefix)
                           ? R.Message.substr(std::string(Prefix).size())
                           : R.Message;
     return classifyDiff(DiffStatus::TimedOut, Msg);
   }
   case JobStatus::Failed: {
-    if (startsWith(R.Message, "internal error: "))
+    if (R.Message.starts_with("internal error: "))
       return finding(
           FindingKind::Crash,
           "crash:" + normalizeForBucket(
@@ -349,13 +345,13 @@ Verdict Oracle::classifyJob(const JobResult &R) {
                                               .size())),
           R.Message);
     const char *Prefix = "validation failed: ";
-    if (startsWith(R.Message, Prefix)) {
+    if (R.Message.starts_with(Prefix)) {
       std::string Msg = R.Message.substr(std::string(Prefix).size());
       // Re-derive the diff status from the message shape; the two
       // failure classes diffRunLimited can produce under this prefix are
       // Error ("... program ...") and Mismatch (everything else).
-      DiffStatus Status = startsWith(Msg, "original program") ||
-                                  startsWith(Msg, "transformed program")
+      DiffStatus Status = Msg.starts_with("original program") ||
+                                  Msg.starts_with("transformed program")
                               ? DiffStatus::Error
                               : DiffStatus::Mismatch;
       return classifyDiff(Status, Msg);

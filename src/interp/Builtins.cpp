@@ -190,7 +190,7 @@ Value doFprintf(Interpreter &Interp, const ArgList &Args, SourceLoc Loc) {
 
 /// Dense dispatch table plus a name -> id index. IDs are assigned in sorted
 /// name order (the construction goes through a std::map once, at startup),
-/// so builtinNames() stays sorted and ids are stable within a build.
+/// so ids are stable within a build.
 struct BuiltinRegistry {
   std::vector<std::pair<std::string, BuiltinFn>> Entries;
   std::unordered_map<std::string, BuiltinId> Index;
@@ -725,13 +725,4 @@ Value mvec::callBuiltin(Interpreter &Interp, BuiltinId Id,
       A.materialize();
   }
   return R.Entries[Id].second(Interp, Args, Loc);
-}
-
-std::vector<std::string> mvec::builtinNames() {
-  std::vector<std::string> Names;
-  for (const auto &[Name, Fn] : registry().Entries) {
-    (void)Fn;
-    Names.push_back(Name);
-  }
-  return Names;
 }

@@ -47,10 +47,6 @@ inline bool isBuiltinName(const std::string &Name) {
 Value callBuiltin(Interpreter &Interp, BuiltinId Id, std::vector<Value> &Args,
                   SourceLoc Loc);
 
-/// Names of every registered builtin, sorted (used by analyses that must
-/// decide whether an identifier is a function or an array).
-std::vector<std::string> builtinNames();
-
 } // namespace mvec
 
 #endif // MVEC_INTERP_BUILTINS_H

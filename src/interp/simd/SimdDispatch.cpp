@@ -8,7 +8,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 namespace mvec::simd {
@@ -17,7 +16,6 @@ namespace detail {
 const KernelTable &scalarTable();
 #ifdef MVEC_SIMD_X86
 const KernelTable &sse2Table();
-const KernelTable &sse41Table();
 const KernelTable &avx2Table();
 #endif
 } // namespace detail
@@ -31,8 +29,6 @@ const KernelTable *tableFor(Level L) {
 #ifdef MVEC_SIMD_X86
   case Level::Sse2:
     return &detail::sse2Table();
-  case Level::Sse41:
-    return &detail::sse41Table();
   case Level::Avx2:
     return &detail::avx2Table();
 #else
@@ -50,8 +46,6 @@ bool cpuSupports(Level L) {
 #ifdef MVEC_SIMD_X86
   case Level::Sse2:
     return __builtin_cpu_supports("sse2");
-  case Level::Sse41:
-    return __builtin_cpu_supports("sse4.1");
   case Level::Avx2:
     // AVX2 kernels also use AVX encodings of the 128-bit ops; the OS must
     // save ymm state, which cpu_supports("avx2") implies on GCC/Clang.
@@ -69,28 +63,31 @@ bool cpuSupports(Level L) {
 std::atomic<const KernelTable *> ActiveTable{nullptr};
 std::once_flag InitOnce;
 
+constexpr const char *kLevelValues = "auto|scalar|sse2|avx2";
+
+/// The one name -> level parse: "auto" and "best" name the strongest
+/// supported level. False for an unknown name.
+bool parseLevel(const std::string &Spec, Level &Out) {
+  if (Spec == "auto" || Spec == "best") {
+    Out = bestSupportedLevel();
+    return true;
+  }
+  for (Level L : {Level::Scalar, Level::Sse2, Level::Avx2})
+    if (Spec == levelName(L)) {
+      Out = L;
+      return true;
+    }
+  return false;
+}
+
 void initFromEnvironment() {
   Level Chosen = bestSupportedLevel();
   if (const char *Env = std::getenv("MVEC_SIMD"); Env && *Env) {
     Level EnvLevel = Level::Scalar;
-    bool Parsed = true;
-    std::string Spec(Env);
-    if (Spec == "auto" || Spec == "best")
-      EnvLevel = bestSupportedLevel();
-    else if (Spec == "scalar")
-      EnvLevel = Level::Scalar;
-    else if (Spec == "sse2")
-      EnvLevel = Level::Sse2;
-    else if (Spec == "sse41")
-      EnvLevel = Level::Sse41;
-    else if (Spec == "avx2")
-      EnvLevel = Level::Avx2;
-    else
-      Parsed = false;
-    if (!Parsed) {
+    if (!parseLevel(Env, EnvLevel)) {
       std::fprintf(stderr,
                    "mvec: ignoring MVEC_SIMD=%s (expected %s); using %s\n",
-                   Env, flagValues(), levelName(Chosen));
+                   Env, kLevelValues, levelName(Chosen));
     } else if (!levelSupported(EnvLevel)) {
       std::fprintf(
           stderr,
@@ -126,8 +123,6 @@ const char *levelName(Level L) {
     return "scalar";
   case Level::Sse2:
     return "sse2";
-  case Level::Sse41:
-    return "sse41";
   case Level::Avx2:
     return "avx2";
   }
@@ -138,7 +133,6 @@ std::vector<Level> compiledLevels() {
   std::vector<Level> Levels{Level::Scalar};
 #ifdef MVEC_SIMD_X86
   Levels.push_back(Level::Sse2);
-  Levels.push_back(Level::Sse41);
   Levels.push_back(Level::Avx2);
 #endif
   return Levels;
@@ -148,11 +142,9 @@ bool levelSupported(Level L) { return tableFor(L) && cpuSupports(L); }
 
 Level bestSupportedLevel() {
   Level Best = Level::Scalar;
-#ifdef MVEC_SIMD_X86
-  for (Level L : {Level::Sse2, Level::Sse41, Level::Avx2})
+  for (Level L : compiledLevels())
     if (levelSupported(L))
       Best = L;
-#endif
   return Best;
 }
 
@@ -170,42 +162,13 @@ bool setLevel(Level L, std::string *Err) {
 }
 
 bool configureFromString(const std::string &Spec, std::string *Err) {
-  if (Spec == "auto" || Spec == "best")
-    return setLevel(bestSupportedLevel(), Err);
-  if (Spec == "scalar")
-    return setLevel(Level::Scalar, Err);
-  if (Spec == "sse2")
-    return setLevel(Level::Sse2, Err);
-  if (Spec == "sse41")
-    return setLevel(Level::Sse41, Err);
-  if (Spec == "avx2")
-    return setLevel(Level::Avx2, Err);
+  Level L = Level::Scalar;
+  if (parseLevel(Spec, L))
+    return setLevel(L, Err);
   if (Err)
-    *Err = "unknown simd level '" + Spec + "' (expected " + flagValues() + ")";
+    *Err =
+        "unknown simd level '" + Spec + "' (expected " + kLevelValues + ")";
   return false;
-}
-
-bool handleSimdFlag(int Argc, char **Argv, int &I) {
-  const char *Arg = Argv[I];
-  if (std::strncmp(Arg, "--simd", 6) != 0)
-    return false;
-  const char *Spec;
-  if (Arg[6] == '=')
-    Spec = Arg + 7;
-  else if (Arg[6] == '\0' && I + 1 < Argc)
-    Spec = Argv[++I];
-  else if (Arg[6] == '\0') {
-    std::fprintf(stderr, "error: --simd requires a level (%s)\n",
-                 flagValues());
-    std::exit(2);
-  } else
-    return false; // e.g. some future --simd-foo flag
-  std::string Err;
-  if (!configureFromString(Spec, &Err)) {
-    std::fprintf(stderr, "%s\n", Err.c_str());
-    std::exit(2);
-  }
-  return true;
 }
 
 } // namespace mvec::simd

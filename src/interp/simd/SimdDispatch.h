@@ -12,11 +12,11 @@
 /// cpuid-based dispatcher.
 ///
 /// Each ISA lives in its own translation unit compiled with that ISA's
-/// flags (Kernels_sse2.cpp, Kernels_sse41.cpp, Kernels_avx2.cpp — the
-/// per-ISA-object-file pattern of RayDemo's `_Ray_Sse41.cpp` builds); the
-/// portable scalar table (Kernels_scalar.cpp) is always compiled and is
-/// both the fallback on non-x86 hosts and the bit-exact reference the
-/// differential tests compare every other table against.
+/// flags (Kernels_sse2.cpp, Kernels_avx2.cpp — one object file per ISA, so
+/// no wider encoding can leak into a narrower table); the portable scalar
+/// table (Kernels_scalar.cpp) is always compiled and is both the fallback
+/// on non-x86 hosts and the bit-exact reference the differential tests
+/// compare every other table against.
 ///
 /// Exact-semantics contract (PR 3): every table must produce bit-identical
 /// results to the scalar table. Concretely:
@@ -31,8 +31,9 @@
 ///     zero multipliers is unchanged.
 ///
 /// Selection: the first use picks the best CPU-supported compiled-in
-/// level, overridable by the MVEC_SIMD environment variable or the tools'
-/// --simd flag ("auto", "best", "scalar", "sse2", "sse41", "avx2").
+/// level, overridable by the MVEC_SIMD environment variable ("auto",
+/// "best", "scalar", "sse2", "avx2"); an unknown or unsupported value
+/// warns once on stderr and keeps the best level.
 /// Dispatch state is process-global; per-kernel dispatch counters let
 /// deployments confirm which tier actually served their traffic.
 ///
@@ -52,7 +53,7 @@ namespace mvec::simd {
 /// Dispatch levels, ordered weakest to strongest. Scalar is always
 /// available; the x86 levels exist only when compiled in (MVEC_SIMD=ON,
 /// x86-64 host toolchain) and the CPU reports the feature.
-enum class Level : int { Scalar = 0, Sse2 = 1, Sse41 = 2, Avx2 = 3 };
+enum class Level : int { Scalar = 0, Sse2 = 1, Avx2 = 2 };
 
 /// Comparison / elementwise-logical predicates, decoupled from the
 /// frontend's BinaryOp so kernel translation units stay AST-free.
@@ -159,20 +160,10 @@ Level bestSupportedLevel();
 /// unchanged) when \p L is not supported on this host.
 bool setLevel(Level L, std::string *Err = nullptr);
 
-/// Parses a --simd / MVEC_SIMD spec: "auto" and "best" select the
-/// strongest supported level, otherwise a level name pins that level.
-/// Unknown names and unsupported levels fail with a diagnostic in \p Err.
+/// Parses a MVEC_SIMD spec: "auto" and "best" select the strongest
+/// supported level, otherwise a level name pins that level. Unknown names
+/// and unsupported levels fail with a diagnostic in \p Err.
 bool configureFromString(const std::string &Spec, std::string *Err = nullptr);
-
-/// The usage string shared by every tool flag: "auto|scalar|sse2|sse41|avx2".
-inline const char *flagValues() { return "auto|scalar|sse2|sse41|avx2"; }
-
-/// CLI helper shared by the tools and benches: recognizes both
-/// "--simd LEVEL" and "--simd=LEVEL". Returns false when \p Argv[I] is
-/// not a --simd flag. On a recognized flag, configures dispatch and
-/// returns true, advancing \p I past a separate LEVEL argument; a bad or
-/// missing level prints a diagnostic to stderr and exits with status 2.
-bool handleSimdFlag(int Argc, char **Argv, int &I);
 
 } // namespace mvec::simd
 

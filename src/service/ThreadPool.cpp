@@ -57,11 +57,6 @@ void ThreadPool::shutdown() {
     T.join();
 }
 
-size_t ThreadPool::queueDepth() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Queue.size();
-}
-
 size_t ThreadPool::queueHighWater() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return HighWater;

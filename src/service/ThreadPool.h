@@ -50,8 +50,6 @@ public:
 
   unsigned workerCount() const { return static_cast<unsigned>(Threads.size()); }
   size_t queueCapacity() const { return Capacity; }
-  /// Current number of queued (not yet running) tasks.
-  size_t queueDepth() const;
   /// Deepest the queue has been since construction.
   size_t queueHighWater() const;
   /// Tasks that escaped with an exception (contained by the worker loop).

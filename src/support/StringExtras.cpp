@@ -12,17 +12,6 @@
 
 using namespace mvec;
 
-std::string mvec::join(const std::vector<std::string> &Parts,
-                       std::string_view Sep) {
-  std::string Result;
-  for (size_t I = 0, E = Parts.size(); I != E; ++I) {
-    if (I != 0)
-      Result += Sep;
-    Result += Parts[I];
-  }
-  return Result;
-}
-
 std::string_view mvec::trim(std::string_view S) {
   size_t Begin = 0, End = S.size();
   while (Begin < End && std::isspace(static_cast<unsigned char>(S[Begin])))
@@ -30,20 +19,6 @@ std::string_view mvec::trim(std::string_view S) {
   while (End > Begin && std::isspace(static_cast<unsigned char>(S[End - 1])))
     --End;
   return S.substr(Begin, End - Begin);
-}
-
-std::vector<std::string> mvec::split(std::string_view S, char Sep) {
-  std::vector<std::string> Fields;
-  size_t Start = 0;
-  while (true) {
-    size_t Pos = S.find(Sep, Start);
-    if (Pos == std::string_view::npos) {
-      Fields.emplace_back(S.substr(Start));
-      return Fields;
-    }
-    Fields.emplace_back(S.substr(Start, Pos - Start));
-    Start = Pos + 1;
-  }
 }
 
 std::string mvec::formatMatlabNumber(double Value) {
@@ -65,8 +40,4 @@ std::string mvec::formatMatlabNumber(double Value) {
       return Short;
   }
   return Buf;
-}
-
-bool mvec::startsWith(std::string_view S, std::string_view Prefix) {
-  return S.size() >= Prefix.size() && S.substr(0, Prefix.size()) == Prefix;
 }

@@ -14,26 +14,16 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace mvec {
 
-/// Joins \p Parts with \p Sep between consecutive elements.
-std::string join(const std::vector<std::string> &Parts, std::string_view Sep);
-
 /// Strips leading and trailing whitespace.
 std::string_view trim(std::string_view S);
-
-/// Splits \p S on \p Sep, keeping empty fields.
-std::vector<std::string> split(std::string_view S, char Sep);
 
 /// Formats a double the way MATLAB source would print an integral constant
 /// ("3" not "3.000000"); non-integral values keep enough digits to
 /// round-trip.
 std::string formatMatlabNumber(double Value);
-
-/// True if \p S starts with \p Prefix.
-bool startsWith(std::string_view S, std::string_view Prefix);
 
 } // namespace mvec
 

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -566,6 +567,12 @@ TEST(SimdDispatchTest, ScalarAlwaysCompiledAndSpecParses) {
   std::string Err;
   EXPECT_FALSE(simd::configureFromString("vliw", &Err));
   EXPECT_FALSE(Err.empty());
+  // A stale "sse41" is one more unknown level, and the diagnostic lists
+  // exactly the levels that exist.
+  Err.clear();
+  EXPECT_FALSE(simd::configureFromString("sse41", &Err));
+  EXPECT_NE(Err.find("(expected auto|scalar|sse2|avx2)"), std::string::npos)
+      << Err;
   // "auto"/"best" and every supported name select successfully; the active
   // level is restored afterwards so other tests see the default.
   simd::Level Before = simd::activeLevel();
@@ -576,6 +583,19 @@ TEST(SimdDispatchTest, ScalarAlwaysCompiledAndSpecParses) {
   for (simd::Level L : supportedLevels())
     EXPECT_TRUE(simd::configureFromString(simd::levelName(L), nullptr));
   EXPECT_TRUE(simd::setLevel(Before));
+}
+
+// CI runs this binary once per level under MVEC_SIMD=<level>. An env
+// parse that lost a level would only warn and fall back, and the leg would
+// silently test the best level; this pins that the named level is active.
+TEST(SimdDispatchTest, EnvironmentLevelIsActive) {
+  const char *Env = std::getenv("MVEC_SIMD");
+  simd::Level Want = simd::bestSupportedLevel();
+  for (simd::Level L : supportedLevels())
+    if (Env && std::strcmp(Env, simd::levelName(L)) == 0)
+      Want = L;
+  EXPECT_STREQ(simd::levelName(simd::activeLevel()), simd::levelName(Want))
+      << "MVEC_SIMD=" << (Env ? Env : "(unset)");
 }
 
 TEST(SimdDispatchTest, ForcedScalarFallbackServesKernels) {

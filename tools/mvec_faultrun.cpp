@@ -37,10 +37,6 @@
 ///                     contract, so injected faults unwinding through the
 ///                     dispatch loop must leave shards as healthy as ones
 ///                     unwinding through the tree-walker
-///   --simd LEVEL      pin the kernel dispatch level (auto|scalar|sse2|
-///                     sse41|avx2; MVEC_SIMD env is the default) — the
-///                     campaign's deadline-poll and governor invariants
-///                     must hold on the vector path too
 ///   --cost-model M    profitability model during vectorization: off
 ///                     (default) or on — the resilience contract must
 ///                     hold regardless of which form each nest takes
@@ -48,13 +44,16 @@
 ///   --no-chaos        skip the everything-armed plan
 ///   --json            machine-readable per-plan summary on stdout
 ///
+/// MVEC_SIMD (auto|scalar|sse2|avx2, default auto) pins the kernel
+/// dispatch level: the campaign's deadline-poll and governor invariants
+/// must hold on the vector path too.
+///
 /// Exit status: 0 when every invariant held over every plan, 1 on any
 /// violation, 2 on usage errors.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/ToolFlags.h"
-#include "interp/simd/SimdDispatch.h"
 #include "resilience/FaultInjection.h"
 #include "service/VectorizationService.h"
 
@@ -84,7 +83,7 @@ int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s --corpus DIR [--corpus DIR]... [--seed N] [--jobs N]\n"
                "       %*s [--sites a,b] [--kinds a,b] [--deadline-ms N]\n"
-               "       %*s [--period N] [--engine ast|vm] [--simd LEVEL] "
+               "       %*s [--period N] [--engine ast|vm] "
                "[--cost-model off|on]\n"
                "       %*s [--cost-profile FILE] [--no-chaos] [--json]\n",
                Argv0, static_cast<int>(std::strlen(Argv0)), "",
@@ -261,8 +260,6 @@ int main(int Argc, char **Argv) {
                F != FlagParse::NotMine) {
       if (F == FlagParse::Invalid)
         return usage(Argv[0]);
-    } else if (simd::handleSimdFlag(Argc, Argv, I)) {
-      // kernel dispatch configured (exits with status 2 on a bad level)
     } else if (Arg == "--no-chaos")
       Chaos = false;
     else if (Arg == "--json")

@@ -40,18 +40,18 @@
 ///                       and on and demands identical behaviour)
 ///   --cost-profile P    calibrated costs.mvec.json for on/both (default:
 ///                       the built-in conservative profile)
-///   --simd LEVEL        pin the kernel dispatch level (auto|scalar|sse2|
-///                       sse41|avx2; MVEC_SIMD env is the default)
 ///   --no-reduce         keep findings unminimized
 ///   --save-new          persist new findings into the corpus
 ///   --replay            re-run the corpus as a regression suite and exit
 ///   --stats             print service metrics at the end
 ///
+/// MVEC_SIMD (auto|scalar|sse2|avx2, default auto) pins the kernel
+/// dispatch level every oracle run uses.
+///
 //===----------------------------------------------------------------------===//
 
 #include "driver/ToolFlags.h"
 #include "fuzz/Corpus.h"
-#include "interp/simd/SimdDispatch.h"
 #include "fuzz/Generator.h"
 #include "fuzz/Mutator.h"
 #include "fuzz/Oracle.h"
@@ -86,7 +86,7 @@ int usage(const char *Argv0) {
       "       %*s [--corpus DIR] [--deadline-ms N] [--max-steps N]\n"
       "       %*s [--mutate-percent P] [--engine ast|vm|both]\n"
       "       %*s [--cost-model off|on|both] [--cost-profile FILE]\n"
-      "       %*s [--simd LEVEL] [--no-reduce] [--save-new] [--stats]\n"
+      "       %*s [--no-reduce] [--save-new] [--stats]\n"
       "       %s --replay [--corpus DIR] [--jobs N] [--engine ast|vm|both]"
       " [--stats]\n",
       Argv0, static_cast<int>(std::strlen(Argv0)), "",
@@ -208,8 +208,6 @@ int main(int Argc, char **Argv) {
              F != FlagParse::NotMine) {
       if (F == FlagParse::Invalid)
         return usage(Argv[0]);
-    } else if (simd::handleSimdFlag(Argc, Argv, I)) {
-      // kernel dispatch configured (exits with status 2 on a bad level)
     } else if (Arg == "--no-reduce")
       Opt.Reduce = false;
     else if (Arg == "--save-new")
