@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Every loop program the paper discusses, as annotated MATLAB sources
-/// with small default sizes. Shared by the ablation and throughput
-/// benchmarks.
+/// with small default sizes. Read by the perfbench engine and by the
+/// feature-ablation test in VectorizerTest.
 ///
 //===----------------------------------------------------------------------===//
 

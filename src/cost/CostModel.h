@@ -13,7 +13,7 @@
 /// interpreted loop's cost and keeps the loop when the loop is cheaper.
 ///
 /// The estimate is driven by a CostProfile: per-kernel-class nanosecond
-/// coefficients measured by bench/calibrate_costs against the *active*
+/// coefficients measured by tools/calibrate_costs against the *active*
 /// SIMD dispatch level (an AVX2 matmul and a scalar one differ ~3x, so a
 /// static table cannot work), persisted as a checksummed costs.mvec.json.
 /// A conservative built-in profile keeps the model usable uncalibrated;

@@ -80,7 +80,7 @@ public:
 
   DaemonConfig config() const;
   /// The daemon-level metrics document (one JSON object embedding each
-  /// shard's ServiceMetrics dump) — the schema BENCH_daemon.json and the
+  /// shard's ServiceMetrics dump) — the schema `mvec_load --stats` and the
   /// CI smoke job both read.
   std::string metricsJson() const;
 

@@ -182,9 +182,9 @@ TEST(CostProfile, LoadAcceptsGoodFile) {
 }
 
 TEST(CostProfile, LoadsFreshCalibration) {
-  // CI's bench-smoke job points this at a costs.mvec.json that
-  // calibrate_costs --quick just wrote, closing the loop between the
-  // harness's output and the loader.
+  // The ctest fixture cost.calibrate-quick writes a profile with
+  // calibrate_costs --quick and points this at it, closing the loop
+  // between the calibration tool's output and the loader.
   const char *Path = std::getenv("MVEC_COST_PROFILE");
   if (!Path || !*Path)
     GTEST_SKIP() << "MVEC_COST_PROFILE not set";
@@ -192,6 +192,7 @@ TEST(CostProfile, LoadsFreshCalibration) {
   cost::CostProfile P = cost::loadCostProfileOrDefault(Path, Diag);
   EXPECT_TRUE(Diag.empty()) << Diag;
   EXPECT_TRUE(P.Calibrated);
+  EXPECT_NE(P.SimdLevel, "default") << "must record the measured level";
   cost::CostModel M{P};
   EXPECT_NE(M.fingerprint(), cost::builtinCostModel().fingerprint());
 
@@ -414,6 +415,80 @@ TEST(CostPipeline, CalibratedProfileDrivesSameTinyTripDecision) {
   PipelineResult On = vectorizeSource(Source, Opts);
   ASSERT_TRUE(On.succeeded());
   EXPECT_GT(On.Stats.StmtsCostKept, 0u);
+}
+
+TEST(CostPipeline, AdversarialWorkloadDecisions) {
+  // The micro-workloads the model exists for, each under a hot shell loop
+  // (EXPERIMENTS.md, "Profitability model"). Only the 2-element nest is
+  // cheaper as a loop; a 3x3 repmat broadcast and a 2x2 transpose still
+  // pay off vectorized, and a wide elementwise nest clearly does.
+  struct Workload {
+    const char *Name;
+    const char *Source;
+    bool KeepsLoop;
+  };
+  const Workload Workloads[] = {
+      {"trip-count-2",
+       "%! w(1,*) acc(1,*)\n"
+       "w = rand(1,2);\n"
+       "acc = zeros(1,2);\n"
+       "for r = 1:200000\n"
+       "  for j = 1:2\n"
+       "    acc(j) = acc(j)*0.999 + w(j);\n"
+       "  end\n"
+       "end\n",
+       true},
+      {"repmat-broadcast-3x3",
+       "%! A(*,*) C(*,1)\n"
+       "A = rand(3,3);\n"
+       "C = rand(3,1);\n"
+       "for r = 1:100000\n"
+       "  for i = 1:3\n"
+       "    for j = 1:3\n"
+       "      A(i,j) = A(i,j)*0.9 + C(i);\n"
+       "    end\n"
+       "  end\n"
+       "end\n",
+       false},
+      {"transpose-churn-2x2",
+       "%! A(*,*) B(*,*)\n"
+       "A = rand(2,2);\n"
+       "B = rand(2,2);\n"
+       "for r = 1:100000\n"
+       "  for i = 1:2\n"
+       "    for j = 1:2\n"
+       "      A(i,j) = A(i,j)*0.5 + B(j,i);\n"
+       "    end\n"
+       "  end\n"
+       "end\n",
+       false},
+      {"wide-elementwise-100k",
+       "%! a(1,*) b(1,*) c(1,*)\n"
+       "b = rand(1,100000);\n"
+       "c = rand(1,100000);\n"
+       "a = zeros(1,100000);\n"
+       "for r = 1:50\n"
+       "  for i = 1:100000\n"
+       "    a(i) = b(i)*0.5 + c(i);\n"
+       "  end\n"
+       "end\n",
+       false},
+  };
+  VectorizerOptions Opts;
+  Opts.Cost = &cost::builtinCostModel();
+  for (const Workload &W : Workloads) {
+    PipelineResult Off = vectorizeSource(W.Source);
+    PipelineResult On = vectorizeSource(W.Source, Opts);
+    ASSERT_TRUE(Off.succeeded() && On.succeeded()) << W.Name;
+    EXPECT_GT(Off.Stats.StmtsVectorized, 0u) << W.Name;
+    if (W.KeepsLoop) {
+      EXPECT_GT(On.Stats.StmtsCostKept, 0u) << W.Name;
+      EXPECT_NE(On.VectorizedSource, Off.VectorizedSource) << W.Name;
+    } else {
+      EXPECT_EQ(On.Stats.StmtsCostKept, 0u) << W.Name;
+      EXPECT_EQ(On.VectorizedSource, Off.VectorizedSource) << W.Name;
+    }
+  }
 }
 
 } // namespace

@@ -304,6 +304,14 @@ TEST(VMParity, Battery) {
       "for i = 1:3\n  i = i * 10;\nend\n",
       "x = mod(10, 3);\ny = rem(-10, 3);\n",
       "for i = 1:3\n  disp(i);\nend\n",
+      // Engine-throughput workloads: a branchy scalar loop, a matrix
+      // kernel, and an accumulator that grows its array by append.
+      "s = 0;\nt = 1;\nfor i = 1:120\n  a = i * 2 + 1;\n  b = a - i / 3;\n"
+      "  if mod(i, 3) == 0\n    s = s + a * b;\n  else\n    s = s - b;\n"
+      "  end\n  t = t + s * 0.001;\nend\n",
+      "A = rand(48, 48);\nB = rand(48, 48);\nC = A .* B + A;\nD = C * B;\n"
+      "e = sum(sum(D));\nF = 2 * A + B;\ng = sum(F(:));\n",
+      "n = 400;\nfor i = 1:n\n  A(i) = i * 0.5;\nend\ns = sum(A);\n",
   };
   for (const char *Source : Cases) {
     DiffOutcome Out = engineDiffRun(Source);

@@ -11,6 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "bench/Corpus.h"
 #include "driver/Pipeline.h"
 
 #include "gtest/gtest.h"
@@ -293,6 +294,58 @@ TEST(VectorizerTest, ReductionsDisabledKeepsLoop) {
                               "for i=1:n\n  s = s + x(i);\nend\n",
                               Opts);
   EXPECT_EQ(S.StmtsVectorized, 0u);
+}
+
+TEST(VectorizerTest, FeatureAblationOverPaperCorpus) {
+  // Each mechanism the paper introduces (transposes, Sec. 2.2; the
+  // pattern database, Sec. 3; additive reductions and chain
+  // re-association, Sec. 3.1) switched off alone, then all four at once.
+  // The totals over the paper corpus are EXPERIMENTS.md's "Feature
+  // ablation" table; every output must stay semantics-preserving.
+  struct Config {
+    const char *Name;
+    VectorizerOptions Opts;
+    unsigned Vectorized, Sequential, NestsImproved, LoopsLeft;
+  };
+  auto Without = [](std::initializer_list<bool VectorizerOptions::*> Flags) {
+    VectorizerOptions O;
+    for (bool VectorizerOptions::*F : Flags)
+      O.*F = false;
+    return O;
+  };
+  const Config Configs[] = {
+      {"all features", {}, 12, 0, 11, 0},
+      {"-transposes", Without({&VectorizerOptions::EnableTransposes}), 10, 3,
+       10, 4},
+      {"-patterns", Without({&VectorizerOptions::EnablePatterns}), 8, 5, 8, 1},
+      {"-reductions", Without({&VectorizerOptions::EnableReductions}), 8, 9, 7,
+       0},
+      {"-reassociation", Without({&VectorizerOptions::EnableReassociation}),
+       12, 0, 11, 1},
+      {"baseline",
+       Without({&VectorizerOptions::EnableTransposes,
+                &VectorizerOptions::EnablePatterns,
+                &VectorizerOptions::EnableReductions,
+                &VectorizerOptions::EnableReassociation}),
+       3, 16, 3, 1},
+  };
+  for (const Config &C : Configs) {
+    unsigned Vect = 0, Seq = 0, Nests = 0, LoopsLeft = 0;
+    for (const mvecbench::CorpusProgram &P : mvecbench::paperCorpus()) {
+      PipelineResult R = vectorizeSource(P.Source, C.Opts);
+      ASSERT_TRUE(R.succeeded()) << P.Name << ": " << R.Diags.str();
+      EXPECT_EQ(diffRun(P.Source, R.VectorizedSource), "")
+          << P.Name << " under " << C.Name;
+      Vect += R.Stats.StmtsVectorized;
+      Seq += R.Stats.StmtsSequential;
+      Nests += R.Stats.LoopNestsImproved;
+      LoopsLeft += R.Stats.SequentialLoopsEmitted;
+    }
+    EXPECT_EQ(Vect, C.Vectorized) << C.Name;
+    EXPECT_EQ(Seq, C.Sequential) << C.Name;
+    EXPECT_EQ(Nests, C.NestsImproved) << C.Name;
+    EXPECT_EQ(LoopsLeft, C.LoopsLeft) << C.Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//

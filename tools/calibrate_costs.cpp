@@ -1,4 +1,4 @@
-//===- calibrate_costs.cpp - Cost-profile calibration harness ---------------===//
+//===- calibrate_costs.cpp - Cost-profile calibration tool ----------------===//
 //
 // Part of the mvec project, released under the MIT license.
 //
@@ -102,8 +102,8 @@ int main(int argc, char **argv) {
   double Budget = 0.3;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--quick") == 0)
-      Budget = 0.03; // CI smoke: prove the harness runs and emits a
-                     // loadable profile; the numbers are noisy
+      Budget = 0.03; // the ctest round trip: prove the tool runs and
+                     // emits a loadable profile; the numbers are noisy
     else
       OutPath = argv[I];
   }
@@ -197,7 +197,7 @@ int main(int argc, char **argv) {
               P.AssumedTripCount);
 
   std::string Json = cost::serializeCostProfile(P);
-  // Round-trip sanity: the file this harness writes must load.
+  // Round-trip sanity: the file this tool writes must load.
   {
     cost::CostProfile Back;
     std::string Error;
