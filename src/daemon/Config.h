@@ -72,11 +72,12 @@ struct DaemonConfig {
   /// malformed or stale file falls back to the defaults with a logged
   /// diagnostic; it never prevents startup.
   std::string CostProfile;
-  /// Shard execution placement: "inproc" runs each shard's service in
-  /// the daemon process (fastest); "process" runs it in forked sandbox
-  /// worker processes behind socketpairs (see src/sandbox/) so a worker
-  /// crash, OOM kill, or wedge never takes the daemon down.
-  /// Hot-reloadable; a change swaps in a fresh shard fleet.
+  /// Where a shard's cache misses run: "inproc" in the daemon process
+  /// (fastest); "process" in forked sandbox worker processes behind
+  /// socketpairs (see src/sandbox/) so a worker crash, OOM kill, or wedge
+  /// never takes the daemon down. Caches, the store and metrics stay in
+  /// the daemon either way. Hot-reloadable; a change swaps in a fresh
+  /// shard fleet.
   std::string Isolation = "inproc";
   /// RLIMIT_AS per sandbox worker in MiB (0 = unlimited; process
   /// isolation only).

@@ -40,35 +40,6 @@ Daemon::~Daemon() {
 
 std::shared_ptr<Daemon::Fleet> Daemon::makeFleet(const DaemonConfig &C) const {
   auto F = std::make_shared<Fleet>();
-  if (C.Isolation == "process") {
-    // Each shard becomes a pool of forked workers; every worker builds
-    // its own service (and cost model) after the fork, so the parent
-    // fleet carries no in-process execution state at all.
-    sandbox::SandboxConfig SC;
-    SC.Workers = C.WorkersPerShard;
-    SC.CacheCapacity = C.CacheCapacity;
-    SC.NestCacheCapacity = C.NestCacheCapacity;
-    SC.CodeCacheCapacity = C.CodeCacheCapacity;
-    SC.Engine = C.Engine;
-    SC.CostModel = C.CostModel;
-    SC.CostProfile = C.CostProfile;
-    SC.StoreDir = C.StoreDir;
-    SC.StoreMaxBytes = C.StoreMaxBytes;
-    SC.DeadlineMs = C.DeadlineMs;
-    SC.MemoryLimitMB = C.WorkerMemoryMB;
-    SC.CpuLimitSeconds = C.WorkerCpuSeconds;
-    SC.HeartbeatIntervalMs = C.HeartbeatIntervalMs;
-    SC.HeartbeatTimeoutMs = C.HeartbeatTimeoutMs;
-    SC.QuarantineDir = C.QuarantineDir;
-    SC.TestHooks = C.SandboxTestHooks;
-    F->Shards.reserve(C.Shards);
-    for (unsigned I = 0; I != C.Shards; ++I) {
-      auto S = std::make_unique<Shard>();
-      S->Sandbox = std::make_unique<sandbox::SandboxPool>(SC);
-      F->Shards.push_back(std::move(S));
-    }
-    return F;
-  }
   if (C.CostModel == "on") {
     std::string Diag;
     F->Cost = std::make_unique<cost::CostModel>(
@@ -76,6 +47,15 @@ std::shared_ptr<Daemon::Fleet> Daemon::makeFleet(const DaemonConfig &C) const {
     if (!Diag.empty())
       std::fprintf(stderr, "mvecd: %s\n", Diag.c_str());
   }
+  bool Sandboxed = C.Isolation == "process";
+  sandbox::SandboxConfig PC;
+  PC.MemoryLimitMB = C.WorkerMemoryMB;
+  PC.CpuLimitSeconds = C.WorkerCpuSeconds;
+  PC.HeartbeatIntervalMs = C.HeartbeatIntervalMs;
+  PC.HeartbeatTimeoutMs = C.HeartbeatTimeoutMs;
+  PC.QuarantineDir = C.QuarantineDir;
+  PC.CostProfile = C.CostProfile;
+  PC.TestHooks = C.SandboxTestHooks;
   F->Shards.reserve(C.Shards);
   for (unsigned I = 0; I != C.Shards; ++I) {
     ServiceConfig SC;
@@ -91,7 +71,16 @@ std::shared_ptr<Daemon::Fleet> Daemon::makeFleet(const DaemonConfig &C) const {
     SC.CodeCacheCapacity = C.CodeCacheCapacity;
     SC.Cost = F->Cost.get();
     auto S = std::make_unique<Shard>();
+    // Isolation decides only where a miss runs: in a forked worker of
+    // this shard's pool, which exists by the time the first job does.
+    if (Sandboxed)
+      SC.ColdPath = [&Pool = S->Sandbox](const JobSpec &Spec) {
+        return Pool->run(Spec);
+      };
     S->Service = std::make_unique<VectorizationService>(SC);
+    if (Sandboxed)
+      S->Sandbox = std::make_unique<sandbox::SandboxPool>(
+          PC, SC, S->Service->metrics());
     F->Shards.push_back(std::move(S));
   }
   return F;
@@ -223,22 +212,6 @@ Response Daemon::handleVec(const Request &R) {
                                "shard " + std::to_string(ShardIdx) +
                                    " queue full, load shed",
                                ShardIdx);
-  }
-
-  if (S.Sandbox) {
-    // Forward the already-parsed frame to an isolated worker with the
-    // deadline resolved; any failure to get a response (crash, watchdog
-    // kill, breaker open) degrades — never a protocol error.
-    Request Fwd = R;
-    Fwd.DeadlineMs = ResolvedDeadline;
-    Response Resp;
-    std::string Why;
-    bool Ok = S.Sandbox->handle(Fwd, Key, Resp, Why);
-    S.InFlight.fetch_sub(1, std::memory_order_relaxed);
-    if (!Ok)
-      return degradedPassthrough(R, Why, ShardIdx);
-    Resp.Shard = ShardIdx;
-    return Resp;
   }
 
   JobResult Result;
@@ -396,7 +369,7 @@ std::string Daemon::metricsJson() const {
           Out << (P ? "," : "") << Pids[P];
         Out << "]";
       }
-      Out << ",\"metrics\":" << S.metrics().json() << "}";
+      Out << ",\"metrics\":" << S.Service->metrics().json() << "}";
     }
   }
   Out << "]}}";

@@ -9,6 +9,13 @@
 /// VectorizationService instances (each with its own memory caches) over
 /// one shared persistent DiskStore, fronted by admission control.
 ///
+/// Isolation: each shard is one service in both modes, so cache keys,
+/// both cache tiers, job metrics and the responses built from them are
+/// the same code. `isolation = process` only moves the shard's cache
+/// misses into forked workers: the service's ColdPath hands them to the
+/// shard's sandbox::SandboxPool, which runs the cold pipeline there and
+/// answers degraded passthrough when a worker dies under it.
+///
 /// Sharding: a request's content key (the same FNV-1a key the caches use)
 /// picks its shard as key % N, so repeated submissions of the same script
 /// always land on the same shard and its warm caches — the shards never
@@ -97,17 +104,19 @@ public:
 
 private:
   struct Shard {
-    /// Exactly one of these is set, per the fleet's isolation mode:
-    /// Service runs jobs in-process, Sandbox in forked workers.
     std::unique_ptr<VectorizationService> Service;
+    /// With isolation=process, the forked workers that run Service's
+    /// cache misses (its ColdPath); null with isolation=inproc.
     std::unique_ptr<sandbox::SandboxPool> Sandbox;
     std::atomic<uint64_t> InFlight{0};
     std::atomic<uint64_t> Shed{0};
-    ServiceMetrics &metrics() {
-      return Sandbox ? Sandbox->metrics() : Service->metrics();
-    }
-    const ServiceMetrics &metrics() const {
-      return Sandbox ? Sandbox->metrics() : Service->metrics();
+    /// Service and Sandbox use each other: misses call into the pool,
+    /// and the pool's supervisor records into Service's metrics. So the
+    /// service drains first (no miss is left in the pool), then the pool
+    /// stops (Sandbox is declared last), then the service goes.
+    ~Shard() {
+      if (Service)
+        Service->drain();
     }
   };
   struct Fleet {

@@ -36,7 +36,39 @@ uint64_t entryChecksum(const std::string &Src, const std::string &Msg) {
   return fnv1aHash(Msg, fnv1aHash(Src));
 }
 
-std::string headerLine(const JobResult &R) {
+/// Writes \p Data to \p TmpPath and atomically renames it to \p Path.
+/// Returns false on any I/O error (leaving no file under \p Path's name
+/// that wasn't there before).
+bool writeThenRename(const std::string &TmpPath, const std::string &Path,
+                     const std::string &Data) {
+  int Fd = ::open(TmpPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (Fd < 0)
+    return false;
+  size_t Off = 0;
+  while (Off < Data.size()) {
+    ssize_t N = ::write(Fd, Data.data() + Off, Data.size() - Off);
+    if (N <= 0) {
+      ::close(Fd);
+      ::unlink(TmpPath.c_str());
+      return false;
+    }
+    Off += static_cast<size_t>(N);
+  }
+  // Flush payload bytes before the rename publishes the name: a torn
+  // entry after power loss is caught by the checksum anyway, but this
+  // keeps the common crash case (process death) perfectly clean.
+  ::fsync(Fd);
+  ::close(Fd);
+  if (::rename(TmpPath.c_str(), Path.c_str()) != 0) {
+    ::unlink(TmpPath.c_str());
+    return false;
+  }
+  return true;
+}
+
+} // namespace
+
+std::string mvec::daemon::encodeResultEntry(const JobResult &R) {
   const VectorizeStats &S = R.Stats;
   char Buf[256];
   std::snprintf(Buf, sizeof(Buf),
@@ -48,11 +80,10 @@ std::string headerLine(const JobResult &R) {
                 S.NestsKeptLoop, S.VariantOverrides,
                 contentHexKey(entryChecksum(R.VectorizedSource, R.Message))
                     .c_str());
-  return Buf;
+  return Buf + R.VectorizedSource + R.Message;
 }
 
-/// Parses one stored entry; returns false on any inconsistency.
-bool parseEntry(const std::string &Data, JobResult &R) {
+bool mvec::daemon::decodeResultEntry(const std::string &Data, JobResult &R) {
   size_t Eol = Data.find('\n');
   if (Eol == std::string::npos)
     return false;
@@ -88,38 +119,6 @@ bool parseEntry(const std::string &Data, JobResult &R) {
   return true;
 }
 
-/// Writes \p Data to \p TmpPath and atomically renames it to \p Path.
-/// Returns false on any I/O error (leaving no file under \p Path's name
-/// that wasn't there before).
-bool writeThenRename(const std::string &TmpPath, const std::string &Path,
-                     const std::string &Data) {
-  int Fd = ::open(TmpPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0)
-    return false;
-  size_t Off = 0;
-  while (Off < Data.size()) {
-    ssize_t N = ::write(Fd, Data.data() + Off, Data.size() - Off);
-    if (N <= 0) {
-      ::close(Fd);
-      ::unlink(TmpPath.c_str());
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  // Flush payload bytes before the rename publishes the name: a torn
-  // entry after power loss is caught by the checksum anyway, but this
-  // keeps the common crash case (process death) perfectly clean.
-  ::fsync(Fd);
-  ::close(Fd);
-  if (::rename(TmpPath.c_str(), Path.c_str()) != 0) {
-    ::unlink(TmpPath.c_str());
-    return false;
-  }
-  return true;
-}
-
-} // namespace
-
 DiskStore::DiskStore(DiskStoreConfig Config) : Config(std::move(Config)) {
   std::error_code EC;
   fs::create_directories(this->Config.Dir, EC);
@@ -138,7 +137,7 @@ DiskStore::DiskStore(DiskStoreConfig Config) : Config(std::move(Config)) {
     if (P.extension() == ".mvr") {
       ++Count;
       Total += static_cast<uint64_t>(It->file_size(EC));
-    } else if (this->Config.SweepTmps) {
+    } else {
       fs::remove(P, EC);
     }
   }
@@ -166,7 +165,7 @@ std::optional<JobResult> DiskStore::load(uint64_t Key) {
     Data = SS.str();
   }
   JobResult R;
-  if (!parseEntry(Data, R)) {
+  if (!decodeResultEntry(Data, R)) {
     // Torn or corrupt entry: never serve it, and remove it so the next
     // successful run can republish a clean one.
     Corrupt.fetch_add(1, std::memory_order_relaxed);
@@ -189,8 +188,7 @@ void DiskStore::store(uint64_t Key, const JobResult &Result) {
   if (Result.Status != JobStatus::Succeeded)
     return;
   std::string Path = entryPath(Key);
-  std::string Data = headerLine(Result) + Result.VectorizedSource +
-                     Result.Message;
+  std::string Data = encodeResultEntry(Result);
   {
     std::lock_guard<std::mutex> Lock(lockFor(Key));
     std::error_code EC;
@@ -201,8 +199,8 @@ void DiskStore::store(uint64_t Key, const JobResult &Result) {
       Existed = true;
       OldSize = static_cast<uint64_t>(fs::file_size(Path, EC));
     }
-    // Pid-qualified so processes sharing the directory (daemon +
-    // sandboxed workers) can never race on the same temp name.
+    // Pid-qualified so processes sharing the directory can never race on
+    // the same temp name.
     std::string TmpPath =
         Path + ".tmp" + std::to_string(::getpid()) + "_" +
         std::to_string(TmpCounter.fetch_add(1, std::memory_order_relaxed));

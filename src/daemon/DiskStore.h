@@ -52,13 +52,17 @@ struct DiskStoreConfig {
   /// Soft byte budget; when total payload bytes exceed it, the oldest
   /// entries (by mtime) are pruned to ~75% of the budget. 0 = unbounded.
   size_t MaxBytes = size_t(256) << 20;
-  /// Remove orphaned .tmp files on open. True for the first process to
-  /// open a directory (the daemon); false when a sandboxed worker opens
-  /// a store another process is already writing to — a sweep there
-  /// would delete a sibling's in-flight temp file. Tmp names are
-  /// pid-qualified, so skipping the sweep never causes collisions.
-  bool SweepTmps = true;
 };
+
+/// One entry in the format described above: the MVRS2 header line, then
+/// the vectorized source and the message. Sandboxed workers send a
+/// successful result to their supervisor in the same encoding, so a
+/// reply carries exactly what the store persists.
+std::string encodeResultEntry(const JobResult &R);
+/// Parses \p Data as encodeResultEntry wrote it. Returns false (leaving
+/// \p R untouched) on any inconsistency: version, status, lengths or
+/// checksum.
+bool decodeResultEntry(const std::string &Data, JobResult &R);
 
 class DiskStore : public ResultStore {
 public:

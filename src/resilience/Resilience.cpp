@@ -23,3 +23,15 @@ const char *mvec::errorClassName(ErrorClass Class) {
   }
   return "unknown";
 }
+
+bool mvec::parseErrorClass(const std::string &Name, ErrorClass &Class) {
+  for (ErrorClass C : {ErrorClass::None, ErrorClass::Input,
+                       ErrorClass::Resource, ErrorClass::Deadline,
+                       ErrorClass::Internal}) {
+    if (Name == errorClassName(C)) {
+      Class = C;
+      return true;
+    }
+  }
+  return false;
+}

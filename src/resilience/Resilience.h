@@ -23,6 +23,7 @@
 #include "resilience/CircuitBreaker.h"
 
 #include <cstddef>
+#include <string>
 
 namespace mvec {
 
@@ -42,6 +43,8 @@ enum class ErrorClass {
 
 /// Display name for \p Class ("none", "input", ...).
 const char *errorClassName(ErrorClass Class);
+/// The class whose errorClassName is \p Name; false for any other text.
+bool parseErrorClass(const std::string &Name, ErrorClass &Class);
 
 /// Per-service resilience knobs (see DESIGN.md §5g for the rationale
 /// behind each default).

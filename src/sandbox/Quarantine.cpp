@@ -7,6 +7,7 @@
 #include "sandbox/Quarantine.h"
 
 #include "interp/simd/SimdDispatch.h"
+#include "service/VectorizationService.h"
 #include "support/ContentHash.h"
 #include "support/Io.h"
 
@@ -26,10 +27,11 @@ std::string mvec::sandbox::quarantinePath(const std::string &Dir,
   return Dir + "/" + contentHexKey(Key) + ".m";
 }
 
-bool mvec::sandbox::quarantineInput(const std::string &Dir, uint64_t Key,
-                                    const std::string &Body,
+bool mvec::sandbox::quarantineInput(uint64_t Key, const std::string &Body,
                                     const QuarantineRecord &Rec,
-                                    const SandboxConfig &Config) {
+                                    const SandboxConfig &Config,
+                                    const ServiceConfig &Service) {
+  const std::string &Dir = Config.QuarantineDir;
   if (Dir.empty())
     return false;
   std::error_code EC;
@@ -44,8 +46,9 @@ bool mvec::sandbox::quarantineInput(const std::string &Dir, uint64_t Key,
       << "% cause: " << workerFailureName(Rec.Cause) << "\n"
       << "% signal: " << Rec.Signal << "\n"
       << "% exit: " << Rec.ExitCode << "\n"
-      << "% engine: " << Config.Engine << "\n"
-      << "% cost_model: " << Config.CostModel << "\n"
+      << "% engine: " << (Service.Engine == ExecEngine::Vm ? "vm" : "ast")
+      << "\n"
+      << "% cost_model: " << (Service.Cost ? "on" : "off") << "\n"
       << "% cost_profile: "
       << (Config.CostProfile.empty() ? "-" : Config.CostProfile) << "\n"
       << "% isa: " << simd::levelName(simd::activeLevel()) << "\n"

@@ -28,6 +28,9 @@
 ///   % validate: 1
 ///   <original body bytes>
 ///
+/// `name` is the name the job ran under: the daemon names a request that
+/// brings none `request`.
+///
 /// Writes are tmp+rename like the DiskStore, and a key that is already
 /// quarantined is not rewritten — the first reproducer wins, and the
 /// quarantined counter matches the number of files.
@@ -42,6 +45,7 @@
 #include <string>
 
 namespace mvec {
+struct ServiceConfig;
 namespace sandbox {
 
 /// What the header records about one worker death.
@@ -53,13 +57,15 @@ struct QuarantineRecord {
   bool Validate = true;
 };
 
-/// Writes \p Body under \p Dir (created on demand) keyed by \p Key.
-/// Returns true when a NEW quarantine file was published; false when the
-/// key was already quarantined or any I/O failed. Thread-safe across
-/// threads and processes (tmp+rename).
-bool quarantineInput(const std::string &Dir, uint64_t Key,
-                     const std::string &Body, const QuarantineRecord &Rec,
-                     const SandboxConfig &Config);
+/// Writes \p Body under Config.QuarantineDir (created on demand) keyed
+/// by \p Key; the header names the engine and cost model of \p Service,
+/// the configuration the worker ran. Returns true when a NEW quarantine
+/// file was published; false when the directory is unset, the key was
+/// already quarantined, or any I/O failed. Thread-safe across threads
+/// and processes (tmp+rename).
+bool quarantineInput(uint64_t Key, const std::string &Body,
+                     const QuarantineRecord &Rec, const SandboxConfig &Config,
+                     const ServiceConfig &Service);
 
 /// The quarantine path \p Key would be written to.
 std::string quarantinePath(const std::string &Dir, uint64_t Key);

@@ -6,19 +6,23 @@
 ///
 /// \file
 /// Shared types for `mvec::sandbox`, the daemon's crash-containment
-/// layer. With `isolation = process`, each shard's VectorizationService
-/// runs in forked worker processes behind AF_UNIX socketpairs speaking
-/// the ordinary MVEC/1 frame protocol; the parent keeps only a
-/// supervisor (SandboxPool) that forwards requests, watches heartbeats,
-/// classifies deaths, quarantines crash-inducing inputs, and respawns
-/// workers with jittered backoff. A genuine SIGSEGV, OOM kill, or
-/// infinite loop then costs one worker process — never the daemon.
+/// layer. With `isolation = process`, a shard is still one
+/// VectorizationService in the daemon process: its memory cache, the
+/// DiskStore tier, cache keys and job metrics all stay there. Only a
+/// cache miss, the part a hostile script can crash (parse, analysis,
+/// codegen, the differential run), goes to a forked worker process
+/// behind an AF_UNIX socketpair speaking the ordinary MVEC/1 frame
+/// protocol. The parent's supervisor (SandboxPool) forwards those
+/// misses, watches heartbeats, classifies deaths, quarantines
+/// crash-inducing inputs, and respawns workers with jittered backoff. A
+/// genuine SIGSEGV, OOM kill, or infinite loop then costs one worker
+/// process, never the daemon.
 ///
 /// Failure taxonomy (WorkerFailure): every way a worker can stop serving
 /// is classified so metrics, quarantine headers, and logs agree on
 /// vocabulary:
 ///
-///   clean-exit        exited 0 (EOF from the parent, SHUTDOWN frame)
+///   clean-exit        exited 0 (EOF from the parent)
 ///   exit-error        exited nonzero (unexpected; treated as a crash)
 ///   crash             died on a signal other than SIGKILL (SIGSEGV,
 ///                     SIGABRT from an assert or unhandled exception,
@@ -31,8 +35,10 @@
 ///                     deadline + grace, or an idle worker stopped
 ///                     answering PINGs
 ///   protocol-error    the worker wrote bytes that do not parse as a
-///                     MVEC/1 response (memory corruption survived long
-///                     enough to babble); killed and respawned
+///                     MVEC/1 response, or a succeeded reply whose
+///                     result entry fails its checks (memory corruption
+///                     survived long enough to babble); killed and
+///                     respawned
 ///   spawn-failed      fork/socketpair failed; retried with backoff
 ///
 //===----------------------------------------------------------------------===//
@@ -61,29 +67,9 @@ enum class WorkerFailure {
 
 const char *workerFailureName(WorkerFailure F);
 
+/// How a shard's workers are contained and supervised. What they run
+/// is the shard's ServiceConfig, handed to the SandboxPool beside this.
 struct SandboxConfig {
-  /// Worker processes in the pool (one shard's worth; clamped >= 1).
-  unsigned Workers = 2;
-
-  // --- The service each worker runs (mirrors the shard's in-process
-  // ServiceConfig; see Daemon::makeFleet) ---
-  size_t CacheCapacity = 512;
-  size_t NestCacheCapacity = 1024;
-  size_t CodeCacheCapacity = 64;
-  std::string Engine = "ast"; ///< "ast" or "vm"
-  std::string CostModel = "off";
-  std::string CostProfile;
-  /// Directory of the shared DiskStore; each worker opens its own handle
-  /// with SweepTmps=false (rename(2) atomicity makes concurrent writers
-  /// safe; pid-qualified tmp names make them collision-free). Empty =
-  /// memory tiers only.
-  std::string StoreDir;
-  size_t StoreMaxBytes = size_t(256) << 20;
-  /// Default per-job deadline applied inside the worker when a request
-  /// carries none.
-  unsigned DeadlineMs = 10000;
-
-  // --- Containment ---
   /// RLIMIT_AS per worker in MiB (0 = unlimited). Exhaustion surfaces as
   /// bad_alloc inside the worker (folded into a failed/degraded job
   /// result, or an abort if it strikes outside the service) — the
@@ -101,6 +87,9 @@ struct SandboxConfig {
   /// Where crash-inducing inputs are written (empty disables
   /// quarantine). See Quarantine.h for the file format.
   std::string QuarantineDir = "corpus/quarantine";
+  /// The cost-profile path, recorded in quarantine headers only: the
+  /// model itself reaches the workers loaded, as ServiceConfig::Cost.
+  std::string CostProfile;
   /// Honor `%!sandbox-crash` / `%!sandbox-spin` / `%!sandbox-oom`
   /// markers in request bodies (crash-campaign hook; never set in
   /// production configurations).
@@ -114,8 +103,8 @@ struct SandboxConfig {
                       /*Multiplier=*/2.0, /*Jitter=*/0.5,
                       /*MaxBackoff=*/std::chrono::milliseconds(2000)};
   /// Crash-loop breaker: consecutive worker deaths trip it Open and the
-  /// pool sheds requests (the daemon answers degraded passthrough)
-  /// until the cooldown elapses. FailureThreshold 0 disables.
+  /// pool answers misses with degraded passthrough, without touching a
+  /// worker, until the cooldown elapses. FailureThreshold 0 disables.
   BreakerConfig CrashLoop{/*FailureThreshold=*/8,
                           /*Cooldown=*/std::chrono::milliseconds(2000),
                           /*HalfOpenProbes=*/1};

@@ -6,9 +6,9 @@
 
 #include "sandbox/SandboxPool.h"
 
+#include "daemon/DiskStore.h"
 #include "resilience/Backoff.h"
 #include "sandbox/Quarantine.h"
-#include "service/Job.h"
 #include "support/Io.h"
 
 #include <algorithm>
@@ -75,16 +75,44 @@ unsigned remainingMs(Clock::time_point Deadline) {
   return Left <= 0 ? 0 : static_cast<unsigned>(Left);
 }
 
+/// The job-level result a worker's VEC reply carries. False when the
+/// reply names no known status or class, or a succeeded reply's result
+/// entry fails its checks.
+bool resultFromReply(const Response &Reply, JobResult &R) {
+  if (!parseJobStatus(Reply.Status, R.Status) ||
+      !parseErrorClass(Reply.ErrorClass, R.Class))
+    return false;
+  if (R.Status == JobStatus::Succeeded) {
+    if (!decodeResultEntry(Reply.Body, R))
+      return false;
+  } else {
+    R.Message = Reply.Message;
+    R.VectorizedSource = Reply.Body;
+  }
+  R.Attempts = Reply.Attempts;
+  return true;
+}
+
 } // namespace
 
-SandboxPool::SandboxPool(SandboxConfig C)
-    : Config(std::move(C)), Breaker(Config.CrashLoop) {
-  unsigned N = std::max(1u, Config.Workers);
+SandboxPool::SandboxPool(SandboxConfig C, const ServiceConfig &Service,
+                         ServiceMetrics &Metrics)
+    : Config(std::move(C)), Worker(Service), Metrics(Metrics),
+      Breaker(Config.CrashLoop) {
+  // The worker runs the cold pipeline only: the shard's service keeps the
+  // caches, the store and the fault plan, and one request at a time is
+  // all a worker ever gets.
+  Worker.Workers = 1;
+  Worker.CacheCapacity = 0;
+  Worker.Store = nullptr;
+  Worker.Faults = nullptr;
+  Worker.ColdPath = nullptr;
+  unsigned N = std::max(1u, Service.Workers);
   Slots.reserve(N);
   for (unsigned I = 0; I != N; ++I) {
     auto S = std::make_unique<Slot>();
     std::string Error;
-    if (spawnWorker(Config, S->Proc, Error)) {
+    if (spawnWorker(Config, Worker, S->Proc, Error)) {
       S->St = Slot::State::Idle;
       S->EverSpawned = true;
       S->LastSeen = Clock::now();
@@ -130,14 +158,6 @@ std::vector<pid_t> SandboxPool::workerPids() const {
   return Out;
 }
 
-size_t SandboxPool::liveWorkers() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  size_t N = 0;
-  for (const auto &S : Slots)
-    N += S->St != Slot::State::Dead;
-  return N;
-}
-
 SandboxPool::Slot *SandboxPool::acquire(std::chrono::milliseconds Budget) {
   std::unique_lock<std::mutex> Lock(Mutex);
   Slot *Found = nullptr;
@@ -176,12 +196,18 @@ void SandboxPool::retireWorker(Slot &S, const WorkerFailure *Forced,
     ::close(S.Proc.Fd);
     S.Proc.Fd = -1;
   }
-  int Status = 0;
-  if (S.Proc.Pid > 0) {
-    if (Forced)
-      ::kill(S.Proc.Pid, SIGKILL);
-    Status = reapWithDeadline(S.Proc.Pid, Forced ? 0 : 200);
+  // workerPids() reads the pid of a Busy slot under the lock.
+  pid_t Pid;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Pid = S.Proc.Pid;
     S.Proc.Pid = -1;
+  }
+  int Status = 0;
+  if (Pid > 0) {
+    if (Forced)
+      ::kill(Pid, SIGKILL);
+    Status = reapWithDeadline(Pid, Forced ? 0 : 200);
   }
   Fail = classifyStatus(Status, Signal, ExitCode);
   if (Forced) {
@@ -261,78 +287,75 @@ bool SandboxPool::exchange(Slot &S, const std::string &Wire, unsigned BudgetMs,
   }
 }
 
-bool SandboxPool::handle(const Request &R, uint64_t Key, Response &Out,
-                         std::string &Why) {
+JobResult SandboxPool::run(const JobSpec &Spec) {
+  auto Degraded = [&](const std::string &Why) {
+    JobResult R;
+    R.Name = Spec.Name;
+    R.Status = JobStatus::Degraded;
+    R.Class = ErrorClass::Resource;
+    R.Message = "degraded: " + Why;
+    R.VectorizedSource = Spec.Source; // Byte-exact: always runnable.
+    return R;
+  };
   if (!Breaker.allow()) {
     Metrics.SandboxBreakerShed.fetch_add(1, std::memory_order_relaxed);
-    Why = "sandbox crash-loop breaker open";
-    return false;
+    return Degraded("sandbox crash-loop breaker open");
   }
-  Metrics.JobsSubmitted.fetch_add(1, std::memory_order_relaxed);
-  unsigned BudgetMs = R.DeadlineMs ? R.DeadlineMs : Config.DeadlineMs;
-  if (BudgetMs == 0)
-    BudgetMs = 600000; // No deadline: still bound the watchdog somewhere.
-  Clock::time_point Start = Clock::now();
+  // The worker applies the same default when the job brings no deadline.
+  std::chrono::milliseconds Deadline =
+      Spec.Deadline.count() > 0 ? Spec.Deadline : Worker.DefaultDeadline;
+  // No deadline: still bound the watchdog somewhere.
+  auto BudgetMs = static_cast<unsigned>(
+      Deadline.count() > 0 ? Deadline.count() : 600000);
 
   Slot *S = acquire(std::chrono::milliseconds(BudgetMs));
   if (!S) {
     // Not a worker failure (the breaker is not fed): the pool is simply
-    // saturated or mid-respawn; the daemon sheds this request.
+    // saturated or mid-respawn.
     Breaker.recordSuccess();
-    Why = "no idle sandbox worker within the deadline";
-    return false;
+    return Degraded("no idle sandbox worker within the deadline");
   }
 
-  std::string Wire = serializeRequest(R);
+  Request Req;
+  Req.V = Verb::Vec;
+  Req.Name = Spec.Name;
+  Req.Body = Spec.Source;
+  Req.Validate = Spec.Validate;
+  Req.DeadlineMs = static_cast<unsigned>(Spec.Deadline.count());
+  Response Reply;
   WorkerFailure Fail;
   int Signal, ExitCode;
-  if (!exchange(*S, Wire, BudgetMs + Config.HeartbeatTimeoutMs, Out, Fail,
-                Signal, ExitCode)) {
+  bool Ok = exchange(*S, serializeRequest(Req),
+                     BudgetMs + Config.HeartbeatTimeoutMs, Reply, Fail, Signal,
+                     ExitCode);
+  JobResult R;
+  if (Ok && !resultFromReply(Reply, R)) {
+    WorkerFailure Babble = WorkerFailure::ProtocolError;
+    retireWorker(*S, &Babble, Fail, Signal, ExitCode);
+    Ok = false;
+  }
+  if (!Ok) {
     // The slot is already retired and scheduled for respawn. Quarantine
-    // the input that did this and feed the crash-loop breaker.
-    if (R.V == Verb::Vec && !Config.QuarantineDir.empty()) {
-      QuarantineRecord Rec;
-      Rec.Cause = Fail;
-      Rec.Signal = Signal;
-      Rec.ExitCode = ExitCode;
-      Rec.Name = R.Name;
-      Rec.Validate = R.Validate;
-      if (quarantineInput(Config.QuarantineDir, Key, R.Body, Rec, Config))
-        Metrics.SandboxQuarantined.fetch_add(1, std::memory_order_relaxed);
-    }
+    // the input that did this, keyed as it was submitted, and feed the
+    // crash-loop breaker.
+    QuarantineRecord Rec;
+    Rec.Cause = Fail;
+    Rec.Signal = Signal;
+    Rec.ExitCode = ExitCode;
+    Rec.Name = Spec.Name;
+    Rec.Validate = Spec.Validate;
+    if (quarantineInput(submittedKey(Spec, Worker), Spec.Source, Rec, Config,
+                        Worker))
+      Metrics.SandboxQuarantined.fetch_add(1, std::memory_order_relaxed);
     Breaker.recordFailure();
-    Why = std::string("worker ") + workerFailureName(Fail) +
-          (Signal ? " (signal " + std::to_string(Signal) + ")" : "");
-    return false;
+    return Degraded(std::string("worker ") + workerFailureName(Fail) +
+                    (Signal ? " (signal " + std::to_string(Signal) + ")" : ""));
   }
 
   Breaker.recordSuccess();
   release(*S, /*Healthy=*/true);
-
-  // Mirror the worker's job-level outcome into this pool's registry so
-  // STATS has the same shape for both isolation modes.
-  double Wall = std::chrono::duration<double>(Clock::now() - Start).count();
-  Metrics.TotalLatency.record(Wall);
-  const std::string &St = Out.Status;
-  if (St == jobStatusName(JobStatus::Succeeded))
-    Metrics.JobsSucceeded.fetch_add(1, std::memory_order_relaxed);
-  else if (St == jobStatusName(JobStatus::Failed))
-    Metrics.JobsFailed.fetch_add(1, std::memory_order_relaxed);
-  else if (St == jobStatusName(JobStatus::TimedOut))
-    Metrics.JobsTimedOut.fetch_add(1, std::memory_order_relaxed);
-  else if (St == jobStatusName(JobStatus::Cancelled))
-    Metrics.JobsCancelled.fetch_add(1, std::memory_order_relaxed);
-  else if (St == jobStatusName(JobStatus::Degraded))
-    Metrics.JobsDegraded.fetch_add(1, std::memory_order_relaxed);
-  if (R.V == Verb::Vec) {
-    if (Out.CacheTier == "memory")
-      Metrics.CacheHits.fetch_add(1, std::memory_order_relaxed);
-    else
-      Metrics.CacheMisses.fetch_add(1, std::memory_order_relaxed);
-    if (Out.CacheTier == "disk")
-      Metrics.DiskHits.fetch_add(1, std::memory_order_relaxed);
-  }
-  return true;
+  R.Name = Spec.Name;
+  return R;
 }
 
 void SandboxPool::supervise() {
@@ -404,7 +427,7 @@ void SandboxPool::supervise() {
       Lock.unlock();
       WorkerProcess Fresh;
       std::string Error;
-      bool Ok = spawnWorker(Config, Fresh, Error);
+      bool Ok = spawnWorker(Config, Worker, Fresh, Error);
       Lock.lock();
       if (Stopping) {
         if (Ok) {

@@ -6,19 +6,20 @@
 ///
 /// \file
 /// The parent half of process isolation: a pool of forked workers
-/// (Worker.h) plus the supervisor that keeps them alive. One shard with
-/// `isolation = process` owns one SandboxPool where it would otherwise
-/// own a VectorizationService.
+/// (Worker.h) plus the supervisor that keeps them alive. A shard with
+/// `isolation = process` is one VectorizationService whose
+/// ServiceConfig::ColdPath calls run() here, so the pool sees only cache
+/// misses; memory and disk hits never touch a worker.
 ///
-/// Request path (handle()): admission through the crash-loop breaker,
-/// acquire an idle worker (waiting at most the request's deadline),
-/// write the MVEC/1 request frame, and read the response with a
-/// watchdog budget of deadline + heartbeat-timeout grace. Any deviation
-/// — EOF, unparsable bytes, budget exhausted — kills the worker,
-/// classifies the death from the wait status, quarantines the input,
-/// feeds the breaker, and reports failure so the daemon can answer
-/// degraded byte-exact passthrough. A worker serves exactly one request
-/// at a time, so a response on its socket is unambiguously ours.
+/// Miss path (run()): admission through the crash-loop breaker, acquire
+/// an idle worker (waiting at most the job's deadline), write the MVEC/1
+/// VEC frame, and read the reply with a watchdog budget of deadline +
+/// heartbeat-timeout grace. Any deviation — EOF, unparsable bytes, a
+/// succeeded reply whose result entry fails its checks, budget exhausted
+/// — kills the worker, classifies the death from the wait status,
+/// quarantines the input, feeds the breaker, and returns a degraded
+/// passthrough result. A worker serves exactly one request at a time, so
+/// a reply on its socket is unambiguously ours.
 ///
 /// Supervisor thread: every heartbeat interval it reaps workers that
 /// died while idle (external SIGKILL, OOM killer), PINGs idle workers
@@ -26,10 +27,9 @@
 /// respawns dead slots once their jittered backoff (slot failure streak
 /// drives resilience::backoffDelay) has elapsed.
 ///
-/// Metrics: the pool owns a ServiceMetrics registry — job counters are
-/// mirrored from worker responses, and the Sandbox* counters record
-/// supervision events — so the daemon's STATS document has the same
-/// shape for both isolation modes.
+/// Metrics: supervision events go to the Sandbox* counters of the
+/// registry the pool is given (the shard service's), so STATS shows one
+/// set of metrics per shard. Job counters are the service's own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +39,7 @@
 #include "daemon/Protocol.h"
 #include "resilience/CircuitBreaker.h"
 #include "sandbox/Worker.h"
-#include "service/ServiceMetrics.h"
+#include "service/VectorizationService.h"
 
 #include <chrono>
 #include <condition_variable>
@@ -53,9 +53,13 @@ namespace sandbox {
 
 class SandboxPool {
 public:
-  /// Spawns the initial workers (failures are retried by the
-  /// supervisor, not fatal) and starts the supervisor thread.
-  explicit SandboxPool(SandboxConfig Config);
+  /// Spawns one worker per thread of \p Service (clamped >= 1; failures
+  /// are retried by the supervisor, not fatal) and starts the supervisor
+  /// thread. Each worker runs \p Service, the shard's config, with
+  /// caching off: no memory cache, Store, Faults or ColdPath. \p Metrics
+  /// receives the Sandbox* counters and must outlive the pool.
+  SandboxPool(SandboxConfig Config, const ServiceConfig &Service,
+              ServiceMetrics &Metrics);
   /// Closes every worker socket (EOF = clean exit), reaps with a grace
   /// period, SIGKILLs stragglers.
   ~SandboxPool();
@@ -63,22 +67,15 @@ public:
   SandboxPool(const SandboxPool &) = delete;
   SandboxPool &operator=(const SandboxPool &) = delete;
 
-  /// Serves one request through an isolated worker. \p Key is the
-  /// request's content key (quarantine file name / backoff seed).
-  /// Returns false with \p Why set when no worker could produce a
-  /// response — worker death, watchdog kill, breaker open, or no idle
-  /// worker within the deadline — in which case the caller degrades;
-  /// the no-protocol-error invariant is its job, not ours.
-  bool handle(const daemon::Request &R, uint64_t Key,
-              daemon::Response &Out, std::string &Why);
+  /// Runs one cache miss through an isolated worker and returns its
+  /// result. When no worker could produce one — worker death, watchdog
+  /// kill, breaker open, or no idle worker within the deadline — the
+  /// result is a degraded passthrough: \p Spec's source byte for byte,
+  /// ErrorClass::Resource, and a "degraded: <why>" message.
+  JobResult run(const JobSpec &Spec);
 
-  const SandboxConfig &config() const { return Config; }
-  ServiceMetrics &metrics() { return Metrics; }
-  const ServiceMetrics &metrics() const { return Metrics; }
   /// Pids of currently-live workers (for STATS and kill campaigns).
   std::vector<pid_t> workerPids() const;
-  /// Live worker count (spawned and not yet known-dead).
-  size_t liveWorkers() const;
 
 private:
   struct Slot {
@@ -113,7 +110,9 @@ private:
   void supervise();
 
   SandboxConfig Config;
-  ServiceMetrics Metrics;
+  /// What each worker runs (see the constructor).
+  ServiceConfig Worker;
+  ServiceMetrics &Metrics;
   CircuitBreaker Breaker;
 
   mutable std::mutex Mutex;

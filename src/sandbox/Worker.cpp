@@ -6,7 +6,6 @@
 
 #include "sandbox/Worker.h"
 
-#include "cost/CostModel.h"
 #include "daemon/DiskStore.h"
 #include "daemon/Protocol.h"
 #include "service/VectorizationService.h"
@@ -14,7 +13,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <new>
 #include <vector>
@@ -135,33 +133,18 @@ bool findTestHook(const std::string &Body, std::string &Marker) {
   return true;
 }
 
-} // namespace
-
-bool mvec::sandbox::spawnWorker(const SandboxConfig &Config,
-                                WorkerProcess &Out, std::string &Error) {
-  int Sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv) != 0) {
-    Error = std::string("socketpair: ") + std::strerror(errno);
-    return false;
-  }
-  pid_t Pid = ::fork();
-  if (Pid < 0) {
-    Error = std::string("fork: ") + std::strerror(errno);
-    ::close(Sv[0]);
-    ::close(Sv[1]);
-    return false;
-  }
-  if (Pid == 0) {
-    ::close(Sv[0]);
-    workerChildMain(Sv[1], Config); // noreturn
-  }
-  ::close(Sv[1]);
-  Out.Pid = Pid;
-  Out.Fd = Sv[0];
-  return true;
+/// The supervisor is the only peer, so a frame it should never send is a
+/// supervisor bug, not a client: answer 400 for the record and bail.
+[[noreturn]] void rejectAndExit(int Fd, const std::string &Error) {
+  std::string Wire = badRequestResponse(Error);
+  io::sendFull(Fd, Wire.data(), Wire.size(), 1000);
+  ::_exit(3);
 }
 
-void mvec::sandbox::workerChildMain(int Fd, const SandboxConfig &Config) {
+/// The child's entire life: serve frames on \p Fd until EOF or a fatal
+/// condition, then _exit.
+[[noreturn]] void workerChildMain(int Fd, const SandboxConfig &Config,
+                                  const ServiceConfig &Service) {
   // Shed the parent's signal dispositions: the daemon's SIGINT/SIGTERM
   // handlers flip parent-side flags that mean nothing here, and the
   // watchdog's SIGKILL must behave exactly like an external kill.
@@ -179,36 +162,7 @@ void mvec::sandbox::workerChildMain(int Fd, const SandboxConfig &Config) {
   if (Config.CpuLimitSeconds)
     applyLimit(RLIMIT_CPU, Config.CpuLimitSeconds);
 
-  // Everything below is freshly constructed: own caches, own store
-  // handle (no boot sweep — a sibling may be mid-write), own cost model.
-  std::unique_ptr<DiskStore> Store;
-  if (!Config.StoreDir.empty()) {
-    try {
-      Store = std::make_unique<DiskStore>(DiskStoreConfig{
-          Config.StoreDir, Config.StoreMaxBytes, /*SweepTmps=*/false});
-    } catch (const std::exception &E) {
-      std::fprintf(stderr, "mvec-worker[%d]: store disabled: %s\n",
-                   ::getpid(), E.what());
-    }
-  }
-  std::unique_ptr<cost::CostModel> Cost;
-  if (Config.CostModel == "on") {
-    std::string Diag;
-    Cost = std::make_unique<cost::CostModel>(
-        cost::loadCostProfileOrDefault(Config.CostProfile, Diag));
-    if (!Diag.empty())
-      std::fprintf(stderr, "mvec-worker[%d]: %s\n", ::getpid(), Diag.c_str());
-  }
-  ServiceConfig SC;
-  SC.Workers = 1; // One request in flight per worker process.
-  SC.QueueCapacity = 4;
-  SC.CacheCapacity = Config.CacheCapacity;
-  SC.NestCacheCapacity = Config.NestCacheCapacity;
-  SC.Store = Store.get();
-  SC.Engine = Config.Engine == "vm" ? ExecEngine::Vm : ExecEngine::Ast;
-  SC.CodeCacheCapacity = Config.CodeCacheCapacity;
-  SC.Cost = Cost.get();
-  VectorizationService Service(SC);
+  VectorizationService Pipeline(Service);
 
   FrameReader Reader;
   char Buf[16 << 10];
@@ -223,61 +177,65 @@ void mvec::sandbox::workerChildMain(int Fd, const SandboxConfig &Config) {
       Reader.feed(Buf, static_cast<size_t>(N));
       continue;
     }
-    if (R == FrameReader::Result::Malformed) {
-      // The only peer is our own parent; garbage here is a supervisor
-      // bug, not a client. Answer 400 for the record and bail.
-      std::string Wire = badRequestResponse(Error);
-      io::sendFull(Fd, Wire.data(), Wire.size(), 1000);
-      ::_exit(3);
-    }
-
     Request Req;
+    if (R == FrameReader::Result::Malformed ||
+        !requestFromFrame(Frame, Req, Error))
+      rejectAndExit(Fd, Error);
+
     Response Resp;
-    if (!requestFromFrame(Frame, Req, Error)) {
-      std::string Wire = badRequestResponse(Error);
-      io::sendFull(Fd, Wire.data(), Wire.size(), 1000);
-      ::_exit(3);
-    }
-    switch (Req.V) {
-    case Verb::Ping:
+    if (Req.V == Verb::Ping) {
       Resp.Message = "pong";
-      break;
-    case Verb::Stats:
-      Resp.Body = Service.metrics().json();
-      break;
-    case Verb::Shutdown: {
-      std::string Wire = serializeResponse(Resp);
-      io::sendFull(Fd, Wire.data(), Wire.size(), 1000);
-      ::_exit(0);
-    }
-    case Verb::Config:
-      Resp.Status = jobStatusName(JobStatus::Failed);
-      Resp.ErrorClass = errorClassName(ErrorClass::Input);
-      Resp.Message = "workers take their config at spawn time";
-      break;
-    case Verb::Vec: {
+    } else if (Req.V == Verb::Vec) {
       std::string Marker;
       if (Config.TestHooks && findTestHook(Req.Body, Marker))
         runTestHook(Marker); // noreturn
       JobSpec Spec;
-      Spec.Name = Req.Name.empty() ? "request" : Req.Name;
-      Spec.Source = Req.Body;
+      Spec.Name = std::move(Req.Name);
+      Spec.Source = std::move(Req.Body);
       Spec.Validate = Req.Validate;
-      unsigned Deadline = Req.DeadlineMs ? Req.DeadlineMs : Config.DeadlineMs;
-      Spec.Deadline = std::chrono::milliseconds(Deadline);
-      JobResult Result = Service.submit(std::move(Spec)).get();
+      Spec.Deadline = std::chrono::milliseconds(Req.DeadlineMs);
+      JobResult Result = Pipeline.submit(std::move(Spec)).get();
       Resp.Status = jobStatusName(Result.Status);
       Resp.ErrorClass = errorClassName(Result.Class);
-      Resp.CacheTier =
-          Result.DiskHit ? "disk" : (Result.CacheHit ? "memory" : "none");
       Resp.Attempts = Result.Attempts;
-      Resp.Message = Result.Message;
-      Resp.Body = std::move(Result.VectorizedSource);
-      break;
-    }
+      if (Result.succeeded()) {
+        Resp.Body = encodeResultEntry(Result);
+      } else {
+        Resp.Message = std::move(Result.Message);
+        Resp.Body = std::move(Result.VectorizedSource);
+      }
+    } else {
+      rejectAndExit(Fd, "a sandbox worker serves only VEC and PING");
     }
     std::string Wire = serializeResponse(Resp);
     if (!io::sendFull(Fd, Wire.data(), Wire.size(), 10000))
       ::_exit(0); // Parent gone mid-response.
   }
+}
+
+} // namespace
+
+bool mvec::sandbox::spawnWorker(const SandboxConfig &Config,
+                                const ServiceConfig &Service,
+                                WorkerProcess &Out, std::string &Error) {
+  int Sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv) != 0) {
+    Error = std::string("socketpair: ") + std::strerror(errno);
+    return false;
+  }
+  pid_t Pid = ::fork();
+  if (Pid < 0) {
+    Error = std::string("fork: ") + std::strerror(errno);
+    ::close(Sv[0]);
+    ::close(Sv[1]);
+    return false;
+  }
+  if (Pid == 0) {
+    ::close(Sv[0]);
+    workerChildMain(Sv[1], Config, Service); // noreturn
+  }
+  ::close(Sv[1]);
+  Out.Pid = Pid;
+  Out.Fd = Sv[0];
+  return true;
 }

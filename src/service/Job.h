@@ -35,6 +35,8 @@ enum class JobStatus {
 
 /// Display name for \p Status ("succeeded", "failed", ...).
 const char *jobStatusName(JobStatus Status);
+/// The status whose jobStatusName is \p Name; false for any other text.
+bool parseJobStatus(const std::string &Name, JobStatus &Status);
 
 /// One script submitted to the service.
 struct JobSpec {

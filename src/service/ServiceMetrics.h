@@ -96,12 +96,12 @@ struct ServiceMetrics {
   std::atomic<uint64_t> NestsKeptLoop{0};
   std::atomic<uint64_t> VariantOverrides{0};
   /// Sandbox supervisor counters (only move for process-isolated shards,
-  /// where this registry belongs to a sandbox::SandboxPool): worker
-  /// processes that died unexpectedly (signal, OOM kill, nonzero exit),
-  /// workers respawned after a death, workers SIGKILLed by the watchdog
-  /// (stuck past their deadline or missed heartbeats), crash-inducing
-  /// inputs written to the quarantine directory, and requests shed
-  /// because the crash-loop breaker was open.
+  /// whose sandbox::SandboxPool records into its service's registry):
+  /// worker processes that died unexpectedly (signal, OOM kill, nonzero
+  /// exit), workers respawned after a death, workers SIGKILLed by the
+  /// watchdog (stuck past their deadline or missed heartbeats),
+  /// crash-inducing inputs written to the quarantine directory, and
+  /// misses shed because the crash-loop breaker was open.
   std::atomic<uint64_t> SandboxCrashes{0};
   std::atomic<uint64_t> SandboxRespawns{0};
   std::atomic<uint64_t> SandboxWatchdogKills{0};

@@ -47,6 +47,14 @@ uint64_t mvec::cacheKeyFor(const JobSpec &Spec) {
   return Key;
 }
 
+uint64_t mvec::submittedKey(const JobSpec &Spec, const ServiceConfig &Config) {
+  if (!Config.Cost || Spec.Opts.Cost != Config.Cost)
+    return cacheKeyFor(Spec);
+  JobSpec Submitted = Spec;
+  Submitted.Opts.Cost = nullptr;
+  return cacheKeyFor(Submitted);
+}
+
 const char *mvec::jobStatusName(JobStatus Status) {
   switch (Status) {
   case JobStatus::Succeeded:
@@ -61,6 +69,18 @@ const char *mvec::jobStatusName(JobStatus Status) {
     return "degraded";
   }
   return "unknown";
+}
+
+bool mvec::parseJobStatus(const std::string &Name, JobStatus &Status) {
+  for (JobStatus S : {JobStatus::Succeeded, JobStatus::Failed,
+                      JobStatus::TimedOut, JobStatus::Cancelled,
+                      JobStatus::Degraded}) {
+    if (Name == jobStatusName(S)) {
+      Status = S;
+      return true;
+    }
+  }
+  return false;
 }
 
 VectorizationService::VectorizationService(ServiceConfig Config)
@@ -87,6 +107,7 @@ std::future<JobResult> VectorizationService::submit(JobSpec Spec) {
   // Service-wide cost model, unless the job brought its own. Applied
   // before anything hashes the spec: the model's fingerprint is part of
   // the options fingerprint and therefore of every cache key.
+  // submittedKey() undoes this fold.
   if (!Spec.Opts.Cost && Config.Cost)
     Spec.Opts.Cost = Config.Cost;
   Metrics.JobsSubmitted.fetch_add(1, std::memory_order_relaxed);
@@ -168,6 +189,10 @@ JobResult VectorizationService::processJob(const JobSpec &Spec,
   // never be served as the other's (neither from memory nor from disk).
   if (Config.Engine == ExecEngine::Vm)
     Key = fnv1aMix(0x564d, Key);
+  auto RunMiss = [&] {
+    return Config.ColdPath ? Config.ColdPath(Spec)
+                           : executeWithResilience(Spec, Start, Key);
+  };
   if (CancelRequested.load(std::memory_order_relaxed)) {
     R.Name = Spec.Name;
     R.Status = JobStatus::Cancelled;
@@ -211,7 +236,7 @@ JobResult VectorizationService::processJob(const JobSpec &Spec,
         R.VectorizeSeconds = 0;
         R.ValidateSeconds = 0;
       } else {
-        R = executeWithResilience(Spec, Start, Key);
+        R = RunMiss();
         if (R.succeeded()) {
           // Cache insertion is best-effort: an injected (or real) failure
           // here must not undo an otherwise-successful job.
@@ -230,7 +255,7 @@ JobResult VectorizationService::processJob(const JobSpec &Spec,
       }
     }
   } else {
-    R = executeWithResilience(Spec, Start, Key);
+    R = RunMiss();
   }
 
   R.QueueSeconds = QueueSeconds;

@@ -36,6 +36,7 @@
 #include "vectorizer/NestCache.h"
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <memory>
 #include <vector>
@@ -102,7 +103,22 @@ struct ServiceConfig {
   /// results computed under one calibration are never served under
   /// another.
   const cost::CostModel *Cost = nullptr;
+  /// Where a cache miss runs. Empty (the default): here, on this
+  /// service's threads, with retries, the breaker and degradation. Set:
+  /// each miss is handed to it instead, and what it returns is counted,
+  /// cached and stored like a local result. The daemon's
+  /// isolation=process shards point it at a sandbox::SandboxPool, which
+  /// runs the same pipeline in a forked worker. Only what a MVEC/1
+  /// request carries crosses (name, source, validate flag, deadline), so
+  /// the jobs' other JobSpec knobs must keep their defaults.
+  std::function<JobResult(const JobSpec &)> ColdPath;
 };
+
+/// The cacheKeyFor key of \p Spec as its caller built it, given the spec
+/// a service configured by \p Config runs: submit() folds Config.Cost
+/// into a spec that brings no cost model, and this takes it back out.
+/// The daemon routes on that key, and quarantine files are named by it.
+uint64_t submittedKey(const JobSpec &Spec, const ServiceConfig &Config);
 
 class VectorizationService {
 public:

@@ -19,8 +19,9 @@
 ///   --shards N          shard count (overrides the config file)
 ///   --workers N         worker threads per shard (overrides the config file)
 ///   --isolation MODE    inproc | process (overrides the config file):
-///                       process runs each shard's workers as forked,
-///                       rlimit-capped, supervised sandbox processes
+///                       process runs each shard's cache misses in
+///                       forked, rlimit-capped, supervised sandbox
+///                       processes (one per worker thread)
 ///   --print-config      dump the effective config and exit
 ///
 /// On boot the effective port is announced on stdout as
