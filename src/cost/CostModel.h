@@ -22,9 +22,9 @@
 ///
 /// Every decision is surfaced: a CostDecision record per statement (the
 /// `--explain-cost` output), VectorizeStats counters, ServiceMetrics and
-/// daemon STATS. Cache keys at every tier (NestCache, the result cache,
-/// DiskStore) mix in fingerprint() so results produced under a differently
-/// calibrated profile are never served stale.
+/// daemon STATS. Cache keys at both tiers (the result cache, DiskStore) mix
+/// in fingerprint() so results produced under a differently calibrated
+/// profile are never served stale.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,8 +87,8 @@ struct CostProfile {
 
   /// Cache-key salt: fnv1aMix of the checksum and the (hashed) SIMD
   /// level. Mixed into every options fingerprint when a model is active,
-  /// so NestCache/result-cache/DiskStore entries from a differently
-  /// calibrated run are never served.
+  /// so result-cache/DiskStore entries from a differently calibrated run
+  /// are never served.
   uint64_t fingerprint() const;
 };
 

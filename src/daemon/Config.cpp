@@ -56,8 +56,6 @@ bool mvec::daemon::parseDaemonConfig(const std::string &Text,
       C.WorkersPerShard = static_cast<unsigned>(U);
     else if (Key == "cache_capacity" && parseUnsigned(Value, U))
       C.CacheCapacity = U;
-    else if (Key == "nest_cache_capacity" && parseUnsigned(Value, U))
-      C.NestCacheCapacity = U;
     else if (Key == "max_queue_depth" && parseUnsigned(Value, U) && U >= 1)
       C.MaxQueueDepth = U;
     else if (Key == "store_dir")
@@ -73,8 +71,6 @@ bool mvec::daemon::parseDaemonConfig(const std::string &Text,
       C.DeadlineMs = static_cast<unsigned>(U);
     else if (Key == "engine" && (Value == "ast" || Value == "vm"))
       C.Engine = Value;
-    else if (Key == "code_cache_capacity" && parseUnsigned(Value, U))
-      C.CodeCacheCapacity = U;
     else if (Key == "cost_model" && (Value == "off" || Value == "on"))
       C.CostModel = Value;
     else if (Key == "cost_profile")
@@ -126,7 +122,6 @@ std::string mvec::daemon::daemonConfigText(const DaemonConfig &Config) {
   Out << "shards = " << Config.Shards << "\n"
       << "workers_per_shard = " << Config.WorkersPerShard << "\n"
       << "cache_capacity = " << Config.CacheCapacity << "\n"
-      << "nest_cache_capacity = " << Config.NestCacheCapacity << "\n"
       << "max_queue_depth = " << Config.MaxQueueDepth << "\n"
       << "store_dir = " << Config.StoreDir << "\n"
       << "store_max_bytes = " << Config.StoreMaxBytes << "\n"
@@ -134,7 +129,6 @@ std::string mvec::daemon::daemonConfigText(const DaemonConfig &Config) {
       << "tenant_burst = " << Config.TenantBurst << "\n"
       << "deadline_ms = " << Config.DeadlineMs << "\n"
       << "engine = " << Config.Engine << "\n"
-      << "code_cache_capacity = " << Config.CodeCacheCapacity << "\n"
       << "cost_model = " << Config.CostModel << "\n"
       << "cost_profile = " << Config.CostProfile << "\n"
       << "isolation = " << Config.Isolation << "\n"

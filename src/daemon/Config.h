@@ -16,8 +16,9 @@
 ///   tenant_burst = 64
 ///
 /// Reload semantics are defined by Daemon::reload(): QoS limits, queue
-/// depth and deadline apply instantly; shard/worker/cache-size changes
-/// swap in a fresh shard fleet while every in-flight job completes on the
+/// depth and deadline apply instantly; the frame ceiling applies to the
+/// next connection; shard/worker/cache-size/engine changes swap in a
+/// fresh shard fleet while every in-flight job completes on the
 /// old one (nothing is dropped).
 ///
 //===----------------------------------------------------------------------===//
@@ -34,14 +35,12 @@ namespace daemon {
 
 struct DaemonConfig {
   /// Worker shards; a request's content key picks its shard (key % N), so
-  /// identical scripts always land on the same shard's caches.
+  /// identical scripts always land on the same shard's cache.
   unsigned Shards = 2;
   /// Vectorization workers per shard.
   unsigned WorkersPerShard = 2;
   /// In-memory result-cache entries per shard.
   size_t CacheCapacity = 512;
-  /// Per-shard nest-cache entries.
-  size_t NestCacheCapacity = 1024;
   /// In-flight requests per shard beyond which new arrivals are shed as
   /// degraded passthrough instead of queueing.
   size_t MaxQueueDepth = 96;
@@ -57,11 +56,10 @@ struct DaemonConfig {
   /// Default per-request deadline in ms (0 = none).
   unsigned DeadlineMs = 10000;
   /// Execution tier for differential validation: "ast" (tree-walker) or
-  /// "vm" (register bytecode; compiled programs are cached in memory per
-  /// shard).
+  /// "vm" (register bytecode, compiled afresh for every run).
+  /// Hot-reloadable; a change swaps in a fresh shard fleet, since each
+  /// shard's service validates on the engine it was built with.
   std::string Engine = "ast";
-  /// Per-shard compiled-program cache entries (vm engine only).
-  size_t CodeCacheCapacity = 64;
   /// Profitability cost model: "off" vectorizes whenever legal, "on"
   /// consults the model (built-in conservative profile unless
   /// cost_profile names a calibrated costs.mvec.json). Hot-reloadable;
@@ -97,8 +95,9 @@ struct DaemonConfig {
   bool SandboxTestHooks = false;
   /// Transport frame-size ceiling: a request whose content-length
   /// exceeds this is answered 400 and disconnected before its body is
-  /// buffered. Applied per connection at accept time (not retroactive
-  /// to connections already open across a reload).
+  /// buffered. The server reads it for each new connection, so a reload
+  /// applies to connections accepted after it (not to those already
+  /// open).
   size_t MaxFrameBytes = size_t(4) << 20;
   /// Fault-injection plan armed in every shard service (test hook; not
   /// settable from a config file). Must outlive the daemon.

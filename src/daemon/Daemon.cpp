@@ -64,11 +64,9 @@ std::shared_ptr<Daemon::Fleet> Daemon::makeFleet(const DaemonConfig &C) const {
     // fill, so submit() never blocks a protocol thread on back-pressure.
     SC.QueueCapacity = C.MaxQueueDepth + C.WorkersPerShard + 8;
     SC.CacheCapacity = C.CacheCapacity;
-    SC.NestCacheCapacity = C.NestCacheCapacity;
     SC.Store = Store.get();
     SC.Faults = C.Faults;
     SC.Engine = C.Engine == "vm" ? ExecEngine::Vm : ExecEngine::Ast;
-    SC.CodeCacheCapacity = C.CodeCacheCapacity;
     SC.Cost = F->Cost.get();
     auto S = std::make_unique<Shard>();
     // Isolation decides only where a miss runs: in a forked worker of
@@ -248,8 +246,10 @@ bool Daemon::reload(const DaemonConfig &New, std::string &Error) {
   bool FleetChanged = StoreChanged || Applied.Shards != Config.Shards ||
                       Applied.WorkersPerShard != Config.WorkersPerShard ||
                       Applied.CacheCapacity != Config.CacheCapacity ||
-                      Applied.NestCacheCapacity != Config.NestCacheCapacity ||
                       Applied.MaxQueueDepth != Config.MaxQueueDepth ||
+                      // Each shard's service validates on one engine,
+                      // and the engine salts every result-cache key.
+                      Applied.Engine != Config.Engine ||
                       // A cost-model change re-fingerprints every cache
                       // key, so the memory tiers must be rebuilt anyway.
                       Applied.CostModel != Config.CostModel ||

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The transport-independent heart of mvecd: N sharded
-/// VectorizationService instances (each with its own memory caches) over
+/// VectorizationService instances (each with its own memory cache) over
 /// one shared persistent DiskStore, fronted by admission control.
 ///
 /// Isolation: each shard is one service in both modes, so cache keys,
@@ -18,7 +18,7 @@
 ///
 /// Sharding: a request's content key (the same FNV-1a key the caches use)
 /// picks its shard as key % N, so repeated submissions of the same script
-/// always land on the same shard and its warm caches — the shards never
+/// always land on the same shard and its warm cache — the shards never
 /// duplicate cache entries for one script.
 ///
 /// Admission: per-tenant token buckets first, then a per-shard in-flight

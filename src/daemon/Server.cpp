@@ -145,7 +145,7 @@ void Server::serveConnection(int Fd) {
     return io::sendFull(Fd, Data.data(), Data.size(), SendBudget);
   };
 
-  FrameReader Reader(Config.MaxFrameBytes);
+  FrameReader Reader(D.config().MaxFrameBytes);
   char Buf[64 * 1024];
   bool Alive = true;
   while (Alive && !StopFlag.load(std::memory_order_relaxed)) {

@@ -8,7 +8,9 @@
 /// The socket layer around the transport-independent Daemon: a listening
 /// TCP socket, one handler thread per connection (bounded), persistent
 /// connections carrying a stream of protocol frames. All protocol logic
-/// lives in Protocol.h/Daemon.h; this file only moves bytes.
+/// lives in Protocol.h/Daemon.h; this file only moves bytes. Each new
+/// connection reads its frame-size ceiling from the daemon's config in
+/// force (`max_frame_bytes`), so a reload reaches the next connection.
 ///
 /// Shutdown paths, all of which drain cleanly (in-flight requests finish,
 /// responses are written, then sockets close):
@@ -44,11 +46,6 @@ struct ServerConfig {
   /// Concurrent connections beyond this are accepted and immediately
   /// closed (the client sees EOF and retries elsewhere/later).
   unsigned MaxConnections = 128;
-  /// Per-connection frame-size ceiling (FrameReader body limit): a
-  /// request announcing a bigger content-length is answered 400 and
-  /// disconnected before its body is buffered. mvecd wires the
-  /// `max_frame_bytes` config key here at boot.
-  size_t MaxFrameBytes = MaxBodyBytes;
   /// Wall-clock budget for writing one response. A client that stops
   /// reading (dead, or maliciously slow) blocks the send once the
   /// socket buffer fills; past this budget the connection is dropped so

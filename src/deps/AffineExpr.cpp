@@ -6,8 +6,6 @@
 
 #include "deps/AffineExpr.h"
 
-#include "support/StringExtras.h"
-
 #include <cmath>
 
 using namespace mvec;
@@ -114,11 +112,4 @@ ExprPtr AffineExpr::toExpr() const {
   if (Constant != 0.0 || !Result)
     Append(makeNumber(std::fabs(Constant)), Constant < 0);
   return Result;
-}
-
-std::string AffineExpr::str() const {
-  std::string Out = formatMatlabNumber(Constant);
-  for (const auto &[Name, Coeff] : Coeffs)
-    Out += (Coeff >= 0 ? "+" : "") + formatMatlabNumber(Coeff) + "*" + Name;
-  return Out;
 }

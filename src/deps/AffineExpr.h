@@ -62,8 +62,6 @@ public:
   /// pattern rewrite). Produces c1*var+c0 shapes with clean constants.
   ExprPtr toExpr() const;
 
-  std::string str() const;
-
 private:
   double Constant = 0.0;
   std::map<std::string, double> Coeffs; // name -> coefficient (nonzero)

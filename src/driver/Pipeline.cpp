@@ -13,7 +13,6 @@
 #include "resilience/FaultInjection.h"
 #include "shape/AnnotationParser.h"
 #include "shape/ShapeInference.h"
-#include "vm/CodeCache.h"
 #include "vm/Compiler.h"
 #include "vm/VM.h"
 
@@ -27,20 +26,13 @@ using namespace mvec;
 
 namespace {
 
-/// Runs \p Prog on \p I under the engine selected in \p Limits. The VM
-/// tier needs the program's source text for content-addressed cache
-/// lookup (and to stamp the source hash into fresh compilations).
+/// Runs \p Prog on \p I under the engine selected in \p Limits; the VM
+/// tier compiles \p Prog first.
 bool runWithEngine(Interpreter &I, const Program &Prog,
-                   const std::string &Source, const RunLimits &Limits) {
+                   const RunLimits &Limits) {
   if (Limits.Engine != ExecEngine::Vm)
     return I.run(Prog);
-  std::shared_ptr<const vm::CompiledProgram> CP;
-  if (Limits.Code)
-    CP = Limits.Code->obtain(Source, Prog);
-  else
-    CP = std::make_shared<const vm::CompiledProgram>(
-        vm::compileProgram(Prog, Source));
-  return vm::execute(*CP, I);
+  return vm::execute(vm::compileProgram(Prog, std::string()), I);
 }
 
 } // namespace
@@ -129,8 +121,7 @@ bool mvec::detail::outputsMatch(const std::string &OutA,
 
 PipelineResult mvec::vectorizeSource(const std::string &Source,
                                      const VectorizerOptions &Opts,
-                                     const PatternDatabase *DB,
-                                     NestCache *NestC) {
+                                     const PatternDatabase *DB) {
   maybeInject(FaultSite::VectorizeEntry);
   PipelineResult Result;
   ParseResult Parsed = parseMatlab(Source, Result.Diags);
@@ -144,7 +135,7 @@ PipelineResult mvec::vectorizeSource(const std::string &Source,
     DB = &defaultPatternDatabase();
 
   Program Vectorized = vectorizeProgram(Parsed.Prog, Env, *DB, Opts,
-                                        Result.Diags, &Result.Stats, NestC);
+                                        Result.Diags, &Result.Stats);
   Result.VectorizedSource = printProgram(Vectorized);
   return Result;
 }
@@ -207,7 +198,7 @@ DiffOutcome mvec::diffRunLimited(const std::string &OriginalSource,
     A.setShapeCaps(std::move(Caps));
   }
 
-  if (!runWithEngine(A, Original.Prog, OriginalSource, Limits))
+  if (!runWithEngine(A, Original.Prog, Limits))
     return Fail(RunStatus(A), "original program failed: " + A.errorMessage());
 
   if (Limits.CheckAnnotations) {
@@ -231,7 +222,7 @@ DiffOutcome mvec::diffRunLimited(const std::string &OriginalSource,
     }
   }
 
-  if (!runWithEngine(B, Transformed.Prog, TransformedSource, Limits))
+  if (!runWithEngine(B, Transformed.Prog, Limits))
     return Fail(RunStatus(B),
                 "transformed program failed: " + B.errorMessage());
 
@@ -277,11 +268,11 @@ DiffOutcome mvec::engineDiffRun(const std::string &Source,
   if (Diags.hasErrors())
     return DiffOutcome{DiffStatus::Error,
                        "program does not parse: " + Diags.str()};
-  return engineDiffRun(Parsed.Prog, Source, Limits, Seed);
+  return engineDiffRun(Parsed.Prog, Limits, Seed);
 }
 
-DiffOutcome mvec::engineDiffRun(const Program &Prog, const std::string &Source,
-                                const RunLimits &Limits, uint64_t Seed) {
+DiffOutcome mvec::engineDiffRun(const Program &Prog, const RunLimits &Limits,
+                                uint64_t Seed) {
   Interpreter Ast, Vm;
   for (Interpreter *I : {&Ast, &Vm}) {
     I->seedRandom(Seed);
@@ -295,8 +286,8 @@ DiffOutcome mvec::engineDiffRun(const Program &Prog, const std::string &Source,
   AstLimits.Engine = ExecEngine::Ast;
   RunLimits VmLimits = Limits;
   VmLimits.Engine = ExecEngine::Vm;
-  bool AstOk = runWithEngine(Ast, Prog, Source, AstLimits);
-  bool VmOk = runWithEngine(Vm, Prog, Source, VmLimits);
+  bool AstOk = runWithEngine(Ast, Prog, AstLimits);
+  bool VmOk = runWithEngine(Vm, Prog, VmLimits);
 
   // A wall-clock interrupt (deadline/cancel) on either side makes the
   // comparison inconclusive: where the clock fires is nondeterministic,

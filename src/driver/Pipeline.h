@@ -28,10 +28,6 @@
 
 namespace mvec {
 
-namespace vm {
-class CodeCache;
-} // namespace vm
-
 /// Which execution tier runs interpreted programs during differential
 /// validation. Both tiers share one semantics contract: the bytecode VM
 /// executes through a host Interpreter (same workspace, kernels, RNG,
@@ -66,22 +62,17 @@ bool outputsMatch(const std::string &OutA, const std::string &OutB,
 } // namespace detail
 
 /// Runs the full pipeline on \p Source. \p DB defaults to the builtin
-/// pattern database when null. \p NestC, when given, memoizes per-loop-nest
-/// vectorization outcomes across calls (see vectorizer/NestCache.h); there
-/// is no default instance, so plain calls always measure the true cold
-/// path.
+/// pattern database when null.
 ///
 /// Thread-safety: re-entrant. All state (parse tree, shape environment,
 /// diagnostics, the fallback pattern database) is local to the call; a
 /// caller-supplied \p DB is only read through its const interface, so one
 /// frozen database may be shared by any number of concurrent calls (see
-/// PatternDatabase::freeze()), and a shared \p NestC synchronizes
-/// internally. The service layer (src/service) relies on this to fan the
-/// pipeline out over a worker pool.
+/// PatternDatabase::freeze()). The service layer (src/service) relies on
+/// this to fan the pipeline out over a worker pool.
 PipelineResult vectorizeSource(const std::string &Source,
                                const VectorizerOptions &Opts = {},
-                               const PatternDatabase *DB = nullptr,
-                               NestCache *NestC = nullptr);
+                               const PatternDatabase *DB = nullptr);
 
 /// Execution bounds for differential validation. Interpreted MATLAB can
 /// loop forever (or merely far too long); services must be able to cut a
@@ -101,11 +92,9 @@ struct RunLimits {
   /// input's fault, not the transformation's. Used by the fuzzer, where
   /// mutation can desynchronize annotations from code.
   bool CheckAnnotations = false;
-  /// Execution tier for both runs.
+  /// Execution tier for both runs. The VM tier compiles each program
+  /// afresh per run.
   ExecEngine Engine = ExecEngine::Ast;
-  /// Optional compiled-program cache consulted when Engine == Vm; null
-  /// compiles fresh each run (caller-owned, must outlive the call).
-  vm::CodeCache *Code = nullptr;
 };
 
 enum class DiffStatus {
@@ -144,9 +133,8 @@ DiffOutcome engineDiffRun(const std::string &Source,
                           const RunLimits &Limits = {},
                           uint64_t Seed = 12345);
 /// engineDiffRun on an already parsed (or programmatically built)
-/// program; \p Source keys the VM's code cache.
-DiffOutcome engineDiffRun(const Program &Prog, const std::string &Source,
-                          const RunLimits &Limits = {},
+/// program.
+DiffOutcome engineDiffRun(const Program &Prog, const RunLimits &Limits = {},
                           uint64_t Seed = 12345);
 
 /// Differential validation: executes \p OriginalSource and

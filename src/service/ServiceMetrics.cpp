@@ -87,9 +87,6 @@ std::string ServiceMetrics::text() const {
       << " disk_hits=" << DiskHits.load()
       << " disk_misses=" << DiskMisses.load() << "\n"
       << "  queue: depth_high_water=" << QueueDepthHighWater.load() << "\n"
-      << "  compile: bytecode_compiles=" << BytecodeCompiles.load()
-      << " code_cache_hits=" << CodeCacheHits.load()
-      << " code_cache_misses=" << CodeCacheMisses.load() << "\n"
       << "  cost: nests_vectorized=" << NestsVectorized.load()
       << " nests_kept_loop=" << NestsKeptLoop.load()
       << " variant_overrides=" << VariantOverrides.load() << "\n"
@@ -112,7 +109,6 @@ std::string ServiceMetrics::text() const {
   appendHistText(Out, "vectorize", VectorizeLatency);
   appendHistText(Out, "validate", ValidateLatency);
   appendHistText(Out, "total", TotalLatency);
-  appendHistText(Out, "compile", CompileLatency);
   return Out.str();
 }
 
@@ -131,9 +127,6 @@ std::string ServiceMetrics::json() const {
       << ",\"disk_hits\":" << DiskHits.load()
       << ",\"disk_misses\":" << DiskMisses.load() << "},"
       << "\"queue\":{\"depth_high_water\":" << QueueDepthHighWater.load()
-      << "},\"compile\":{\"bytecode_compiles\":" << BytecodeCompiles.load()
-      << ",\"code_cache_hits\":" << CodeCacheHits.load()
-      << ",\"code_cache_misses\":" << CodeCacheMisses.load()
       << "},\"cost\":{\"nests_vectorized\":" << NestsVectorized.load()
       << ",\"nests_kept_loop\":" << NestsKeptLoop.load()
       << ",\"variant_overrides\":" << VariantOverrides.load()
@@ -157,8 +150,6 @@ std::string ServiceMetrics::json() const {
   appendHistJson(Out, "validate", ValidateLatency);
   Out << ",";
   appendHistJson(Out, "total", TotalLatency);
-  Out << ",";
-  appendHistJson(Out, "compile", CompileLatency);
   Out << "}}";
   return Out.str();
 }

@@ -30,8 +30,6 @@ class LatencyHistogram {
 public:
   static constexpr size_t NumBuckets = 26;
 
-  // Inline so recorders outside the service library (the vm CodeCache)
-  // need only this header.
   void record(double Seconds) {
     double Micros = std::max(Seconds, 0.0) * 1e6;
     auto Us = static_cast<uint64_t>(Micros);
@@ -82,11 +80,6 @@ struct ServiceMetrics {
   std::atomic<uint64_t> DiskMisses{0};
   /// Deepest the submission queue has ever been.
   std::atomic<uint64_t> QueueDepthHighWater{0};
-  /// Compiled-execution tier: programs lowered to bytecode, and
-  /// CodeCache hits vs misses (had to lower).
-  std::atomic<uint64_t> BytecodeCompiles{0};
-  std::atomic<uint64_t> CodeCacheHits{0};
-  std::atomic<uint64_t> CodeCacheMisses{0};
   /// Cost-model decisions (only move when ServiceConfig::Cost is set):
   /// nests with at least one vector-form statement, nests where the model
   /// kept at least one legal vectorization in loop form, and mul-chain
@@ -112,7 +105,6 @@ struct ServiceMetrics {
   LatencyHistogram VectorizeLatency; ///< parse+infer+vectorize stage
   LatencyHistogram ValidateLatency;  ///< differential validation stage
   LatencyHistogram TotalLatency;     ///< submission -> completion
-  LatencyHistogram CompileLatency;   ///< AST -> bytecode lowering
 
   uint64_t jobsCompleted() const {
     return JobsSucceeded.load(std::memory_order_relaxed) +

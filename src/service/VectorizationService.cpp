@@ -6,10 +6,10 @@
 
 #include "service/VectorizationService.h"
 
+#include "cost/CostModel.h"
 #include "driver/Pipeline.h"
 #include "resilience/ResourceGovernor.h"
 #include "support/ContentHash.h"
-#include "vm/CodeCache.h"
 
 #include <cstring>
 #include <optional>
@@ -26,6 +26,26 @@ double secondsSince(Clock::time_point Start, Clock::time_point End) {
 }
 
 } // namespace
+
+uint64_t mvec::optionsFingerprint(const VectorizerOptions &Opts) {
+  uint64_t Bits = 0;
+  auto Pack = [&Bits](bool Flag) { Bits = (Bits << 1) | (Flag ? 1 : 0); };
+  Pack(Opts.EnableTransposes);
+  Pack(Opts.EnablePatterns);
+  Pack(Opts.EnableReductions);
+  Pack(Opts.EnableReassociation);
+  Pack(Opts.NormalizeLoops);
+  Pack(Opts.DistributeTransposes);
+  Pack(Opts.EmitRemarks);
+  // An active cost model changes which form a nest compiles to, so its
+  // calibration fingerprint (profile checksum + SIMD level) becomes part
+  // of the options identity: the result cache and the daemon DiskStore
+  // must never serve a result produced under a different calibration.
+  Pack(Opts.Cost != nullptr);
+  if (Opts.Cost)
+    Bits = fnv1aMix(Opts.Cost->fingerprint(), Bits);
+  return Bits;
+}
 
 uint64_t mvec::cacheKeyFor(const std::string &Source,
                            const VectorizerOptions &Opts, bool Validate) {
@@ -85,7 +105,7 @@ bool mvec::parseJobStatus(const std::string &Name, JobStatus &Status) {
 
 VectorizationService::VectorizationService(ServiceConfig Config)
     : Config(Config), Cache(Config.CacheCapacity),
-      NCache(Config.NestCacheCapacity), Breaker(Config.Resilience.Breaker) {
+      Breaker(Config.Resilience.Breaker) {
   if (Config.DB) {
     DB = Config.DB;
   } else {
@@ -93,8 +113,6 @@ VectorizationService::VectorizationService(ServiceConfig Config)
     OwnedDB.freeze();
     DB = &OwnedDB;
   }
-  if (Config.Engine == ExecEngine::Vm)
-    Code = std::make_unique<vm::CodeCache>(Config.CodeCacheCapacity, Metrics);
   Pool = std::make_unique<ThreadPool>(Config.Workers, Config.QueueCapacity);
 }
 
@@ -391,7 +409,6 @@ JobResult VectorizationService::executeUncached(const JobSpec &Spec,
   Limits.MaxSteps = Spec.MaxSteps;
   Limits.CheckAnnotations = Spec.CheckAnnotations;
   Limits.Engine = Config.Engine;
-  Limits.Code = Code.get();
 
   // One malformed (or downright hostile) script must never take the
   // worker — or the batch — down with it: every failure mode folds into
@@ -400,9 +417,7 @@ JobResult VectorizationService::executeUncached(const JobSpec &Spec,
   try {
     maybeInject(FaultSite::WorkerPickup);
     Clock::time_point T0 = Clock::now();
-    PipelineResult P = vectorizeSource(Spec.Source, Spec.Opts, DB,
-                                       Config.NestCacheCapacity > 0 ? &NCache
-                                                                    : nullptr);
+    PipelineResult P = vectorizeSource(Spec.Source, Spec.Opts, DB);
     R.VectorizeSeconds = secondsSince(T0, Clock::now());
     Metrics.VectorizeLatency.record(R.VectorizeSeconds);
     if (!P.succeeded()) {

@@ -33,7 +33,7 @@
 #include "service/ServiceMetrics.h"
 #include "service/ThreadPool.h"
 #include "support/LruCache.h"
-#include "vectorizer/NestCache.h"
+#include "vectorizer/Options.h"
 
 #include <atomic>
 #include <functional>
@@ -42,6 +42,12 @@
 #include <vector>
 
 namespace mvec {
+
+/// Packs every output-affecting VectorizerOptions toggle into a bitmask,
+/// mixed with the cost model's calibration fingerprint when one is set.
+/// New options must be added here, or distinct configurations would share
+/// result-cache and DiskStore entries.
+uint64_t optionsFingerprint(const VectorizerOptions &Opts);
 
 /// The result-cache key for one job: an FNV-1a hash of the exact source
 /// text combined with the options fingerprint and the validate flag, so
@@ -64,10 +70,6 @@ struct ServiceConfig {
   size_t QueueCapacity = 64;
   /// Result-cache entries; 0 disables caching.
   size_t CacheCapacity = 256;
-  /// Per-loop-nest outcome cache entries (see vectorizer/NestCache.h);
-  /// serves nests shared between otherwise-distinct scripts, below the
-  /// whole-script result cache. 0 disables nest caching.
-  size_t NestCacheCapacity = 1024;
   /// Default per-job deadline (zero = no deadline). Individual jobs may
   /// override via JobSpec::Deadline.
   std::chrono::milliseconds DefaultDeadline{0};
@@ -93,13 +95,9 @@ struct ServiceConfig {
   /// are salted with the engine so a verdict produced by one tier is
   /// never served as the other's.
   ExecEngine Engine = ExecEngine::Ast;
-  /// Compiled-program (bytecode) cache entries when Engine == Vm; 0
-  /// disables the cache. Programs stay in memory: Store holds results
-  /// only.
-  size_t CodeCacheCapacity = 64;
   /// Profitability cost model applied to every job that did not bring its
   /// own (null = vectorize whenever legal). Must outlive the service; its
-  /// fingerprint salts every cache tier through optionsFingerprint, so
+  /// fingerprint salts every cache key through optionsFingerprint, so
   /// results computed under one calibration are never served under
   /// another.
   const cost::CostModel *Cost = nullptr;
@@ -151,7 +149,6 @@ public:
   const ServiceConfig &config() const { return Config; }
   ServiceMetrics &metrics() { return Metrics; }
   const ServiceMetrics &metrics() const { return Metrics; }
-  const NestCache &nestCache() const { return NCache; }
 
 private:
   JobResult processJob(const JobSpec &Spec,
@@ -173,12 +170,6 @@ private:
   /// cached: a failure may be transient (deadline, cancellation), and
   /// re-attempting is cheap next to serving a wrong verdict forever.
   LruCache<uint64_t, JobResult> Cache;
-  /// Nest-level outcome cache shared by every worker (internally
-  /// synchronized).
-  NestCache NCache;
-  /// Compiled-bytecode cache (built only for the Vm engine; internally
-  /// synchronized, shared by every worker).
-  std::unique_ptr<vm::CodeCache> Code;
   ServiceMetrics Metrics;
   /// Service-wide breaker fed by internal/resource failures; open sheds
   /// new attempts into immediate degraded results.

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The one FNV-1a implementation every content-addressed tier keys off:
-/// the service's in-memory result cache, the daemon's on-disk DiskStore,
-/// and the bytecode cache. Centralizing it here (with the canonical hex
+/// the service's in-memory result cache and the daemon's on-disk
+/// DiskStore. Centralizing it here (with the canonical hex
 /// spelling of a key) guarantees the tiers can never disagree about what
 /// a given source hashes to — a memory-tier key IS the disk-tier file
 /// name.

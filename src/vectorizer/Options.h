@@ -47,13 +47,12 @@ struct VectorizerOptions {
   /// nest statement and keeps the loop when the loop is cheaper; the
   /// mul-chain reassociation DP additionally ranks variants by modeled
   /// kernel cost. The pointee must outlive every vectorization run using
-  /// these options; its fingerprint is mixed into optionsFingerprint so
-  /// all cache tiers stay calibration-consistent.
+  /// these options; its fingerprint is mixed into optionsFingerprint
+  /// (service/VectorizationService.h) so cached results stay
+  /// calibration-consistent.
   const cost::CostModel *Cost = nullptr;
   /// When non-null, codegen appends one CostDecision per nest statement
-  /// (mvec_tool --explain-cost). Forces a NestCache bypass — decision
-  /// logs, like remarks, are per-run diagnostics a cache hit would
-  /// silently drop.
+  /// (mvec_tool --explain-cost).
   std::vector<cost::CostDecision> *CostLog = nullptr;
 };
 

@@ -8,14 +8,10 @@
 
 #include "deps/DepAnalysis.h"
 #include "deps/LoopNest.h"
-#include "frontend/ASTPrinter.h"
 #include "frontend/ASTUtils.h"
 #include "vectorizer/Codegen.h"
-#include "vectorizer/NestCache.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -412,42 +408,12 @@ knownDimsOf(const Expr *E, const std::map<Symbol, double> &Constants,
   return std::nullopt;
 }
 
-/// Component-wise After - Before; every counter only ever grows.
-VectorizeStats statsDelta(const VectorizeStats &Before,
-                          const VectorizeStats &After) {
-  VectorizeStats D;
-  D.LoopNestsConsidered = After.LoopNestsConsidered - Before.LoopNestsConsidered;
-  D.LoopNestsImproved = After.LoopNestsImproved - Before.LoopNestsImproved;
-  D.StmtsVectorized = After.StmtsVectorized - Before.StmtsVectorized;
-  D.StmtsSequential = After.StmtsSequential - Before.StmtsSequential;
-  D.SequentialLoopsEmitted =
-      After.SequentialLoopsEmitted - Before.SequentialLoopsEmitted;
-  D.IneligibleNests = After.IneligibleNests - Before.IneligibleNests;
-  D.StmtsCostKept = After.StmtsCostKept - Before.StmtsCostKept;
-  D.NestsKeptLoop = After.NestsKeptLoop - Before.NestsKeptLoop;
-  D.VariantOverrides = After.VariantOverrides - Before.VariantOverrides;
-  return D;
-}
-
-void addStats(VectorizeStats &S, const VectorizeStats &Delta) {
-  S.LoopNestsConsidered += Delta.LoopNestsConsidered;
-  S.LoopNestsImproved += Delta.LoopNestsImproved;
-  S.StmtsVectorized += Delta.StmtsVectorized;
-  S.StmtsSequential += Delta.StmtsSequential;
-  S.SequentialLoopsEmitted += Delta.SequentialLoopsEmitted;
-  S.IneligibleNests += Delta.IneligibleNests;
-  S.StmtsCostKept += Delta.StmtsCostKept;
-  S.NestsKeptLoop += Delta.NestsKeptLoop;
-  S.VariantOverrides += Delta.VariantOverrides;
-}
-
 class VectorizerDriver {
 public:
   VectorizerDriver(const ShapeEnv &Env, const PatternDatabase &DB,
                    const VectorizerOptions &Opts, DiagnosticEngine &Diags,
-                   VectorizeStats &Stats, NestCache *NCache)
-      : Env(Env), DB(DB), Opts(Opts), Diags(Diags), Stats(Stats),
-        NCache(NCache) {}
+                   VectorizeStats &Stats)
+      : Env(Env), DB(DB), Opts(Opts), Diags(Diags), Stats(Stats) {}
 
   void run(Program &P) {
     TopBody = &P.Stmts;
@@ -463,13 +429,6 @@ private:
   /// replacement statements (an empty list when the nest was deleted as
   /// provably zero-trip), or nullopt when the loop should stay.
   std::optional<std::vector<StmtPtr>> tryNest(ForStmt &Loop);
-
-  /// Serializes everything tryNest's verdict for a top-level \p Loop can
-  /// depend on: the nest's printed text, the shape / constant / extent /
-  /// assigned-name facts for every identifier the subtree mentions, the
-  /// index-liveness verdict of each nest loop, and the configuration.
-  /// Two nests with equal keys are guaranteed the same outcome.
-  std::string nestCacheKey(ForStmt &Loop);
 
   /// Updates the constant/known-extent facts for a straight-line
   /// assignment reaching this program point on every execution.
@@ -521,76 +480,7 @@ private:
   /// nested under; their cached mention sets are widened when a rewrite
   /// splices new statements below them.
   std::vector<const Stmt *> Enclosing;
-  /// Cross-run nest outcome cache; null when the caller did not opt in.
-  NestCache *NCache;
 };
-
-std::string VectorizerDriver::nestCacheKey(ForStmt &Loop) {
-  std::string Key = printStmt(Loop);
-  char Buf[80];
-
-  // Context facts for every identifier the subtree mentions, in
-  // deterministic (content) order. Identifiers the environment does not
-  // know still contribute a line: "known nothing" must not collide with
-  // "not mentioned".
-  Key += "#env\n";
-  const std::unordered_set<Symbol> &Mentions = Liveness.mentionSet(Loop);
-  std::vector<Symbol> Sorted(Mentions.begin(), Mentions.end());
-  std::sort(Sorted.begin(), Sorted.end());
-  for (Symbol Name : Sorted) {
-    Key += Name.str();
-    Key += '=';
-    if (std::optional<Dimensionality> Shape = Env.getShape(Name.str()))
-      Key += Shape->str();
-    else
-      Key += '?';
-    auto C = Guards.Constants.find(Name);
-    if (C != Guards.Constants.end()) {
-      std::snprintf(Buf, sizeof(Buf), ";c%.17g", C->second);
-      Key += Buf;
-    }
-    auto D = Guards.KnownDims.find(Name);
-    if (D != Guards.KnownDims.end()) {
-      std::snprintf(Buf, sizeof(Buf), ";d%.17gx%.17g", D->second.first,
-                    D->second.second);
-      Key += Buf;
-    }
-    if (Guards.AssignedNames.count(Name))
-      Key += ";a";
-    Key += '\n';
-  }
-
-  // Liveness verdict of each nest loop's index variable, in the same
-  // order tryNest tests them. The key is only built for top-level nests,
-  // so the ancestor sets mirror tryNest's with Enclosing empty.
-  Key += "#live ";
-  std::vector<const ForStmt *> NestLoops;
-  NestLoops.push_back(&Loop);
-  visitStmts(Loop.body(), [&](const Stmt &S) {
-    if (const auto *F = dyn_cast<ForStmt>(&S))
-      NestLoops.push_back(F);
-  });
-  for (const ForStmt *F : NestLoops) {
-    std::unordered_set<const Stmt *> Ancestors;
-    const Stmt *TopStmt = nullptr;
-    if (F != &Loop) {
-      Ancestors.insert(&Loop);
-      std::vector<const Stmt *> Path;
-      collectAncestors(Loop.body(), F, Path);
-      Ancestors.insert(Path.begin(), Path.end());
-      TopStmt = &Loop;
-    }
-    Key += Liveness.readsIndexOutsideTop(F->indexSym(), F, TopStmt, Ancestors)
-               ? '1'
-               : '0';
-  }
-
-  std::snprintf(Buf, sizeof(Buf), "\n#cfg %llx/%p",
-                static_cast<unsigned long long>(optionsFingerprint(Opts)),
-                static_cast<const void *>(&DB));
-  Key += Buf;
-  return Key;
-}
 
 std::optional<std::vector<StmtPtr>> VectorizerDriver::tryNest(ForStmt &Loop) {
   ++Stats.LoopNestsConsidered;
@@ -714,32 +604,7 @@ void VectorizerDriver::processBody(std::vector<StmtPtr> &Body) {
       Guards.Constants.erase(Loop->indexSym());
       Guards.KnownDims.erase(Loop->indexSym());
 
-      // The nest cache only serves top-level nests (inner nests see a
-      // recursion-dependent environment) and never runs under remarks or
-      // a cost-decision log: a replayed outcome cannot re-emit this run's
-      // source locations or CostDecision records.
-      bool UseCache =
-          NCache && Enclosing.empty() && !Opts.EmitRemarks && !Opts.CostLog;
-      std::string CacheKey;
-      std::optional<std::vector<StmtPtr>> Replacement;
-      bool Cached = false;
-      if (UseCache) {
-        CacheKey = nestCacheKey(*Loop);
-        if (std::optional<NestCache::Outcome> Hit = NCache->lookup(CacheKey)) {
-          Cached = true;
-          addStats(Stats, Hit->Delta);
-          if (Hit->Replaced)
-            Replacement = std::move(Hit->Stmts);
-        }
-      }
-      if (!Cached) {
-        VectorizeStats Before = Stats;
-        Replacement = tryNest(*Loop);
-        if (UseCache)
-          NCache->insert(CacheKey, Replacement.has_value(),
-                         Replacement ? &*Replacement : nullptr,
-                         statsDelta(Before, Stats));
-      }
+      std::optional<std::vector<StmtPtr>> Replacement = tryNest(*Loop);
       if (Replacement) {
         // Commit the rewrite — possibly zero statements, when the whole
         // nest was provably zero-trip and simply removed.
@@ -820,14 +685,14 @@ Program mvec::vectorizeProgram(const Program &P, const ShapeEnv &Env,
                                const PatternDatabase &DB,
                                const VectorizerOptions &Opts,
                                DiagnosticEngine &Diags,
-                               VectorizeStats *Stats, NestCache *Cache) {
+                               VectorizeStats *Stats) {
   VectorizeStats LocalStats;
   VectorizeStats &S = Stats ? *Stats : LocalStats;
   Program Result = P.cloneProgram();
   // Every node the rewrite creates belongs to the result program, so the
   // whole pass runs inside its arena.
   ArenaScope Scope(Result.Arena.get());
-  VectorizerDriver Driver(Env, DB, Opts, Diags, S, Cache);
+  VectorizerDriver Driver(Env, DB, Opts, Diags, S);
   Driver.run(Result);
   return Result;
 }

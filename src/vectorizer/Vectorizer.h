@@ -24,8 +24,6 @@
 
 namespace mvec {
 
-class NestCache;
-
 struct VectorizeStats {
   unsigned LoopNestsConsidered = 0;
   /// Nests where at least one statement was emitted in vector form.
@@ -48,20 +46,14 @@ struct VectorizeStats {
 
 /// Vectorizes \p P under shape environment \p Env using pattern database
 /// \p DB, returning the transformed program. Remarks (when enabled) and
-/// warnings go to \p Diags; the input program is never modified.
-///
-/// \p Cache, when given, memoizes per-loop-nest outcomes across calls
-/// (see NestCache.h); it is bypassed whenever remarks are enabled, since
-/// replayed outcomes cannot reproduce per-run source locations. There is
-/// deliberately no process-global default cache — cold-path measurements
-/// must stay honest — so callers wanting nest reuse own one explicitly
-/// (the service layer does).
+/// warnings go to \p Diags; the input program is never modified. Nothing
+/// is memoized across calls: each nest is analysed afresh, which costs
+/// less than keying and cloning a cached outcome would.
 Program vectorizeProgram(const Program &P, const ShapeEnv &Env,
                          const PatternDatabase &DB,
                          const VectorizerOptions &Opts,
                          DiagnosticEngine &Diags,
-                         VectorizeStats *Stats = nullptr,
-                         NestCache *Cache = nullptr);
+                         VectorizeStats *Stats = nullptr);
 
 } // namespace mvec
 

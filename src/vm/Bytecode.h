@@ -8,9 +8,10 @@
 /// The compiled-program representation of the mvec::vm execution tier: a
 /// register-based instruction stream lowered from a prepared AST, plus the
 /// pools it references (doubles, strings, variable names, for-loop
-/// metadata). Programs live in memory only (the CodeCache). Variables are
-/// *name* indices bound to workspace slots at execution time, so one
-/// immutable program executes against any number of interpreters.
+/// metadata). Programs live in memory only, for the one run they were
+/// compiled for. Variables are *name* indices bound to workspace slots at
+/// execution time, so one immutable program executes against any number
+/// of interpreters.
 ///
 /// Register discipline: the compiler allocates registers as an expression
 /// stack (destination first, operand temporaries above it) and restores the

@@ -10,8 +10,7 @@
 /// (':' outside a subscript, N-d indexing, ...) lowered to Fail
 /// instructions carrying the exact message and location the tree-walker
 /// would produce. Compilation is deterministic — same source, same
-/// program — which is what lets the in-memory CodeCache key compiled
-/// programs by source hash alone.
+/// program — and cheap, so every run compiles its program afresh.
 ///
 //===----------------------------------------------------------------------===//
 

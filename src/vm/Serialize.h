@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Structural validation of a CompiledProgram and a textual disassembler
-/// for tests and diagnostics. Compiled programs live only in memory (the
-/// CodeCache), so these are compiler invariants, not a load-time guard:
+/// for tests and diagnostics. Compiled programs live only in memory, so
+/// these are compiler invariants, not a load-time guard:
 /// the tests demand that every program the compiler emits validates, and
 /// pin the listing of representative lowerings as goldens.
 ///

@@ -14,7 +14,7 @@
 
 #include "cost/CostModel.h"
 #include "driver/Pipeline.h"
-#include "vectorizer/NestCache.h"
+#include "service/VectorizationService.h"
 
 #include "gtest/gtest.h"
 

@@ -13,7 +13,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
-#include "vectorizer/NestCache.h"
 
 #include <gtest/gtest.h>
 
@@ -73,35 +72,6 @@ TEST_P(GoldenTest, VectorizedSourceAndDiagnosticsAreByteIdentical) {
   EXPECT_EQ(readFile(goldenPath(".vectorized.m")), Result.VectorizedSource);
   EXPECT_EQ(readFile(goldenPath(".diag.txt")),
             diagTranscript(Result, displayName()));
-}
-
-TEST_P(GoldenTest, NestCacheIsTransparent) {
-  std::string Source = readFile(scriptPath());
-
-  PipelineResult Plain = vectorizeSource(Source);
-  ASSERT_TRUE(Plain.succeeded());
-
-  NestCache Cache(64);
-  PipelineResult Cold = vectorizeSource(Source, {}, nullptr, &Cache);
-  uint64_t MissesAfterCold = Cache.misses();
-  PipelineResult Warm = vectorizeSource(Source, {}, nullptr, &Cache);
-
-  // Every example has at least one top-level nest, so the cold run must
-  // populate and the warm run must actually be served from the cache.
-  EXPECT_GT(MissesAfterCold, 0u);
-  EXPECT_GT(Cache.hits(), 0u);
-  EXPECT_EQ(Cache.misses(), MissesAfterCold);
-
-  for (const PipelineResult *R : {&Cold, &Warm}) {
-    EXPECT_EQ(Plain.VectorizedSource, R->VectorizedSource);
-    EXPECT_EQ(Plain.Stats.LoopNestsConsidered, R->Stats.LoopNestsConsidered);
-    EXPECT_EQ(Plain.Stats.LoopNestsImproved, R->Stats.LoopNestsImproved);
-    EXPECT_EQ(Plain.Stats.StmtsVectorized, R->Stats.StmtsVectorized);
-    EXPECT_EQ(Plain.Stats.StmtsSequential, R->Stats.StmtsSequential);
-    EXPECT_EQ(Plain.Stats.SequentialLoopsEmitted,
-              R->Stats.SequentialLoopsEmitted);
-    EXPECT_EQ(Plain.Stats.IneligibleNests, R->Stats.IneligibleNests);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Examples, GoldenTest,

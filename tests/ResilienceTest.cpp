@@ -358,7 +358,7 @@ TEST(DepthGuardTest, EnginesAgreeAtPathologicalDepth) {
   // and the compiler's recursion stops there instead of overflowing.
   for (unsigned Depth : {2500u, 20000u}) {
     Program P = deepAssignment(deepUnaryChain("y", Depth));
-    DiffOutcome Out = engineDiffRun(P, "deep");
+    DiffOutcome Out = engineDiffRun(P);
     EXPECT_TRUE(Out.agreed()) << Depth << ": " << Out.Message;
     Interpreter Vm;
     vm::CompiledProgram CP = vm::compileProgram(P, "deep");
@@ -371,7 +371,7 @@ TEST(DepthGuardTest, EnginesAgreeAtPathologicalDepth) {
   for (bool DefineY : {true, false}) {
     Program P = deepAssignment(
         deepUnaryChain("y", Interpreter::MaxEvalDepth), DefineY);
-    DiffOutcome Out = engineDiffRun(P, "limit");
+    DiffOutcome Out = engineDiffRun(P);
     EXPECT_TRUE(Out.agreed()) << DefineY << ": " << Out.Message;
     Interpreter Ast;
     EXPECT_EQ(Ast.run(P), DefineY) << Ast.errorMessage();
@@ -384,7 +384,7 @@ TEST(DepthGuardTest, EnginesAgreeAtPathologicalDepth) {
     Chain = std::make_unique<BinaryExpr>(BinaryOp::Add, std::move(Chain),
                                          std::make_unique<IdentExpr>("y"));
   Program P = deepAssignment(std::move(Chain));
-  DiffOutcome Out = engineDiffRun(P, "chain");
+  DiffOutcome Out = engineDiffRun(P);
   EXPECT_TRUE(Out.agreed()) << Out.Message;
 }
 

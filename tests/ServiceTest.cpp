@@ -305,58 +305,59 @@ TEST(ServiceTest, ConcurrentSubmissionStress) {
   EXPECT_GT(M.CacheHits.load(), 0u);
 }
 
-TEST(ServiceTest, NestCacheServesSharedNestsConcurrently) {
+TEST(ServiceTest, SharedNestsMatchSingleThreadedOutputConcurrently) {
   ServiceConfig Config;
   Config.Workers = 4;
   Config.QueueCapacity = 8;
-  // Disable the whole-script cache so every job runs the pipeline and
-  // exercises the nest cache from multiple workers at once (this test is
-  // the TSan coverage for NestCache).
+  // Disable the whole-script cache so every job runs the pipeline, four
+  // workers at a time (this test is the TSan coverage for concurrent
+  // pipeline runs sharing the frozen pattern database).
   Config.CacheCapacity = 0;
-  Config.NestCacheCapacity = 64;
   VectorizationService Service(Config);
+
+  // Distinct source texts (no script-level dedup possible) that share one
+  // loop nest, in two shape contexts: row vectors, and column vectors
+  // whose vectorized form differs.
+  auto ScriptFor = [](int T, int I) {
+    std::string Tag = std::to_string(T * 100 + I);
+    if (I % 2 == 0)
+      return validScript(Tag);
+    return "n = 8; x = rand(n,1); y = zeros(n,1);\n"
+           "%! x(*,1) y(*,1) n(1)\n"
+           "for i=1:n\n  y(i) = 2*x(i);\nend\n% " +
+           Tag + "\n";
+  };
 
   constexpr int Submitters = 4;
   constexpr int PerThread = 10;
-  std::atomic<int> Succeeded{0};
+  std::vector<std::vector<std::string>> Expected(Submitters);
+  for (int T = 0; T != Submitters; ++T)
+    for (int I = 0; I != PerThread; ++I) {
+      PipelineResult P = vectorizeSource(ScriptFor(T, I));
+      ASSERT_TRUE(P.succeeded()) << P.Diags.str();
+      Expected[T].push_back(P.VectorizedSource);
+    }
+  ASSERT_NE(Expected[0][0], Expected[0][1]) << "the contexts must differ";
+
+  std::atomic<int> Matched{0};
   std::vector<std::thread> Threads;
   for (int T = 0; T != Submitters; ++T)
-    Threads.emplace_back([&Service, &Succeeded, T] {
+    Threads.emplace_back([&, T] {
       for (int I = 0; I != PerThread; ++I) {
-        // Unique source text per job (no script-level dedup possible),
-        // but every script shares the same loop nest in the same
-        // context, so the nest cache serves all but the first.
-        JobResult R = Service
-                          .submit(makeSpec("job", validScript(std::to_string(
-                                                      T * 100 + I))))
-                          .get();
-        // Validation runs on every job: a wrong cached splice would
-        // surface as a semantic divergence, not just a wrong counter.
-        if (R.Status == JobStatus::Succeeded)
-          Succeeded.fetch_add(1);
+        // Validation runs on every job, so a divergent rewrite would
+        // surface as a failed job as well as a text mismatch.
+        JobResult R =
+            Service.submit(makeSpec("job", ScriptFor(T, I))).get();
+        if (R.Status == JobStatus::Succeeded &&
+            R.VectorizedSource == Expected[T][I])
+          Matched.fetch_add(1);
       }
     });
   for (std::thread &T : Threads)
     T.join();
 
-  EXPECT_EQ(Succeeded.load(), Submitters * PerThread);
-  EXPECT_GT(Service.nestCache().hits(), 0u);
-  EXPECT_GT(Service.nestCache().size(), 0u);
-  EXPECT_LT(Service.nestCache().misses(),
-            uint64_t(Submitters * PerThread));
-}
-
-TEST(ServiceTest, NestCacheZeroCapacityDisables) {
-  ServiceConfig Config;
-  Config.CacheCapacity = 0;
-  Config.NestCacheCapacity = 0;
-  VectorizationService Service(Config);
-  EXPECT_TRUE(Service.submit(makeSpec("a", validScript("a"))).get()
-                  .succeeded());
-  EXPECT_TRUE(Service.submit(makeSpec("b", validScript("b"))).get()
-                  .succeeded());
-  EXPECT_EQ(Service.nestCache().size(), 0u);
-  EXPECT_EQ(Service.nestCache().hits(), 0u);
+  EXPECT_EQ(Matched.load(), Submitters * PerThread);
+  EXPECT_EQ(Service.metrics().CacheHits.load(), 0u);
 }
 
 TEST(ServiceTest, MetricsDumpsAreWellFormed) {

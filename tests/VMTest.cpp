@@ -7,9 +7,8 @@
 /// \file
 /// The mvec::vm contract, pinned: golden disassembly for representative
 /// lowerings (superinstructions included), deterministic compilation
-/// (same source, same program, same cache key), byte-identical engine
-/// parity against the tree-walker (values, errors, interrupts, governor
-/// charges), and the CodeCache's LRU.
+/// (same source, same program), and byte-identical engine parity against
+/// the tree-walker (values, errors, interrupts, governor charges).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,8 +16,6 @@
 #include "frontend/Parser.h"
 #include "interp/Interpreter.h"
 #include "resilience/ResourceGovernor.h"
-#include "service/ServiceMetrics.h"
-#include "vm/CodeCache.h"
 #include "vm/Compiler.h"
 #include "vm/Serialize.h"
 #include "vm/VM.h"
@@ -207,7 +204,7 @@ TEST(VMDisasm, IndexingFeatures) {
 }
 
 //===----------------------------------------------------------------------===//
-// Compile determinism and the content key
+// Compile determinism
 //===----------------------------------------------------------------------===//
 
 TEST(VMCompile, DeterministicBytesAndKey) {
@@ -215,16 +212,6 @@ TEST(VMCompile, DeterministicBytesAndKey) {
       "A = rand(4, 4);\nB = A * A';\nfor i = 1:3\n  B = B + i;\nend\n";
   EXPECT_EQ(vm::disassemble(compile(Source)), vm::disassemble(compile(Source)))
       << "same source must lower to the same program";
-  // The cache key is a pure function of the source text: the same text
-  // hits, any other text (even an identical program) compiles again.
-  ParseResult R = parseOk(Source);
-  ServiceMetrics M;
-  vm::CodeCache Cache(8, M);
-  Cache.obtain(Source, R.Prog);
-  Cache.obtain(Source, R.Prog);
-  Cache.obtain(Source + " ", R.Prog);
-  EXPECT_EQ(M.CodeCacheHits.load(), 1u);
-  EXPECT_EQ(M.BytecodeCompiles.load(), 2u);
 }
 
 TEST(VMCompile, EveryParseCompilesValid) {
@@ -666,42 +653,6 @@ TEST(VMParity, LogicalFlagBuiltins) {
                               << Source << "\n"
                               << Out.Message;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// CodeCache
-//===----------------------------------------------------------------------===//
-
-TEST(VMCodeCache, HitsShareOneCompilation) {
-  const std::string Source = "x = 1 + 2;\n";
-  ParseResult R = parseOk(Source);
-  ServiceMetrics M;
-  vm::CodeCache Cache(8, M);
-  auto A = Cache.obtain(Source, R.Prog);
-  auto B = Cache.obtain(Source, R.Prog);
-  ASSERT_TRUE(A && B);
-  EXPECT_EQ(A.get(), B.get()) << "second obtain must share, not recompile";
-  EXPECT_EQ(M.BytecodeCompiles.load(), 1u);
-  EXPECT_EQ(M.CodeCacheHits.load(), 1u);
-  EXPECT_EQ(M.CodeCacheMisses.load(), 1u);
-  EXPECT_EQ(M.CompileLatency.count(), 1u);
-}
-
-TEST(VMCodeCache, LRUEviction) {
-  const std::string S1 = "x = 1;\n", S2 = "x = 2;\n", S3 = "x = 3;\n";
-  ParseResult R1 = parseOk(S1), R2 = parseOk(S2), R3 = parseOk(S3);
-  ServiceMetrics M;
-  vm::CodeCache Cache(2, M);
-  Cache.obtain(S1, R1.Prog);
-  Cache.obtain(S2, R2.Prog);
-  EXPECT_EQ(Cache.size(), 2u);
-  Cache.obtain(S3, R3.Prog); // evicts S1 (least recently used)
-  EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_EQ(M.BytecodeCompiles.load(), 3u);
-  Cache.obtain(S2, R2.Prog); // still resident
-  EXPECT_EQ(M.BytecodeCompiles.load(), 3u);
-  Cache.obtain(S1, R1.Prog); // evicted: compiles again
-  EXPECT_EQ(M.BytecodeCompiles.load(), 4u);
 }
 
 } // namespace

@@ -137,7 +137,6 @@ int main(int Argc, char **Argv) {
     ServerConfig SC;
     SC.BindAddress = Bind;
     SC.Port = Port;
-    SC.MaxFrameBytes = Config.MaxFrameBytes;
     Server S(D, SC);
     std::string Error;
     if (!S.start(Error)) {
