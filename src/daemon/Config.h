@@ -15,10 +15,10 @@
 ///   tenant_rate = 200
 ///   tenant_burst = 64
 ///
-/// Reload semantics are defined by Daemon::reload(): QoS limits, queue
-/// depth and deadline apply instantly; the frame ceiling applies to the
-/// next connection; shard/worker/cache-size/engine changes swap in a
-/// fresh shard fleet while every in-flight job completes on the
+/// Reload semantics are defined by Daemon::reload(): QoS limits and
+/// deadline apply instantly; the frame ceiling applies to the next
+/// connection; shard/worker/cache-size/queue-depth/engine changes swap in
+/// a fresh shard fleet while every in-flight job completes on the
 /// old one (nothing is dropped).
 ///
 //===----------------------------------------------------------------------===//
@@ -42,7 +42,8 @@ struct DaemonConfig {
   /// In-memory result-cache entries per shard.
   size_t CacheCapacity = 512;
   /// In-flight requests per shard beyond which new arrivals are shed as
-  /// degraded passthrough instead of queueing.
+  /// degraded passthrough instead of queueing. Hot-reloadable; a change
+  /// swaps in a fresh shard fleet, whose pool queues are sized from it.
   size_t MaxQueueDepth = 96;
   /// Disk-store directory (empty = memory tiers only, nothing survives a
   /// restart).

@@ -18,7 +18,7 @@ using namespace mvec::daemon;
 
 Daemon::Daemon(DaemonConfig Config)
     : Config(Config), Qos(Config.TenantRate, Config.TenantBurst),
-      DeadlineMs(Config.DeadlineMs), MaxQueueDepth(Config.MaxQueueDepth) {
+      DeadlineMs(Config.DeadlineMs) {
   if (!Config.StoreDir.empty())
     Store = std::make_unique<DiskStore>(
         DiskStoreConfig{Config.StoreDir, Config.StoreMaxBytes});
@@ -40,6 +40,7 @@ Daemon::~Daemon() {
 
 std::shared_ptr<Daemon::Fleet> Daemon::makeFleet(const DaemonConfig &C) const {
   auto F = std::make_shared<Fleet>();
+  F->MaxQueueDepth = C.MaxQueueDepth;
   if (C.CostModel == "on") {
     std::string Diag;
     F->Cost = std::make_unique<cost::CostModel>(
@@ -202,7 +203,7 @@ Response Daemon::handleVec(const Request &R) {
   // Queue-depth gate: beyond the limit the shard is drowning; shedding
   // with a runnable body beats queueing into a deadline miss.
   uint64_t Depth = S.InFlight.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (Depth > MaxQueueDepth.load(std::memory_order_relaxed)) {
+  if (Depth > F->MaxQueueDepth) {
     S.InFlight.fetch_sub(1, std::memory_order_relaxed);
     S.Shed.fetch_add(1, std::memory_order_relaxed);
     ShedQueue.fetch_add(1, std::memory_order_relaxed);
@@ -246,6 +247,7 @@ bool Daemon::reload(const DaemonConfig &New, std::string &Error) {
   bool FleetChanged = StoreChanged || Applied.Shards != Config.Shards ||
                       Applied.WorkersPerShard != Config.WorkersPerShard ||
                       Applied.CacheCapacity != Config.CacheCapacity ||
+                      // Each shard's pool queue is sized from the depth.
                       Applied.MaxQueueDepth != Config.MaxQueueDepth ||
                       // Each shard's service validates on one engine,
                       // and the engine salts every result-cache key.
@@ -309,7 +311,6 @@ bool Daemon::reload(const DaemonConfig &New, std::string &Error) {
   // untouched.
   Qos.setLimits(Applied.TenantRate, Applied.TenantBurst);
   DeadlineMs.store(Applied.DeadlineMs, std::memory_order_relaxed);
-  MaxQueueDepth.store(Applied.MaxQueueDepth, std::memory_order_relaxed);
 
   Config = Applied;
   Reloads.fetch_add(1, std::memory_order_relaxed);

@@ -29,8 +29,8 @@
 /// always yields a 200 whose body the client can run (vectorized on
 /// success, byte-exact original otherwise).
 ///
-/// Hot reload: reload() applies QoS limits, queue depth and deadline
-/// instantly (atomics); shard-count/worker/cache-size changes build a
+/// Hot reload: reload() applies QoS limits and deadline instantly;
+/// shard-count/worker/cache-size/queue-depth changes build a
 /// fresh shard fleet and retire the old one only after its in-flight jobs
 /// complete (the old services drain; nothing is dropped). The disk store
 /// survives reloads, so the new fleet warms from it immediately.
@@ -125,6 +125,9 @@ private:
     /// hold a raw pointer) are destroyed first.
     std::unique_ptr<cost::CostModel> Cost;
     std::vector<std::unique_ptr<Shard>> Shards;
+    /// In-flight requests per shard beyond which arrivals are shed; the
+    /// shards' pool queues are sized from it.
+    size_t MaxQueueDepth = 0;
   };
 
   std::shared_ptr<Fleet> makeFleet(const DaemonConfig &C) const;
@@ -143,7 +146,6 @@ private:
   AdmissionController Qos;
 
   std::atomic<unsigned> DeadlineMs;
-  std::atomic<size_t> MaxQueueDepth;
   std::atomic<bool> ShutdownFlag{false};
 
   std::atomic<uint64_t> Requests{0};

@@ -7,8 +7,11 @@
 #include "fuzz/Oracle.h"
 
 #include "cost/CostModel.h"
-#include "driver/Pipeline.h"
+#include "resilience/Resilience.h"
+#include "resilience/ResourceGovernor.h"
+#include "support/ContentHash.h"
 
+#include <algorithm>
 #include <cctype>
 
 using namespace mvec;
@@ -33,6 +36,8 @@ const char *mvec::fuzz::findingKindName(FindingKind Kind) {
 }
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 /// Extracts the text between the first pair of single quotes ("variable
 /// 'name' differs" -> "name"); empty when there is no quoted token.
@@ -61,49 +66,39 @@ Verdict rejected() {
   return V;
 }
 
-/// Shared classification of a differential-run failure description — the
-/// strings produced by diffRunLimited (Pipeline.cpp). Both the sync path
-/// (which holds the DiffOutcome) and the batch path (which recovers it
-/// from the JobResult message) land here, so buckets are identical.
-Verdict classifyDiff(DiffStatus Status, const std::string &Msg) {
-  switch (Status) {
-  case DiffStatus::Match:
-    return Verdict{};
-  case DiffStatus::Cancelled:
-    return rejected();
-  case DiffStatus::TimedOut:
-    // A slow original is the input's fault; a slow transformed program
-    // means the transformation changed the amount of work.
-    if (Msg.starts_with("original program"))
-      return rejected();
-    return finding(FindingKind::Hang, "hang:transformed", Msg);
-  case DiffStatus::Error:
-    if (Msg.starts_with("original program"))
-      return rejected();
-    if (Msg.starts_with("transformed program does not parse"))
-      return finding(FindingKind::TransformedRunError,
-                     "trun:parse:" + Oracle::normalizeForBucket(Msg), Msg);
-    if (Msg.starts_with("transformed program failed: ")) {
-      std::string Err = Msg.substr(std::string("transformed program failed: ")
-                                       .size());
-      return finding(FindingKind::TransformedRunError,
-                     "trun:" + Oracle::normalizeForBucket(Err), Msg);
-    }
-    return finding(FindingKind::TransformedRunError,
-                   "trun:" + Oracle::normalizeForBucket(Msg), Msg);
-  case DiffStatus::Mismatch:
-    if (Msg.starts_with("variable '")) {
-      std::string Var = firstQuoted(Msg);
-      if (Msg.find("missing after transformation") != std::string::npos)
-        return finding(FindingKind::Mismatch, "mismatch:missing:" + Var, Msg);
-      return finding(FindingKind::Mismatch, "mismatch:var:" + Var, Msg);
-    }
-    if (Msg.starts_with("transformation introduced variable"))
-      return finding(FindingKind::Mismatch,
-                     "mismatch:introduced:" + firstQuoted(Msg), Msg);
-    return finding(FindingKind::Mismatch, "mismatch:output", Msg);
+/// Runs one judgement, folding whatever escapes it into the verdict: an
+/// exhausted memory budget is the input's fault (Rejected), any other
+/// exception a pipeline crash. Findings are stamped with their program.
+template <typename Fn>
+Verdict guarded(const std::string &Source, const std::string &Family,
+                Fn &&Judge) {
+  Verdict V;
+  try {
+    V = Judge();
+  } catch (const ResourceExhausted &) {
+    V = rejected();
+  } catch (const std::exception &E) {
+    V = finding(FindingKind::Crash,
+                "crash:" + Oracle::normalizeForBucket(E.what()),
+                std::string("internal error: ") + E.what());
+  } catch (...) {
+    V = finding(FindingKind::Crash, "crash:unknown",
+                "internal error: unknown exception");
   }
-  return rejected();
+  if (V.isFinding()) {
+    V.F.Source = Source;
+    V.F.Family = Family;
+  }
+  return V;
+}
+
+/// Runs one differential pair under a fresh memory budget: the service's
+/// default, so a program the service would refuse for its allocations is
+/// refused here too, instead of allocating without bound.
+template <typename Fn> DiffOutcome governed(Fn &&RunPair) {
+  ResourceGovernor Governor(ResilienceConfig{}.MaxJobBytes);
+  GovernorScope Scope(&Governor);
+  return RunPair();
 }
 
 } // namespace
@@ -136,65 +131,84 @@ std::string Oracle::normalizeForBucket(const std::string &Message) {
   return Out;
 }
 
-Oracle::Oracle(OracleConfig Config) : Config(Config) {
-  ServiceConfig SC;
-  SC.Workers = Config.Jobs;
-  SC.CacheCapacity = Config.CacheCapacity;
-  SC.DefaultDeadline = Config.Deadline;
-  // Submission happens in batches sized to the worker count; a roomy
-  // queue keeps the generator ahead of the workers.
-  SC.QueueCapacity = std::max<size_t>(64, 8 * Config.Jobs);
-  // Degradation would repackage "internal error:" crashes as Degraded
-  // passthrough results and hide them from the oracle; the fuzzer wants
-  // the raw failure, not the graceful fallback.
-  SC.Resilience.DegradeOnExhaustion = false;
-  SC.Resilience.Retry.MaxAttempts = 1;
-  // Vm mode validates on the bytecode tier; Both keeps the service on the
-  // tree-walker and layers the engine cross-check on top (engineCheck).
-  SC.Engine = Config.Engine == EngineMode::Vm ? ExecEngine::Vm
-                                              : ExecEngine::Ast;
-  Service = std::make_unique<VectorizationService>(SC);
+Verdict Oracle::classifyDiff(DiffStatus Status, const std::string &Msg) {
+  switch (Status) {
+  case DiffStatus::Match:
+    return Verdict{};
+  case DiffStatus::Cancelled:
+    return rejected();
+  case DiffStatus::TimedOut:
+    // A slow original is the input's fault; a slow transformed program
+    // means the transformation changed the amount of work.
+    if (Msg.starts_with("original program"))
+      return rejected();
+    return finding(FindingKind::Hang, "hang:transformed", Msg);
+  case DiffStatus::Error:
+    if (Msg.starts_with("original program"))
+      return rejected();
+    if (Msg.starts_with("transformed program does not parse"))
+      return finding(FindingKind::TransformedRunError,
+                     "trun:parse:" + normalizeForBucket(Msg), Msg);
+    if (Msg.starts_with("transformed program failed: ")) {
+      std::string Err = Msg.substr(std::string("transformed program failed: ")
+                                       .size());
+      return finding(FindingKind::TransformedRunError,
+                     "trun:" + normalizeForBucket(Err), Msg);
+    }
+    return finding(FindingKind::TransformedRunError,
+                   "trun:" + normalizeForBucket(Msg), Msg);
+  case DiffStatus::Mismatch:
+    if (Msg.starts_with("variable '")) {
+      std::string Var = firstQuoted(Msg);
+      if (Msg.find("missing after transformation") != std::string::npos)
+        return finding(FindingKind::Mismatch, "mismatch:missing:" + Var, Msg);
+      return finding(FindingKind::Mismatch, "mismatch:var:" + Var, Msg);
+    }
+    if (Msg.starts_with("transformation introduced variable"))
+      return finding(FindingKind::Mismatch,
+                     "mismatch:introduced:" + firstQuoted(Msg), Msg);
+    return finding(FindingKind::Mismatch, "mismatch:output", Msg);
+  }
+  return rejected();
 }
+
+Oracle::Oracle(OracleConfig Config)
+    : Config(Config),
+      // A roomy queue keeps checkBatch's submissions ahead of the workers.
+      Pool(std::make_unique<ThreadPool>(
+          Config.Jobs, std::max<size_t>(64, 8 * Config.Jobs))) {}
 
 Oracle::~Oracle() = default;
 
-ServiceMetrics &Oracle::metrics() { return Service->metrics(); }
+RunLimits Oracle::limits(Clock::time_point Start) const {
+  RunLimits Limits;
+  Limits.MaxSteps = Config.MaxSteps;
+  if (Config.Deadline.count() > 0)
+    Limits.Deadline = Start + Config.Deadline;
+  if (Config.Engine == EngineMode::Vm)
+    Limits.Engine = ExecEngine::Vm;
+  return Limits;
+}
 
 Verdict Oracle::engineCheck(const std::string &Source,
                             const std::string &Family) const {
-  Verdict V;
-  try {
-    RunLimits Limits;
-    Limits.MaxSteps = Config.MaxSteps;
-    if (Config.Deadline.count() > 0)
-      Limits.Deadline = std::chrono::steady_clock::now() + Config.Deadline;
-    DiffOutcome Diff = engineDiffRun(Source, Limits);
+  return guarded(Source, Family, [&] {
+    RunLimits Limits = limits(Clock::now());
+    DiffOutcome Diff = governed([&] { return engineDiffRun(Source, Limits); });
     switch (Diff.Status) {
     case DiffStatus::Match:
       break;
     case DiffStatus::Error:     // the program itself does not parse
     case DiffStatus::TimedOut:  // wall-clock interrupt: inconclusive
     case DiffStatus::Cancelled:
-      V = rejected();
-      break;
+      return rejected();
     case DiffStatus::Mismatch:
-      V = finding(FindingKind::EngineDivergence,
-                  "engine:" + normalizeForBucket(Diff.Message), Diff.Message);
-      break;
+      return finding(FindingKind::EngineDivergence,
+                     "engine:" + normalizeForBucket(Diff.Message),
+                     Diff.Message);
     }
-  } catch (const std::exception &E) {
-    V = finding(FindingKind::Crash,
-                "crash:" + normalizeForBucket(E.what()),
-                std::string("internal error: ") + E.what());
-  } catch (...) {
-    V = finding(FindingKind::Crash, "crash:unknown",
-                "internal error: unknown exception");
-  }
-  if (V.isFinding()) {
-    V.F.Source = Source;
-    V.F.Family = Family;
-  }
-  return V;
+    return Verdict{};
+  });
 }
 
 const cost::CostModel *Oracle::costModel() const {
@@ -207,48 +221,36 @@ Verdict Oracle::checkImpl(const std::string &Source,
                           const std::string &Family,
                           const VectorizerOptions &Opts,
                           std::string *TransformedOut) const {
-  Verdict V;
-  try {
+  std::string Vectorized;
+  Verdict V = guarded(Source, Family, [&] {
+    // One clock for the whole check: vectorization and both runs.
+    RunLimits Limits = limits(Clock::now());
     PipelineResult P = vectorizeSource(Source, Opts);
-    if (!P.succeeded()) {
-      // The pipeline refused the input with diagnostics; for a fuzzer
-      // that is the expected fate of malformed mutants, not a defect.
-      V = rejected();
-    } else {
-      if (TransformedOut)
-        *TransformedOut = P.VectorizedSource;
-      RunLimits Limits;
-      Limits.MaxSteps = Config.MaxSteps;
-      // Mutation can make the code contradict its %! annotations; a
-      // divergence on a lying input blames the input, not the vectorizer.
-      Limits.CheckAnnotations = true;
-      if (Config.Deadline.count() > 0)
-        Limits.Deadline = std::chrono::steady_clock::now() + Config.Deadline;
-      if (Config.Engine == EngineMode::Vm)
-        Limits.Engine = ExecEngine::Vm;
-      DiffOutcome Diff =
-          diffRunLimited(Source, P.VectorizedSource, Limits, Config.Tol);
-      V = classifyDiff(Diff.Status, Diff.Message);
-      if (V.ok() && Config.Engine == EngineMode::Both) {
-        // The vectorized output is a program too; both tiers must agree
-        // on it as well.
-        Verdict E = engineCheck(P.VectorizedSource, Family);
-        if (E.isFinding())
-          return E;
-      }
-    }
-  } catch (const std::exception &E) {
-    V = finding(FindingKind::Crash,
-                "crash:" + normalizeForBucket(E.what()),
-                std::string("internal error: ") + E.what());
-  } catch (...) {
-    V = finding(FindingKind::Crash, "crash:unknown",
-                "internal error: unknown exception");
+    // The pipeline refused the input with diagnostics; for a fuzzer that
+    // is the expected fate of malformed mutants, not a defect.
+    if (!P.succeeded())
+      return rejected();
+    if (Limits.Deadline && Clock::now() >= *Limits.Deadline)
+      return finding(FindingKind::Hang, "hang:vectorize",
+                     "deadline exceeded during vectorization");
+    Vectorized = std::move(P.VectorizedSource);
+    // Mutation can make the code contradict its %! annotations; a
+    // divergence on a lying input blames the input, not the vectorizer.
+    Limits.CheckAnnotations = true;
+    DiffOutcome Diff = governed([&] {
+      return diffRunLimited(Source, Vectorized, Limits, Config.Tol);
+    });
+    return classifyDiff(Diff.Status, Diff.Message);
+  });
+  if (V.ok() && Config.Engine == EngineMode::Both) {
+    // The vectorized output is a program too; both tiers must agree on
+    // it as well.
+    Verdict E = engineCheck(Vectorized, Family);
+    if (E.isFinding())
+      return E;
   }
-  if (V.isFinding()) {
-    V.F.Source = Source;
-    V.F.Family = Family;
-  }
+  if (TransformedOut)
+    *TransformedOut = std::move(Vectorized);
   return V;
 }
 
@@ -258,26 +260,22 @@ Verdict Oracle::crossCheckCost(const std::string &Source,
                                const std::string &OnOut) const {
   if (OffOut == OnOut)
     return Verdict{};
-  RunLimits Limits;
-  Limits.MaxSteps = Config.MaxSteps;
-  if (Config.Deadline.count() > 0)
-    Limits.Deadline = std::chrono::steady_clock::now() + Config.Deadline;
-  if (Config.Engine == EngineMode::Vm)
-    Limits.Engine = ExecEngine::Vm;
-  // Both outputs already matched the original within Tol, so by the
-  // triangle inequality they agree within 2*Tol; a wider gap means the
-  // cost model changed semantics, not just rounding.
-  DiffOutcome Diff = diffRunLimited(OffOut, OnOut, Limits, 2 * Config.Tol);
-  if (Diff.Status != DiffStatus::Mismatch)
-    return Verdict{}; // re-run noise (budget/interrupt), not a verdict
-  Verdict V = finding(FindingKind::CostDivergence,
-                      "cost-divergence:" + normalizeForBucket(Diff.Message),
-                      "cost-model-on output diverges from cost-model-off "
-                      "output: " +
-                          Diff.Message);
-  V.F.Source = Source;
-  V.F.Family = Family;
-  return V;
+  return guarded(Source, Family, [&] {
+    RunLimits Limits = limits(Clock::now());
+    // Both outputs already matched the original within Tol, so by the
+    // triangle inequality they agree within 2*Tol; a wider gap means the
+    // cost model changed semantics, not just rounding.
+    DiffOutcome Diff = governed([&] {
+      return diffRunLimited(OffOut, OnOut, Limits, 2 * Config.Tol);
+    });
+    if (Diff.Status != DiffStatus::Mismatch)
+      return Verdict{}; // re-run noise (budget/interrupt), not a verdict
+    return finding(FindingKind::CostDivergence,
+                   "cost-divergence:" + normalizeForBucket(Diff.Message),
+                   "cost-model-on output diverges from cost-model-off "
+                   "output: " +
+                       Diff.Message);
+  });
 }
 
 Verdict Oracle::check(const std::string &Source,
@@ -318,117 +316,24 @@ Verdict Oracle::check(const std::string &Source,
   return Cross.isFinding() ? Cross : Off;
 }
 
-Verdict Oracle::classifyJob(const JobResult &R) {
-  switch (R.Status) {
-  case JobStatus::Succeeded:
-    return Verdict{};
-  case JobStatus::Cancelled:
-  case JobStatus::Degraded:
-    // Degraded should not occur with DegradeOnExhaustion off (see the
-    // constructor); treat it as non-finding if a custom config allows it.
-    return rejected();
-  case JobStatus::TimedOut: {
-    if (R.Message.starts_with("deadline exceeded during vectorization"))
-      return finding(FindingKind::Hang, "hang:vectorize", R.Message);
-    const char *Prefix = "validation timed out: ";
-    std::string Msg = R.Message.starts_with(Prefix)
-                          ? R.Message.substr(std::string(Prefix).size())
-                          : R.Message;
-    return classifyDiff(DiffStatus::TimedOut, Msg);
-  }
-  case JobStatus::Failed: {
-    if (R.Message.starts_with("internal error: "))
-      return finding(
-          FindingKind::Crash,
-          "crash:" + normalizeForBucket(
-                         R.Message.substr(std::string("internal error: ")
-                                              .size())),
-          R.Message);
-    const char *Prefix = "validation failed: ";
-    if (R.Message.starts_with(Prefix)) {
-      std::string Msg = R.Message.substr(std::string(Prefix).size());
-      // Re-derive the diff status from the message shape; the two
-      // failure classes diffRunLimited can produce under this prefix are
-      // Error ("... program ...") and Mismatch (everything else).
-      DiffStatus Status = Msg.starts_with("original program") ||
-                                  Msg.starts_with("transformed program")
-                              ? DiffStatus::Error
-                              : DiffStatus::Mismatch;
-      return classifyDiff(Status, Msg);
-    }
-    // Anything else is the pipeline's diagnostics for an input it
-    // refused (parse/annotation errors): invalid input, not a finding.
-    return rejected();
-  }
-  }
-  return rejected();
-}
-
 std::vector<Verdict>
 Oracle::checkBatch(const std::vector<GenProgram> &Candidates) {
-  const bool CostBoth = Config.Cost == CostMode::Both;
-  std::vector<JobSpec> Specs;
-  Specs.reserve(Candidates.size() * (CostBoth ? 2 : 1));
-  for (const GenProgram &Candidate : Candidates) {
-    JobSpec Spec;
-    Spec.Name = Candidate.Family;
-    Spec.Source = Candidate.Source;
-    Spec.Opts = Config.Opts;
-    if (Config.Cost == CostMode::On)
-      Spec.Opts.Cost = costModel();
-    Spec.Validate = true;
-    Spec.Deadline = Config.Deadline;
-    Spec.ValidateTol = Config.Tol;
-    Spec.MaxSteps = Config.MaxSteps;
-    Spec.CheckAnnotations = true;
-    if (CostBoth) {
-      // Paired submission: the model-on twin rides the same batch (the
-      // options fingerprint separates the cache entries), and the
-      // verdict loop below cross-checks each pair.
-      JobSpec Twin = Spec;
-      Twin.Opts.Cost = costModel();
-      Specs.push_back(std::move(Spec));
-      Specs.push_back(std::move(Twin));
-    } else {
-      Specs.push_back(std::move(Spec));
-    }
+  std::vector<Verdict> Verdicts(Candidates.size());
+  try {
+    for (size_t I = 0; I != Candidates.size(); ++I)
+      Pool->submit([this, &Candidates, &Verdicts, I] {
+        const GenProgram &C = Candidates[I];
+        uint64_t Key = fnv1aHash(C.Source);
+        if (OkSources.get(Key))
+          return; // judged ok before; Verdicts[I] is already ok
+        Verdicts[I] = check(C.Source, C.Family);
+        if (Verdicts[I].ok())
+          OkSources.put(Key, true);
+      });
+  } catch (...) {
+    Pool->drain(); // the queued tasks write into this frame
+    throw;
   }
-  std::vector<JobResult> Results = Service->runBatch(std::move(Specs));
-  std::vector<Verdict> Verdicts;
-  Verdicts.reserve(Candidates.size());
-  for (size_t I = 0; I != Candidates.size(); ++I) {
-    const JobResult &R = Results[CostBoth ? 2 * I : I];
-    Verdict V = classifyJob(R);
-    if (V.isFinding()) {
-      V.F.Source = Candidates[I].Source;
-      V.F.Family = Candidates[I].Family;
-    } else if (Config.Engine == EngineMode::Both) {
-      // Tier cross-check on top of the service verdict: the original
-      // always, the vectorized output when one was produced. A pipeline
-      // finding above still wins — it already names a defect.
-      V = engineCheck(Candidates[I].Source, Candidates[I].Family);
-      if (!V.isFinding() && R.succeeded() && !R.VectorizedSource.empty())
-        V = engineCheck(R.VectorizedSource, Candidates[I].Family);
-      if (!V.isFinding())
-        V = classifyJob(R);
-    }
-    if (CostBoth && !V.isFinding()) {
-      const JobResult &ROn = Results[2 * I + 1];
-      Verdict On = classifyJob(ROn);
-      if (On.isFinding()) {
-        On.F.Bucket = "cost:" + On.F.Bucket;
-        On.F.Source = Candidates[I].Source;
-        On.F.Family = Candidates[I].Family;
-        V = std::move(On);
-      } else if (R.succeeded() && ROn.succeeded()) {
-        Verdict Cross =
-            crossCheckCost(Candidates[I].Source, Candidates[I].Family,
-                           R.VectorizedSource, ROn.VectorizedSource);
-        if (Cross.isFinding())
-          V = std::move(Cross);
-      }
-    }
-    Verdicts.push_back(std::move(V));
-  }
+  Pool->drain();
   return Verdicts;
 }

@@ -20,17 +20,21 @@
 /// Findings carry a bucket signature — a short, stable string derived
 /// from the failure point (crash text / first divergent variable /
 /// normalized runtime error) — used to deduplicate the stream and to key
-/// the corpus. Batch classification fans out over
-/// mvec::service::VectorizationService workers with per-job deadlines
-/// and step budgets, so a hang becomes a finding instead of a stall.
+/// the corpus. check() is the one way a candidate is judged: campaigns
+/// (checkBatch maps it over a worker pool), corpus replay and the reducer
+/// all call it, under the same deadline, step and memory budgets, so a
+/// hang becomes a finding instead of a stall and every bucket a campaign
+/// files can be reproduced.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MVEC_FUZZ_ORACLE_H
 #define MVEC_FUZZ_ORACLE_H
 
+#include "driver/Pipeline.h"
 #include "fuzz/Generator.h"
-#include "service/VectorizationService.h"
+#include "service/ThreadPool.h"
+#include "support/LruCache.h"
 #include "vectorizer/Options.h"
 
 #include <chrono>
@@ -96,12 +100,10 @@ enum class EngineMode { Ast, Vm, Both };
 enum class CostMode { Off, On, Both };
 
 struct OracleConfig {
-  /// Service workers for checkBatch.
+  /// Worker threads for checkBatch.
   unsigned Jobs = 4;
-  /// Result-cache entries (mutants repeat; identical candidates are
-  /// served without re-running).
-  size_t CacheCapacity = 256;
-  /// Wall-clock budget per candidate; hangs become findings.
+  /// Wall-clock budget per differential check, covering vectorization
+  /// and both runs; hangs become findings.
   std::chrono::milliseconds Deadline{2000};
   /// Deterministic per-run statement budget for the differential runs.
   uint64_t MaxSteps = 2000000;
@@ -125,9 +127,10 @@ public:
   Oracle(const Oracle &) = delete;
   Oracle &operator=(const Oracle &) = delete;
 
-  /// Classifies one candidate synchronously in the calling thread (used
-  /// by the reducer's predicate and by corpus replay). Applies the same
-  /// budgets and produces the same buckets as checkBatch.
+  /// Classifies one candidate synchronously in the calling thread. Every
+  /// differential pair runs under its own ResourceGovernor at the
+  /// service's default budget (ResilienceConfig::MaxJobBytes); a program
+  /// over it is Rejected.
   Verdict check(const std::string &Source,
                 const std::string &Family = std::string()) const;
 
@@ -135,18 +138,20 @@ public:
   /// oracle's budgets (see engineDiffRun): Ok when behaviour is
   /// byte-identical (or the comparison is inconclusive because a
   /// wall-clock interrupt fired), Rejected when the program does not
-  /// parse, an EngineDivergence finding otherwise. check()/checkBatch()
-  /// run this automatically under EngineMode::Both.
+  /// parse, an EngineDivergence finding otherwise. check() runs this
+  /// automatically under EngineMode::Both.
   Verdict engineCheck(const std::string &Source,
                       const std::string &Family = std::string()) const;
 
-  /// Classifies many candidates in parallel on the service's workers.
-  /// Results are in candidate order.
+  /// check() over many candidates in parallel on Config.Jobs workers.
+  /// Results are in candidate order. Mutants repeat: a source already
+  /// judged ok by a recent batch counts as ok without running again.
   std::vector<Verdict> checkBatch(const std::vector<GenProgram> &Candidates);
 
-  /// Maps a service JobResult onto a verdict — the single classification
-  /// point for the batch path. Exposed for unit tests.
-  static Verdict classifyJob(const JobResult &R);
+  /// Maps a differential-run outcome (diffRunLimited's status and
+  /// failure description) onto a verdict and its bucket. Exposed for
+  /// unit tests.
+  static Verdict classifyDiff(DiffStatus Status, const std::string &Msg);
 
   /// Bucket-normalizes \p Message: digit runs become '#', whitespace is
   /// collapsed, the result is truncated. Keeps buckets stable across
@@ -154,7 +159,6 @@ public:
   static std::string normalizeForBucket(const std::string &Message);
 
   const OracleConfig &config() const { return Config; }
-  ServiceMetrics &metrics();
 
 private:
   /// The differential (original vs transformed) classification under one
@@ -165,14 +169,23 @@ private:
                     std::string *TransformedOut) const;
   /// The model consulted under CostMode::On/Both.
   const cost::CostModel *costModel() const;
+  /// The execution bounds of one check whose clock started at \p Start.
+  RunLimits limits(std::chrono::steady_clock::time_point Start) const;
   /// Compares the model-off and model-on transformed programs; returns a
   /// CostDivergence finding when their behaviour differs.
   Verdict crossCheckCost(const std::string &Source, const std::string &Family,
                          const std::string &OffOut,
                          const std::string &OnOut) const;
 
+  /// Entries of the ok-source cache checkBatch consults.
+  static constexpr size_t OkCacheCapacity = 256;
+
   OracleConfig Config;
-  std::unique_ptr<VectorizationService> Service;
+  /// FNV-1a hashes of sources checkBatch judged ok (the value is unused).
+  LruCache<uint64_t, bool> OkSources{OkCacheCapacity};
+  /// Constructed last and destroyed first, so no worker outlives the
+  /// state it reads.
+  std::unique_ptr<ThreadPool> Pool;
 };
 
 } // namespace fuzz

@@ -1,4 +1,4 @@
-//===- CircuitBreaker.cpp - Per-service circuit breaker ---------------------===//
+//===- CircuitBreaker.cpp - Crash-loop circuit breaker ----------------------===//
 //
 // Part of the mvec project, released under the MIT license.
 //
@@ -9,8 +9,6 @@
 using namespace mvec;
 
 bool CircuitBreaker::allow() {
-  if (Config.FailureThreshold == 0)
-    return true;
   std::lock_guard<std::mutex> Lock(Mutex);
   switch (Cur) {
   case State::Closed:
@@ -35,8 +33,6 @@ bool CircuitBreaker::allow() {
 }
 
 void CircuitBreaker::recordSuccess() {
-  if (Config.FailureThreshold == 0)
-    return;
   std::lock_guard<std::mutex> Lock(Mutex);
   // One healthy probe is proof enough that whatever tripped us has
   // passed; trickling probes through one at a time only delays recovery.
@@ -46,8 +42,6 @@ void CircuitBreaker::recordSuccess() {
 }
 
 void CircuitBreaker::recordFailure() {
-  if (Config.FailureThreshold == 0)
-    return;
   std::lock_guard<std::mutex> Lock(Mutex);
   if (Cur == State::HalfOpen) {
     // The probe failed: back to Open for another full cooldown.

@@ -1,17 +1,16 @@
-//===- CircuitBreaker.h - Per-service circuit breaker -----------*- C++ -*-===//
+//===- CircuitBreaker.h - Crash-loop circuit breaker ------------*- C++ -*-===//
 //
 // Part of the mvec project, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A classic three-state circuit breaker guarding the vectorization
-/// service's execution path. Consecutive infrastructure failures
-/// (Internal/Resource class — never Input: a burst of malformed scripts
-/// is the submitters' problem, not the service's) trip the breaker Open;
-/// while Open, jobs are shed immediately (degraded, not queued) until the
-/// cooldown elapses, after which a bounded number of HalfOpen probes
-/// decide whether to close again.
+/// A classic three-state circuit breaker guarding a sandbox pool's
+/// workers. Consecutive worker deaths (never a script's own failure: a
+/// burst of malformed scripts is the submitters' problem, not the pool's)
+/// trip the breaker Open; while Open, jobs are shed immediately
+/// (degraded, not queued) until the cooldown elapses, after which a
+/// bounded number of HalfOpen probes decide whether to close again.
 ///
 /// Thread-safe: workers call allow()/record*() concurrently under one
 /// internal mutex (uncontended in the common Closed case).
@@ -28,11 +27,10 @@
 namespace mvec {
 
 struct BreakerConfig {
-  /// Consecutive infrastructure failures that trip the breaker Open.
-  /// 0 disables the breaker entirely (allow() is always true).
-  unsigned FailureThreshold = 0;
+  /// Consecutive failures that trip the breaker Open (0 acts as 1).
+  unsigned FailureThreshold = 8;
   /// How long the breaker stays Open before probing.
-  std::chrono::milliseconds Cooldown{1000};
+  std::chrono::milliseconds Cooldown{2000};
   /// Probe jobs admitted in HalfOpen before the first outcome arrives.
   unsigned HalfOpenProbes = 1;
 };
@@ -49,10 +47,10 @@ public:
   bool allow();
 
   /// The job completed without an infrastructure failure (success, input
-  /// error, deadline — the service itself worked).
+  /// error, deadline — the worker itself held up).
   void recordSuccess();
 
-  /// The job suffered an infrastructure failure (Internal/Resource).
+  /// The job suffered an infrastructure failure (its worker died).
   void recordFailure();
 
   State state() const;

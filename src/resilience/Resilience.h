@@ -7,8 +7,8 @@
 /// \file
 /// The shared vocabulary of the resilience subsystem: the structured error
 /// taxonomy every failure folds into, and the per-service configuration
-/// bundle (retry policy, circuit breaker, per-job budgets, degradation
-/// switch) consumed by mvec::VectorizationService.
+/// bundle (retry policy, per-job memory budget) consumed by
+/// mvec::VectorizationService.
 ///
 /// This library sits at the bottom of the dependency stack (stdlib only);
 /// support, frontend, interp and service all call into it, so nothing here
@@ -20,7 +20,6 @@
 #define MVEC_RESILIENCE_RESILIENCE_H
 
 #include "resilience/Backoff.h"
-#include "resilience/CircuitBreaker.h"
 
 #include <cstddef>
 #include <string>
@@ -29,8 +28,7 @@ namespace mvec {
 
 /// What kind of failure a job (or a stage of one) suffered. The class — not
 /// the message text — drives the resilience machinery: only transient
-/// classes are retried, only infrastructure classes trip the breaker, and
-/// only exhaustion of retries/budgets degrades.
+/// classes are retried, and only exhaustion of retries/budgets degrades.
 enum class ErrorClass {
   None,     ///< no failure
   Input,    ///< the submitted program is at fault (parse error, bad
@@ -53,19 +51,12 @@ struct ResilienceConfig {
   /// failures. Deterministic failures (Input/Resource/Deadline) are never
   /// retried.
   RetryPolicy Retry;
-  /// Circuit breaker over Internal/Resource failures. Disabled by default
-  /// (FailureThreshold = 0): shedding healthy mixed batches on a burst of
-  /// malformed inputs would be worse than queueing.
-  BreakerConfig Breaker;
   /// Per-job cumulative allocation budget in bytes (AST arena + Value
   /// payload + kernel scratch), enforced by the ResourceGovernor.
-  /// 0 disables memory accounting.
+  /// 0 disables memory accounting. A job that exhausts retries or this
+  /// budget (Internal/Resource class) degrades: the original source comes
+  /// back verbatim as a Degraded result.
   size_t MaxJobBytes = size_t(512) << 20;
-  /// When a job exhausts retries or budgets (Internal/Resource class),
-  /// return the original source verbatim as a Degraded result instead of
-  /// failing. The fuzzing oracle turns this off so injected-crash findings
-  /// stay visible.
-  bool DegradeOnExhaustion = true;
 };
 
 } // namespace mvec

@@ -102,12 +102,10 @@ struct SandboxConfig {
                       /*InitialBackoff=*/std::chrono::milliseconds(20),
                       /*Multiplier=*/2.0, /*Jitter=*/0.5,
                       /*MaxBackoff=*/std::chrono::milliseconds(2000)};
-  /// Crash-loop breaker: consecutive worker deaths trip it Open and the
-  /// pool answers misses with degraded passthrough, without touching a
-  /// worker, until the cooldown elapses. FailureThreshold 0 disables.
-  BreakerConfig CrashLoop{/*FailureThreshold=*/8,
-                          /*Cooldown=*/std::chrono::milliseconds(2000),
-                          /*HalfOpenProbes=*/1};
+  /// Crash-loop breaker: consecutive worker deaths (8 by default) trip it
+  /// Open and the pool answers misses with degraded passthrough, without
+  /// touching a worker, until the cooldown (2 s) elapses.
+  BreakerConfig CrashLoop;
 };
 
 } // namespace sandbox

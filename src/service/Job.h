@@ -52,25 +52,12 @@ struct JobSpec {
   /// starts when a worker picks the job up, and bounds the whole job
   /// (vectorization plus validation runs).
   std::chrono::milliseconds Deadline{0};
-  /// Comparison tolerance for differential validation. The pipeline may
-  /// reorder floating-point reductions; callers comparing reduction-heavy
-  /// programs typically relax this to ~1e-7.
-  double ValidateTol = 1e-9;
-  /// Per-run interpreted-statement budget for each validation run
-  /// (0 = unlimited). Unlike the wall-clock deadline this is
-  /// deterministic, which the fuzzing oracle relies on to classify hangs
-  /// reproducibly.
-  uint64_t MaxSteps = 0;
-  /// Reject (as an "original program" failure) inputs whose runtime
-  /// shapes contradict their %! annotations; see
-  /// RunLimits::CheckAnnotations.
-  bool CheckAnnotations = false;
 };
 
 /// What the service produced for one job.
 struct JobResult {
   JobStatus Status = JobStatus::Failed;
-  /// Coarse failure taxonomy driving retry/breaker/degradation decisions
+  /// Coarse failure taxonomy driving retry/degradation decisions
   /// (None on success). Input errors are the script's fault, Resource
   /// means a budget was exhausted, Deadline the clock ran out, Internal
   /// an unexpected exception escaped the pipeline.

@@ -80,8 +80,7 @@ std::string ServiceMetrics::text() const {
       << " timed_out=" << JobsTimedOut.load()
       << " cancelled=" << JobsCancelled.load()
       << " degraded=" << JobsDegraded.load() << "\n"
-      << "  resilience: retries=" << Retries.load()
-      << " breaker_shed=" << BreakerShed.load() << "\n"
+      << "  resilience: retries=" << Retries.load() << "\n"
       << "  cache: hits=" << CacheHits.load()
       << " misses=" << CacheMisses.load()
       << " disk_hits=" << DiskHits.load()
@@ -120,8 +119,7 @@ std::string ServiceMetrics::json() const {
       << ",\"timed_out\":" << JobsTimedOut.load()
       << ",\"cancelled\":" << JobsCancelled.load()
       << ",\"degraded\":" << JobsDegraded.load() << "},"
-      << "\"resilience\":{\"retries\":" << Retries.load()
-      << ",\"breaker_shed\":" << BreakerShed.load() << "},"
+      << "\"resilience\":{\"retries\":" << Retries.load() << "},"
       << "\"cache\":{\"hits\":" << CacheHits.load()
       << ",\"misses\":" << CacheMisses.load()
       << ",\"disk_hits\":" << DiskHits.load()

@@ -70,8 +70,6 @@ struct ServiceMetrics {
   std::atomic<uint64_t> JobsDegraded{0};
   /// Pipeline re-attempts after a retryable (internal) failure.
   std::atomic<uint64_t> Retries{0};
-  /// Jobs shed without an attempt because the circuit breaker was open.
-  std::atomic<uint64_t> BreakerShed{0};
   std::atomic<uint64_t> CacheHits{0};
   std::atomic<uint64_t> CacheMisses{0};
   /// Persistent-store (second tier) hits/misses; only move when a

@@ -11,7 +11,7 @@
 #include "resilience/ResourceGovernor.h"
 #include "support/ContentHash.h"
 
-#include <cstring>
+#include <bit>
 #include <optional>
 #include <thread>
 
@@ -58,11 +58,11 @@ uint64_t mvec::cacheKeyFor(const std::string &Source,
 
 uint64_t mvec::cacheKeyFor(const JobSpec &Spec) {
   uint64_t Key = cacheKeyFor(Spec.Source, Spec.Opts, Spec.Validate);
-  uint64_t TolBits;
-  static_assert(sizeof(TolBits) == sizeof(Spec.ValidateTol));
-  std::memcpy(&TolBits, &Spec.ValidateTol, sizeof(TolBits));
-  for (uint64_t Word :
-       {TolBits, Spec.MaxSteps, uint64_t(Spec.CheckAnnotations)})
+  // The validation bounds every job runs under: tolerance 1e-9, no step
+  // budget, no annotation check.
+  constexpr double ValidateTol = 1e-9;
+  for (uint64_t Word : {std::bit_cast<uint64_t>(ValidateTol), uint64_t(0),
+                        uint64_t(0)})
     Key = fnv1aMix(Word, Key);
   return Key;
 }
@@ -104,8 +104,7 @@ bool mvec::parseJobStatus(const std::string &Name, JobStatus &Status) {
 }
 
 VectorizationService::VectorizationService(ServiceConfig Config)
-    : Config(Config), Cache(Config.CacheCapacity),
-      Breaker(Config.Resilience.Breaker) {
+    : Config(Config), Cache(Config.CacheCapacity) {
   if (Config.DB) {
     DB = Config.DB;
   } else {
@@ -312,25 +311,6 @@ JobResult VectorizationService::executeWithResilience(const JobSpec &Spec,
                                                       uint64_t JobSalt) {
   const ResilienceConfig &RC = Config.Resilience;
 
-  // Breaker gate: when the service is drowning in infrastructure
-  // failures, shed immediately instead of burning a worker on an attempt
-  // that is overwhelmingly likely to fail too.
-  if (!Breaker.allow()) {
-    Metrics.BreakerShed.fetch_add(1, std::memory_order_relaxed);
-    JobResult R;
-    R.Name = Spec.Name;
-    R.Class = ErrorClass::Resource;
-    if (RC.DegradeOnExhaustion) {
-      R.Status = JobStatus::Degraded;
-      R.VectorizedSource = Spec.Source;
-      R.Message = "degraded: circuit breaker open, load shed";
-    } else {
-      R.Status = JobStatus::Failed;
-      R.Message = "circuit breaker open: load shed";
-    }
-    return R;
-  }
-
   std::chrono::milliseconds DeadlineMs =
       Spec.Deadline.count() > 0 ? Spec.Deadline : Config.DefaultDeadline;
   std::optional<Clock::time_point> Deadline;
@@ -353,13 +333,6 @@ JobResult VectorizationService::executeWithResilience(const JobSpec &Spec,
       R = executeUncached(Spec, Start);
     }
     R.Attempts = Attempt;
-
-    bool Infra =
-        R.Class == ErrorClass::Internal || R.Class == ErrorClass::Resource;
-    if (!R.succeeded() && Infra)
-      Breaker.recordFailure();
-    else
-      Breaker.recordSuccess();
 
     // Only presumed-transient internal faults are worth retrying: bad
     // input stays bad, a blown budget blows again, an expired deadline
@@ -386,7 +359,7 @@ JobResult VectorizationService::executeWithResilience(const JobSpec &Spec,
   // Graceful degradation: infrastructure trouble (not bad input, not a
   // missed deadline) falls back to shipping the original source verbatim
   // with a structured diagnostic, so the batch as a whole still lands.
-  if (!R.succeeded() && RC.DegradeOnExhaustion &&
+  if (!R.succeeded() &&
       (R.Class == ErrorClass::Internal || R.Class == ErrorClass::Resource)) {
     R.Status = JobStatus::Degraded;
     R.VectorizedSource = Spec.Source;
@@ -406,8 +379,6 @@ JobResult VectorizationService::executeUncached(const JobSpec &Spec,
   if (DeadlineMs.count() > 0)
     Limits.Deadline = Start + DeadlineMs;
   Limits.Cancel = &CancelRequested;
-  Limits.MaxSteps = Spec.MaxSteps;
-  Limits.CheckAnnotations = Spec.CheckAnnotations;
   Limits.Engine = Config.Engine;
 
   // One malformed (or downright hostile) script must never take the
@@ -443,8 +414,8 @@ JobResult VectorizationService::executeUncached(const JobSpec &Spec,
 
     if (Spec.Validate) {
       Clock::time_point T1 = Clock::now();
-      DiffOutcome Diff = diffRunLimited(Spec.Source, P.VectorizedSource,
-                                        Limits, Spec.ValidateTol);
+      DiffOutcome Diff =
+          diffRunLimited(Spec.Source, P.VectorizedSource, Limits);
       R.ValidateSeconds = secondsSince(T1, Clock::now());
       Metrics.ValidateLatency.record(R.ValidateSeconds);
       switch (Diff.Status) {

@@ -25,7 +25,6 @@
 
 #include "driver/Pipeline.h"
 #include "patterns/PatternDatabase.h"
-#include "resilience/CircuitBreaker.h"
 #include "resilience/FaultInjection.h"
 #include "resilience/Resilience.h"
 #include "service/Job.h"
@@ -56,11 +55,13 @@ uint64_t optionsFingerprint(const VectorizerOptions &Opts);
 uint64_t cacheKeyFor(const std::string &Source, const VectorizerOptions &Opts,
                      bool Validate);
 
-/// The cache key for a full job spec. Additionally folds in the
-/// result-affecting validation knobs (tolerance, step budget) so two
-/// submissions of the same source under different execution bounds never
-/// share a verdict. Deadlines are deliberately excluded: they only decide
-/// *whether* a result is produced, and failed results are never cached.
+/// The cache key for a full job spec: cacheKeyFor(Source, Opts, Validate)
+/// with the validation bounds every job runs under (tolerance 1e-9, no
+/// step budget, no annotation check) mixed in. The key picks the daemon
+/// shard and names the DiskStore file, so the mixed-in words are part of
+/// the on-disk format. Deadlines are deliberately excluded: they only
+/// decide *whether* a result is produced, and failed results are never
+/// cached.
 uint64_t cacheKeyFor(const JobSpec &Spec);
 
 struct ServiceConfig {
@@ -84,7 +85,7 @@ struct ServiceConfig {
   /// daemon wires its on-disk DiskStore in here so warm results survive
   /// restarts.
   ResultStore *Store = nullptr;
-  /// Retry, circuit-breaker, budget, and degradation policy.
+  /// Retry policy and per-job memory budget.
   ResilienceConfig Resilience;
   /// Fault-injection plan armed for every job (null = disarmed). Must
   /// outlive the service. Testing/chaos-campaign hook; never set in
@@ -102,13 +103,13 @@ struct ServiceConfig {
   /// another.
   const cost::CostModel *Cost = nullptr;
   /// Where a cache miss runs. Empty (the default): here, on this
-  /// service's threads, with retries, the breaker and degradation. Set:
+  /// service's threads, with retries and degradation. Set:
   /// each miss is handed to it instead, and what it returns is counted,
   /// cached and stored like a local result. The daemon's
   /// isolation=process shards point it at a sandbox::SandboxPool, which
   /// runs the same pipeline in a forked worker. Only what a MVEC/1
   /// request carries crosses (name, source, validate flag, deadline), so
-  /// the jobs' other JobSpec knobs must keep their defaults.
+  /// the jobs' other JobSpec fields must keep their defaults.
   std::function<JobResult(const JobSpec &)> ColdPath;
 };
 
@@ -153,8 +154,8 @@ public:
 private:
   JobResult processJob(const JobSpec &Spec,
                        std::chrono::steady_clock::time_point SubmitTime);
-  /// Breaker gate + per-attempt fault/governor scopes + retry with
-  /// jittered backoff + graceful degradation, around executeUncached.
+  /// Per-attempt fault/governor scopes + retry with jittered backoff +
+  /// graceful degradation, around executeUncached.
   JobResult
   executeWithResilience(const JobSpec &Spec,
                         std::chrono::steady_clock::time_point Start,
@@ -171,9 +172,6 @@ private:
   /// re-attempting is cheap next to serving a wrong verdict forever.
   LruCache<uint64_t, JobResult> Cache;
   ServiceMetrics Metrics;
-  /// Service-wide breaker fed by internal/resource failures; open sheds
-  /// new attempts into immediate degraded results.
-  CircuitBreaker Breaker;
   std::atomic<bool> CancelRequested{false};
   /// Constructed last so workers never see a half-built service; the
   /// unique_ptr keeps teardown order explicit (reset first in ~).

@@ -20,6 +20,7 @@
 
 #include "gtest/gtest.h"
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -827,6 +828,41 @@ TEST(Daemon, EngineReloadRebuildsTheFleet) {
   Response R = D.handle(vecRequest(script(5)));
   EXPECT_EQ(R.Status, "succeeded") << R.Message;
   EXPECT_EQ(R.CacheTier, "none") << "the old engine's fleet still serves";
+}
+
+TEST(Daemon, QueueDepthReloadRebuildsTheFleetAndMovesTheGate) {
+  DaemonConfig C;
+  C.Shards = 1;
+  C.WorkersPerShard = 1;
+  Daemon D(C);
+  D.handle(vecRequest(script(7)));
+  ASSERT_EQ(D.handle(vecRequest(script(7))).CacheTier, "memory");
+
+  // Only max_queue_depth changes: the shard's pool queue is sized from
+  // it, so the fleet is rebuilt and the warm memory tier starts over.
+  DaemonConfig New = D.config();
+  New.MaxQueueDepth = 4;
+  std::string Error;
+  ASSERT_TRUE(D.reload(New, Error)) << Error;
+  Response R = D.handle(vecRequest(script(7)));
+  EXPECT_EQ(R.Status, "succeeded") << R.Message;
+  EXPECT_EQ(R.CacheTier, "none") << "the old fleet still serves";
+
+  // The gate reads the depth of the fleet it runs against: at depth 1,
+  // a script sleeping in the shard's one slot makes the next arrival one
+  // too many (at the old depth of 4 it would queue).
+  New.MaxQueueDepth = 1;
+  ASSERT_TRUE(D.reload(New, Error)) << Error;
+  std::thread Sleeper([&D] { D.handle(vecRequest("pause(1);\n")); });
+  // The sleeper holds its slot for about 2 s (both validation runs).
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  Response Shed = D.handle(vecRequest(script(8)));
+  Sleeper.join();
+  EXPECT_EQ(Shed.Status, "degraded") << "the old depth still gates";
+  EXPECT_NE(Shed.Message.find("queue full"), std::string::npos)
+      << Shed.Message;
+  EXPECT_EQ(Shed.Body, script(8));
+  EXPECT_EQ(D.shedQueue(), 1u);
 }
 
 TEST(Daemon, FastKnobReloadDoesNotRebuildTheFleet) {

@@ -17,9 +17,11 @@
 #include "fuzz/Generator.h"
 #include "fuzz/Mutator.h"
 #include "fuzz/Reducer.h"
+#include "resilience/FaultInjection.h"
 
 #include "gtest/gtest.h"
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -99,70 +101,132 @@ TEST(FuzzMutator, MutantsCarryATrace) {
 // Verdict classification
 //===----------------------------------------------------------------------===//
 
-JobResult makeResult(JobStatus Status, const std::string &Message) {
-  JobResult R;
-  R.Status = Status;
-  R.Message = Message;
-  return R;
-}
+// The ClassifyJob cases feed classifyDiff the outcome of one candidate's
+// differential run, as check() does.
 
 TEST(FuzzOracle, ClassifyJobSuccessIsOk) {
-  EXPECT_TRUE(Oracle::classifyJob(makeResult(JobStatus::Succeeded, "")).ok());
+  EXPECT_TRUE(Oracle::classifyDiff(DiffStatus::Match, "").ok());
 }
 
 TEST(FuzzOracle, ClassifyJobBlamesTheInputWhenTheOriginalFails) {
-  Verdict V = Oracle::classifyJob(makeResult(
-      JobStatus::Failed,
-      "validation failed: original program failed: subscript out of range"));
+  Verdict V = Oracle::classifyDiff(
+      DiffStatus::Error, "original program failed: subscript out of range");
   EXPECT_TRUE(V.rejected());
-  // Pipeline diagnostics (parse errors etc.) are also the input's fault.
-  EXPECT_TRUE(Oracle::classifyJob(
-                  makeResult(JobStatus::Failed, "3:1: error: expected 'end'"))
-                  .rejected());
   // So is a slow original.
-  EXPECT_TRUE(Oracle::classifyJob(
-                  makeResult(JobStatus::TimedOut,
-                             "validation timed out: original program "
-                             "exceeded the deadline"))
+  EXPECT_TRUE(Oracle::classifyDiff(DiffStatus::TimedOut,
+                                   "original program exceeded the deadline")
                   .rejected());
 }
 
 TEST(FuzzOracle, ClassifyJobMismatchBucketsOnTheDivergentVariable) {
-  Verdict V = Oracle::classifyJob(
-      makeResult(JobStatus::Failed,
-                 "validation failed: variable 's' differs: 1.5 vs 2.5"));
+  Verdict V = Oracle::classifyDiff(DiffStatus::Mismatch,
+                                   "variable 's' differs: 1.5 vs 2.5");
   ASSERT_TRUE(V.isFinding());
   EXPECT_EQ(V.F.Kind, FindingKind::Mismatch);
   EXPECT_EQ(V.F.Bucket, "mismatch:var:s");
 
-  Verdict Missing = Oracle::classifyJob(makeResult(
-      JobStatus::Failed,
-      "validation failed: variable 't' missing after transformation"));
+  Verdict Missing = Oracle::classifyDiff(
+      DiffStatus::Mismatch, "variable 't' missing after transformation");
   ASSERT_TRUE(Missing.isFinding());
   EXPECT_EQ(Missing.F.Bucket, "mismatch:missing:t");
 }
 
 TEST(FuzzOracle, ClassifyJobTransformedFailuresAreFindings) {
-  Verdict V = Oracle::classifyJob(
-      makeResult(JobStatus::Failed, "validation failed: transformed program "
-                                    "failed: index 7 out of bounds"));
+  Verdict V = Oracle::classifyDiff(
+      DiffStatus::Error,
+      "transformed program failed: index 7 out of bounds");
   ASSERT_TRUE(V.isFinding());
   EXPECT_EQ(V.F.Kind, FindingKind::TransformedRunError);
   EXPECT_EQ(V.F.Bucket, "trun:index # out of bounds");
 }
 
 TEST(FuzzOracle, ClassifyJobHangs) {
-  Verdict V = Oracle::classifyJob(
-      makeResult(JobStatus::TimedOut, "validation timed out: transformed "
-                                      "program exceeded the deadline"));
+  Verdict V = Oracle::classifyDiff(DiffStatus::TimedOut,
+                                   "transformed program exceeded the deadline");
   ASSERT_TRUE(V.isFinding());
   EXPECT_EQ(V.F.Kind, FindingKind::Hang);
   EXPECT_EQ(V.F.Bucket, "hang:transformed");
+}
 
-  Verdict Crash = Oracle::classifyJob(
-      makeResult(JobStatus::Failed, "internal error: unexpected node"));
-  ASSERT_TRUE(Crash.isFinding());
-  EXPECT_EQ(Crash.F.Kind, FindingKind::Crash);
+/// Arms \p Kind at the entry of vectorizeSource on the calling thread
+/// for as long as the returned guard lives.
+struct ArmedVectorizeEntry {
+  explicit ArmedVectorizeEntry(FaultKind Kind, unsigned LatencyMicros = 0)
+      : Plan{/*Seed=*/1,
+             {{FaultSite::VectorizeEntry, Kind, /*Period=*/1,
+               /*MaxFires=*/0, LatencyMicros}}},
+        Ctx(&Plan, /*Salt=*/0), Scope(&Ctx) {}
+  FaultPlan Plan;
+  FaultContext Ctx;
+  FaultScope Scope;
+};
+
+const char *const AnnotatedLoop = "n = 8; x = rand(1,n); y = zeros(1,n);\n"
+                                  "%! x(1,*) y(1,*) n(1)\n"
+                                  "for i=1:n\n  y(i) = 2*x(i);\nend\n";
+
+TEST(FuzzOracle, PipelineExceptionIsACrash) {
+  OracleConfig Config;
+  Config.Jobs = 1;
+  Oracle O(Config);
+  ArmedVectorizeEntry Armed(FaultKind::Exception);
+  Verdict V = O.check(AnnotatedLoop, "unit");
+  ASSERT_TRUE(V.isFinding());
+  EXPECT_EQ(V.F.Kind, FindingKind::Crash);
+  EXPECT_EQ(V.F.Bucket.rfind("crash:", 0), 0u) << V.F.Bucket;
+  EXPECT_EQ(V.F.Message.rfind("internal error: ", 0), 0u) << V.F.Message;
+  EXPECT_EQ(V.F.Source, AnnotatedLoop);
+}
+
+TEST(FuzzOracle, VectorizationPastTheDeadlineIsAHang) {
+  // One clock bounds vectorization and validation; a vectorizer that
+  // alone outlasts it is the hang:vectorize finding.
+  OracleConfig Config;
+  Config.Jobs = 1;
+  Config.Deadline = std::chrono::milliseconds(5);
+  Oracle O(Config);
+  ArmedVectorizeEntry Armed(FaultKind::Latency, /*LatencyMicros=*/50000);
+  Verdict V = O.check(AnnotatedLoop, "unit");
+  ASSERT_TRUE(V.isFinding());
+  EXPECT_EQ(V.F.Kind, FindingKind::Hang);
+  EXPECT_EQ(V.F.Bucket, "hang:vectorize");
+}
+
+TEST(FuzzOracle, BatchAgreesWithCheck) {
+  // Every candidate judged by checkBatch gets exactly check()'s verdict,
+  // repeats (served by the ok-source cache) included. The cumulative
+  // allocation program allocates 600 MiB in 1 MiB steps: over the
+  // per-pair memory budget, so Rejected on both paths.
+  std::vector<GenProgram> Candidates = {
+      {AnnotatedLoop, "loop"},
+      {"for k=1:600\n  x = zeros(1,131072);\nend\n", "cumulative-alloc"},
+      {"for i=1:3\n  y(i) = i;\n", "parse-error"},
+      {"x = [1 2 3];\ny = x(7);\n", "original-fails"},
+      {AnnotatedLoop, "loop-repeat"},
+  };
+  for (uint64_t Seed = 1; Seed != 9; ++Seed)
+    Candidates.push_back(Generator(Seed).next());
+  Candidates.push_back(Candidates[1]);
+
+  OracleConfig Config;
+  Config.Jobs = 2;
+  Oracle O(Config);
+  std::vector<Verdict> Batch = O.checkBatch(Candidates);
+  // A second batch is served from the ok-source cache where it can be.
+  std::vector<Verdict> Again = O.checkBatch(Candidates);
+  ASSERT_EQ(Batch.size(), Candidates.size());
+  ASSERT_EQ(Again.size(), Candidates.size());
+  for (size_t I = 0; I != Candidates.size(); ++I) {
+    Verdict Want = O.check(Candidates[I].Source, Candidates[I].Family);
+    for (const Verdict *Got : {&Batch[I], &Again[I]}) {
+      EXPECT_EQ(int(Got->S), int(Want.S)) << Candidates[I].Family;
+      EXPECT_EQ(Got->F.Bucket, Want.F.Bucket) << Candidates[I].Family;
+    }
+  }
+  EXPECT_TRUE(Batch[0].ok());
+  EXPECT_TRUE(Batch[1].rejected()) << "over the memory budget";
+  EXPECT_TRUE(Batch[2].rejected());
+  EXPECT_TRUE(Batch[3].rejected());
 }
 
 TEST(FuzzOracle, NormalizeForBucketStabilizesDigitsAndSpace) {

@@ -9,8 +9,8 @@
 /// deterministic fault schedules, backoff/breaker/governor units, the
 /// parser/checker/evaluator depth guards, kernel deadline polling, the
 /// thread-pool shutdown and exception-containment fixes, and the service's
-/// retry/degradation/shedding behavior — including a randomized soak run
-/// against the differential fuzzing oracle.
+/// retry/degradation behavior — including a randomized soak run that
+/// holds every chaos result to its clean twin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,6 @@
 #include "frontend/ASTPrinter.h"
 #include "frontend/Parser.h"
 #include "fuzz/Generator.h"
-#include "fuzz/Oracle.h"
 #include "interp/Interpreter.h"
 #include "service/VectorizationService.h"
 #include "shape/AnnotationParser.h"
@@ -75,16 +74,6 @@ TEST(BackoffTest, GrowsAndStaysWithinBounds) {
 //===----------------------------------------------------------------------===//
 // CircuitBreaker
 //===----------------------------------------------------------------------===//
-
-TEST(CircuitBreakerTest, DisabledByDefault) {
-  CircuitBreaker B;
-  for (int I = 0; I != 10; ++I) {
-    EXPECT_TRUE(B.allow());
-    B.recordFailure();
-  }
-  EXPECT_EQ(B.state(), CircuitBreaker::State::Closed);
-  EXPECT_EQ(B.shedCount(), 0u);
-}
 
 TEST(CircuitBreakerTest, OpensShedsAndRecovers) {
   BreakerConfig Config;
@@ -449,7 +438,7 @@ TEST(ThreadPoolResilienceTest, ThrowingTaskDoesNotKillWorker) {
 }
 
 //===----------------------------------------------------------------------===//
-// Service: degradation, retry, breaker, governor
+// Service: degradation, retry, governor
 //===----------------------------------------------------------------------===//
 
 std::string validScript() {
@@ -484,22 +473,6 @@ TEST(ServiceResilienceTest, PersistentFaultDegradesToVerbatimPassthrough) {
   EXPECT_EQ(R.Message.rfind("degraded: ", 0), 0u) << R.Message;
   EXPECT_EQ(Service.metrics().JobsDegraded.load(), 1u);
   EXPECT_EQ(Service.metrics().Retries.load(), 2u);
-}
-
-TEST(ServiceResilienceTest, DegradationCanBeDisabled) {
-  FaultPlan Plan;
-  Plan.Rules.push_back({FaultSite::WorkerPickup, FaultKind::Exception,
-                        /*Period=*/1, /*MaxFires=*/0, /*LatencyMicros=*/0});
-  ServiceConfig Config;
-  Config.Workers = 1;
-  Config.Faults = &Plan;
-  Config.Resilience.DegradeOnExhaustion = false;
-  Config.Resilience.Retry.MaxAttempts = 1;
-  VectorizationService Service(Config);
-  JobResult R = Service.submit(makeSpec("fail", validScript())).get();
-  EXPECT_EQ(R.Status, JobStatus::Failed);
-  EXPECT_EQ(R.Class, ErrorClass::Internal);
-  EXPECT_TRUE(R.VectorizedSource.empty());
 }
 
 TEST(ServiceResilienceTest, TransientFaultIsRetriedToSuccess) {
@@ -539,31 +512,6 @@ TEST(ServiceResilienceTest, TransientFaultIsRetriedToSuccess) {
   EXPECT_TRUE(R.succeeded()) << R.Message;
   EXPECT_EQ(R.Attempts, 2u);
   EXPECT_EQ(Service.metrics().Retries.load(), 1u);
-}
-
-TEST(ServiceResilienceTest, OpenBreakerShedsSubsequentJobs) {
-  FaultPlan Plan;
-  Plan.Rules.push_back({FaultSite::WorkerPickup, FaultKind::Exception,
-                        /*Period=*/1, /*MaxFires=*/0, /*LatencyMicros=*/0});
-  ServiceConfig Config;
-  Config.Workers = 1; // serialize so the breaker's state is deterministic
-  Config.CacheCapacity = 0;
-  Config.Faults = &Plan;
-  Config.Resilience.Retry.MaxAttempts = 1;
-  Config.Resilience.Breaker.FailureThreshold = 2;
-  Config.Resilience.Breaker.Cooldown = std::chrono::seconds(30);
-  VectorizationService Service(Config);
-
-  for (int I = 0; I != 5; ++I) {
-    JobResult R =
-        Service.submit(makeSpec("job" + std::to_string(I), validScript()))
-            .get();
-    EXPECT_EQ(R.Status, JobStatus::Degraded);
-    if (I >= 2)
-      EXPECT_NE(R.Message.find("circuit breaker open"), std::string::npos);
-  }
-  EXPECT_EQ(Service.metrics().BreakerShed.load(), 3u);
-  EXPECT_EQ(Service.metrics().JobsDegraded.load(), 5u);
 }
 
 TEST(ServiceResilienceTest, MemoryBudgetClassifiesAsResource) {
@@ -672,15 +620,14 @@ TEST(ServiceResilienceTest, DestructionResolvesEveryFuture) {
 }
 
 //===----------------------------------------------------------------------===//
-// Soak: generated programs under a chaos plan, fuzzer oracle as judge
+// Soak: generated programs under a chaos plan, clean twins as judge
 //===----------------------------------------------------------------------===//
 
 TEST(ResilienceSoakTest, ChaosPlanNeverCorruptsResults) {
   // Arm every site with every kind except DeadlineExpire (which makes
-  // TimedOut an expected outcome and would drown the oracle's hang
-  // detection). The invariant under chaos: injection may slow, fail, or
-  // degrade a job, but it must never produce a *different wrong answer*
-  // than a clean run — no new mismatch/crash/trun findings.
+  // TimedOut an expected outcome). The invariant under chaos: injection
+  // may slow a job or degrade it to passthrough, but any result it does
+  // not degrade is the clean run's result, byte for byte.
   FaultPlan Plan;
   Plan.Seed = 2026;
   for (unsigned S = 0; S != NumFaultSites; ++S)
@@ -692,9 +639,8 @@ TEST(ResilienceSoakTest, ChaosPlanNeverCorruptsResults) {
   std::vector<JobSpec> Specs;
   for (uint64_t I = 0; I != 120; ++I) {
     fuzz::GenProgram P = fuzz::Generator(1000 + I).next();
-    JobSpec Spec = makeSpec("soak" + std::to_string(I), std::move(P.Source));
-    Spec.MaxSteps = 2000000;
-    Specs.push_back(std::move(Spec));
+    Specs.push_back(
+        makeSpec("soak" + std::to_string(I), std::move(P.Source)));
   }
 
   auto runAll = [&](const FaultPlan *Faults) {
@@ -717,16 +663,10 @@ TEST(ResilienceSoakTest, ChaosPlanNeverCorruptsResults) {
       EXPECT_FALSE(R.Message.empty()) << R.Name;
       continue;
     }
-    fuzz::Verdict V = fuzz::Oracle::classifyJob(R);
-    if (!V.isFinding())
-      continue;
-    // A finding under chaos is only acceptable when the clean run
-    // produced the same kind of finding for the same program (i.e. it is
-    // a pre-existing pipeline defect, not injection-induced corruption).
-    fuzz::Verdict CleanV = fuzz::Oracle::classifyJob(Clean[I]);
-    EXPECT_TRUE(CleanV.isFinding() && CleanV.F.Kind == V.F.Kind)
-        << R.Name << ": injection-induced " << findingKindName(V.F.Kind)
-        << ": " << V.F.Message;
+    const JobResult &Twin = Clean[I];
+    EXPECT_EQ(R.Status, Twin.Status) << R.Name << ": " << R.Message;
+    EXPECT_EQ(R.Class, Twin.Class) << R.Name << ": " << R.Message;
+    EXPECT_EQ(R.VectorizedSource, Twin.VectorizedSource) << R.Name;
   }
 }
 

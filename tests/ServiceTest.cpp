@@ -49,12 +49,8 @@ TEST(ContentCacheTest, HashIsContentSensitive) {
 TEST(ContentCacheTest, SpecKeyFoldsExecutionBounds) {
   JobSpec Spec = makeSpec("k", "a = 1;\n");
   uint64_t Base = cacheKeyFor(Spec);
-  JobSpec LooseTol = Spec;
-  LooseTol.ValidateTol = 1e-7;
-  EXPECT_NE(Base, cacheKeyFor(LooseTol));
-  JobSpec Bounded = Spec;
-  Bounded.MaxSteps = 100000;
-  EXPECT_NE(Base, cacheKeyFor(Bounded));
+  // The fixed validation bounds are mixed in on top of the content key.
+  EXPECT_NE(Base, cacheKeyFor(Spec.Source, Spec.Opts, Spec.Validate));
   // Deadlines only decide whether a result is produced; they must not
   // split the cache.
   JobSpec Hurried = Spec;
@@ -63,16 +59,13 @@ TEST(ContentCacheTest, SpecKeyFoldsExecutionBounds) {
   EXPECT_EQ(Base, cacheKeyFor(Spec));
 }
 
-TEST(ServiceTest, MaxStepsBoundsValidationDeterministically) {
-  VectorizationService Service(ServiceConfig{});
-  JobSpec Spec = makeSpec("steps", validScript());
-  // A budget far below the script's interpreted statement count trips the
-  // step limit on the original run, independent of wall-clock speed.
-  Spec.MaxSteps = 4;
-  JobResult R = Service.submit(std::move(Spec)).get();
-  EXPECT_EQ(R.Status, JobStatus::TimedOut);
-  EXPECT_NE(R.Message.find("original program"), std::string::npos)
-      << R.Message;
+TEST(ContentCacheTest, SpecKeyFormatIsPinned) {
+  // The key picks a request's shard and names its DiskStore file, so a
+  // change here orphans every stored result and reshuffles the shards.
+  JobSpec Spec = makeSpec("k", "a = 1;\n");
+  EXPECT_EQ(cacheKeyFor(Spec), 0xe885008a72703314ull);
+  Spec.Validate = false;
+  EXPECT_EQ(cacheKeyFor(Spec), 0x94194a769dd3efcdull);
 }
 
 // The service's result cache is an LruCache<uint64_t, JobResult>; these

@@ -11,8 +11,7 @@
 ///
 ///   * every job reached a terminal status (no hang: the campaign itself
 ///     completing under its deadlines is the liveness check),
-///   * no Internal/Resource failure escaped degradation while
-///     DegradeOnExhaustion was on,
+///   * no Internal/Resource failure escaped degradation,
 ///   * every Degraded result carried the original source byte-for-byte
 ///     plus a classified, non-empty diagnostic,
 ///   * every non-success carried a non-empty message.

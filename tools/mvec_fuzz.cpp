@@ -14,8 +14,8 @@
 /// produced from Rng::deriveSeed(seed, k), so two runs with the same
 /// seed generate byte-identical programs in the same order regardless of
 /// --jobs, machine load or wall-clock budget (a shorter --time merely
-/// truncates the stream). Candidates are classified in parallel on
-/// mvec::service workers; findings are deduplicated by bucket signature,
+/// truncates the stream). Candidates are classified in parallel by the
+/// oracle's workers; findings are deduplicated by bucket signature,
 /// minimized with the reducer, and optionally persisted to the corpus.
 ///
 /// Exit status: 0 when every finding maps to a bucket already triaged in
@@ -43,7 +43,6 @@
 ///   --no-reduce         keep findings unminimized
 ///   --save-new          persist new findings into the corpus
 ///   --replay            re-run the corpus as a regression suite and exit
-///   --stats             print service metrics at the end
 ///
 /// MVEC_SIMD (auto|scalar|sse2|avx2, default auto) pins the kernel
 /// dispatch level every oracle run uses.
@@ -86,9 +85,8 @@ int usage(const char *Argv0) {
       "       %*s [--corpus DIR] [--deadline-ms N] [--max-steps N]\n"
       "       %*s [--mutate-percent P] [--engine ast|vm|both]\n"
       "       %*s [--cost-model off|on|both] [--cost-profile FILE]\n"
-      "       %*s [--no-reduce] [--save-new] [--stats]\n"
-      "       %s --replay [--corpus DIR] [--jobs N] [--engine ast|vm|both]"
-      " [--stats]\n",
+      "       %*s [--no-reduce] [--save-new]\n"
+      "       %s --replay [--corpus DIR] [--jobs N] [--engine ast|vm|both]\n",
       Argv0, static_cast<int>(std::strlen(Argv0)), "",
       static_cast<int>(std::strlen(Argv0)), "",
       static_cast<int>(std::strlen(Argv0)), "",
@@ -109,7 +107,6 @@ struct FuzzOptions {
   bool Reduce = true;
   bool SaveNew = false;
   bool Replay = false;
-  bool Stats = false;
 };
 
 /// Produces candidate \p Index of the stream for \p Seed. Mutation bases
@@ -132,7 +129,7 @@ GenProgram makeCandidate(uint64_t Seed, uint64_t Index, int MutatePercent,
   return Generator(CandidateSeed).next();
 }
 
-int replayCorpus(Corpus &C, const Oracle &O, bool Stats) {
+int replayCorpus(Corpus &C, const Oracle &O) {
   if (C.entries().empty()) {
     std::printf("corpus '%s' is empty; nothing to replay\n",
                 C.dir().c_str());
@@ -164,8 +161,6 @@ int replayCorpus(Corpus &C, const Oracle &O, bool Stats) {
   std::printf("replayed %zu entries: %u regressed, %u still open, "
               "%u open-but-passing\n",
               C.entries().size(), Regressions, StillOpen, NowPassing);
-  if (Stats)
-    std::fputs(const_cast<Oracle &>(O).metrics().text().c_str(), stdout);
   return Regressions == 0 ? 0 : 1;
 }
 
@@ -214,8 +209,6 @@ int main(int Argc, char **Argv) {
       Opt.SaveNew = true;
     else if (Arg == "--replay")
       Opt.Replay = true;
-    else if (Arg == "--stats")
-      Opt.Stats = true;
     else
       return usage(Argv[0]);
   }
@@ -246,7 +239,7 @@ int main(int Argc, char **Argv) {
     C.load();
 
   if (Opt.Replay)
-    return replayCorpus(C, O, Opt.Stats);
+    return replayCorpus(C, O);
 
   // Donor pool for mutation: the corpus seeds, plus a bounded ring of
   // recent generator output. The ring's contents depend only on the
@@ -316,8 +309,8 @@ int main(int Argc, char **Argv) {
   }
 
   // Minimize one representative per new bucket and (optionally) persist
-  // it. Reduction runs on the sync oracle path with the same budgets, so
-  // the reproducer keeps hitting the same bucket it was filed under.
+  // it. Reduction judges with check(), the same path the campaign used,
+  // so the reproducer keeps hitting the same bucket it was filed under.
   for (auto &[Bucket, F] : NewBuckets) {
     std::string Reproducer = F.Source;
     // After an interrupt, skip minimization (it can take a while) but
@@ -359,8 +352,6 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(RejectedCount),
               static_cast<unsigned long long>(FindingCount),
               KnownBucketHits.size(), NewBuckets.size());
-  if (Opt.Stats)
-    std::fputs(O.metrics().text().c_str(), stdout);
   if (Interrupted) {
     std::printf("interrupted; state flushed\n");
     return 0;
