@@ -59,6 +59,14 @@ bool toExtent(Interpreter &Interp, const Value &V, size_t &Out,
   return true;
 }
 
+/// \p A as a double (not logical) value: a sum or cumsum along a
+/// dimension past the second, where every element is its own sum.
+Value asDouble(const Value &A) {
+  Value Result = A;
+  Result.setLogical(false);
+  return Result;
+}
+
 Value mapUnary(const Value &A, double (*Fn)(double)) {
   Value Result(A.rows(), A.cols());
   for (size_t I = 0, E = A.numel(); I != E; ++I)
@@ -346,10 +354,10 @@ const BuiltinRegistry &registry() {
       if (!requireArgs(Interp, Args, 1, 2, "sum", Loc))
         return Value();
       if (Args.size() == 2) {
-        if (!requireScalar(Interp, Args[1], "sum", Loc))
+        unsigned Dim;
+        if (!reductionDim(Interp, Args[1], "sum", Loc, Dim))
           return Value();
-        return sumAlong(Args[0],
-                        static_cast<unsigned>(Args[1].scalarValue()));
+        return Dim > 2 ? asDouble(Args[0]) : sumAlong(Args[0], Dim);
       }
       return sumDefault(Args[0]);
     };
@@ -359,10 +367,10 @@ const BuiltinRegistry &registry() {
       if (!requireArgs(Interp, Args, 1, 2, "cumsum", Loc))
         return Value();
       if (Args.size() == 2) {
-        if (!requireScalar(Interp, Args[1], "cumsum", Loc))
+        unsigned Dim;
+        if (!reductionDim(Interp, Args[1], "cumsum", Loc, Dim))
           return Value();
-        return cumsumAlong(Args[0],
-                           static_cast<unsigned>(Args[1].scalarValue()));
+        return Dim > 2 ? asDouble(Args[0]) : cumsumAlong(Args[0], Dim);
       }
       return cumsumDefault(Args[0]);
     };
@@ -706,6 +714,20 @@ const BuiltinRegistry &registry() {
 }
 
 } // namespace
+
+bool mvec::reductionDim(Interpreter &Interp, const Value &Dim,
+                        const char *Name, SourceLoc Loc, unsigned &Out) {
+  if (!requireScalar(Interp, Dim, Name, Loc))
+    return false;
+  double D = Dim.scalarValue();
+  if (!std::isfinite(D) || D < 1.0 || D != std::floor(D)) {
+    Interp.fail(Loc, std::string("dimension argument to '") + Name +
+                         "' must be a positive integer");
+    return false;
+  }
+  Out = D > 2.0 ? 3 : static_cast<unsigned>(D);
+  return true;
+}
 
 BuiltinId mvec::builtinIdFor(const std::string &Name) {
   const BuiltinRegistry &R = registry();

@@ -41,6 +41,13 @@ inline bool isBuiltinName(const std::string &Name) {
   return builtinIdFor(Name) != InvalidBuiltinId;
 }
 
+/// The dimension argument of sum and cumsum: a positive integer scalar.
+/// Sets \p Out to 1, 2, or 3 for any dimension past the second (where
+/// MATLAB returns the input unchanged); otherwise fails at \p Loc with
+/// \p Name in the message and returns false.
+bool reductionDim(Interpreter &Interp, const Value &Dim, const char *Name,
+                  SourceLoc Loc, unsigned &Out);
+
 /// Invokes builtin \p Id (from builtinIdFor) with already-evaluated \p Args.
 /// Views among them are materialized in place unless the builtin only reads
 /// shapes. Reports problems through the interpreter's fail state.

@@ -624,6 +624,55 @@ Value Interpreter::evalFusedMulAdd(const BinaryExpr &E, const BinaryExpr &Prod,
                           Prod.loc());
 }
 
+Value Interpreter::evalSumOfProducts(const IndexExpr &E,
+                                     const BinaryExpr &Prod) {
+  ArgFrame Frame(*this);
+  std::vector<Value> &Args = *Frame.Args;
+  EndScope NoEnd(EndExtent, -1);
+  // The product's operands, inside the eval() frame the product takes.
+  if (EvalDepth >= MaxEvalDepth) {
+    fail(Prod.loc(), EvalDepthMessage);
+    return Value();
+  }
+  Value AT, BT;
+  const Value *AP, *BP;
+  {
+    ++EvalDepth;
+    struct DepthGuard {
+      unsigned &D;
+      ~DepthGuard() { --D; }
+    } Guard{EvalDepth};
+    AP = &evalOperand(*Prod.lhs(), AT);
+    BP = &evalOperand(*Prod.rhs(), BT);
+  }
+  if (Failed)
+    return Value();
+  PendingProduct P;
+  OpError Err;
+  if (!pendingProduct(*AP, *BP, P, Err)) {
+    fail(Prod.loc(), Err.Message);
+    return Value();
+  }
+  const Expr *DimArg = E.arg(1);
+  if (isa<MagicColonExpr>(DimArg) || isa<EndKeywordExpr>(DimArg)) {
+    fail(E.loc(), "':' and 'end' are not valid function arguments");
+    return Value();
+  }
+  // Args[0] holds the product only where the call returns it.
+  Args.emplace_back();
+  Args.push_back(eval(*DimArg));
+  if (Failed)
+    return Value();
+  Args[1].materialize();
+  unsigned Dim;
+  if (!reductionDim(*this, Args[1], "sum", E.loc(), Dim))
+    return Value();
+  if (Dim <= 2)
+    return sumOfProducts(P, Dim);
+  Args[0] = buildProduct(P);
+  return Args[0];
+}
+
 Value Interpreter::applyFusedMulAdd(const Value &A, const Value &B,
                                     const Value &C, bool Subtract,
                                     bool ProductOnLeft, bool DotMul,
@@ -1194,14 +1243,15 @@ Value Interpreter::evalIndexOrCall(const IndexExpr &E) {
     return readIndexed(Base, E);
   }
   if (Builtin != InvalidBuiltinId) {
-    if (ArgDepth == ArgPool.size())
-      ArgPool.emplace_back();
-    std::vector<Value> &Args = ArgPool[ArgDepth++];
-    struct DepthGuard {
-      size_t &Depth;
-      ~DepthGuard() { --Depth; }
-    } Guard{ArgDepth};
-    Args.clear();
+    if (E.numArgs() == 2)
+      if (const auto *Prod = dyn_cast<BinaryExpr>(E.arg(0));
+          Prod && Prod->op() == BinaryOp::DotMul) {
+        static const BuiltinId SumId = builtinIdFor("sum");
+        if (Builtin == SumId)
+          return evalSumOfProducts(E, *Prod);
+      }
+    ArgFrame Frame(*this);
+    std::vector<Value> &Args = *Frame.Args;
     Args.reserve(E.numArgs());
     EndScope NoEnd(EndExtent, -1);
     for (unsigned I = 0, N = E.numArgs(); I != N; ++I) {

@@ -399,6 +399,11 @@ private:
   /// product child of \p E; \p ProductOnLeft says which operand it is.
   Value evalFusedMulAdd(const BinaryExpr &E, const BinaryExpr &Prod,
                         bool ProductOnLeft);
+  /// Builtin call sum(A .* B, d), \p Prod its first argument: one reduce
+  /// pass with no product temporary. Operand and argument order, errors,
+  /// 'end' scoping, eval() frames and governor charges are the two-step
+  /// call's (evalIndexOrCall then callBuiltin).
+  Value evalSumOfProducts(const IndexExpr &E, const BinaryExpr &Prod);
   Value evalIndexOrCall(const IndexExpr &E);
 
   /// Side-effect-free scalar evaluation (see the file comment): sets
@@ -490,6 +495,20 @@ private:
   /// depth (deque: growth never invalidates outstanding references).
   std::deque<std::vector<Value>> ArgPool;
   size_t ArgDepth = 0;
+  /// One builtin call's argument vector: ArgPool's (cleared) vector at the
+  /// current call nesting depth, whose values live until the next call at
+  /// that depth.
+  struct ArgFrame {
+    explicit ArgFrame(Interpreter &I) : Depth(I.ArgDepth) {
+      if (Depth == I.ArgPool.size())
+        I.ArgPool.emplace_back();
+      Args = &I.ArgPool[Depth++];
+      Args->clear();
+    }
+    ~ArgFrame() { --Depth; }
+    size_t &Depth;
+    std::vector<Value> *Args;
+  };
   std::vector<Value> ArgsNone; ///< Argument list of a call without any.
   /// Scratch index buffers for readIndexed/writeIndexed. Subscript
   /// evaluation (which may recurse into indexing) always completes before

@@ -155,9 +155,12 @@ void ewLoop(BinaryOp Op, Walk A, Walk B, double *RD, size_t R, size_t C,
 
 } // namespace
 
-Value mvec::elementwiseBinary(BinaryOp Op, const Value &A, const Value &B,
-                              OpError &Err, OpWorkspace *WS) {
-  size_t R, C;
+namespace {
+
+/// The R x C result shape of elementwise A op B under MATLAB scalar
+/// expansion, or false with the mismatch reported in \p Err.
+bool elementwiseShape(const Value &A, const Value &B, size_t &R, size_t &C,
+                      OpError &Err) {
   if (A.isScalar() && !B.isScalar()) {
     R = B.rows();
     C = B.cols();
@@ -171,12 +174,70 @@ Value mvec::elementwiseBinary(BinaryOp Op, const Value &A, const Value &B,
     Err.set("matrix dimensions must agree (" + std::to_string(A.rows()) +
             "x" + std::to_string(A.cols()) + " vs " +
             std::to_string(B.rows()) + "x" + std::to_string(B.cols()) + ")");
-    return Value();
+    return false;
   }
+  return true;
+}
+
+} // namespace
+
+Value mvec::elementwiseBinary(BinaryOp Op, const Value &A, const Value &B,
+                              OpError &Err, OpWorkspace *WS) {
+  size_t R, C;
+  if (!elementwiseShape(A, B, R, C, Err))
+    return Value();
   Value Result = makeDest(WS, R, C);
-  ewLoop(Op, walkOf(A), walkOf(B), Result.mutableRaw(), R, C, Err);
+  Walk WA = walkOf(A), WB = walkOf(B);
+  ewLoop(Op, WA, WB, Result.mutableRaw(), R, C, Err);
   Result.setLogical(producesLogical(Op));
   return Result;
+}
+
+bool mvec::pendingProduct(const Value &A, const Value &B, PendingProduct &P,
+                          OpError &Err) {
+  if (!elementwiseShape(A, B, P.Rows, P.Cols, Err))
+    return false;
+  // elementwiseBinary's charges, in its order: the destination, then what
+  // each operand owes for being read in place.
+  if (P.Rows * P.Cols > 1)
+    chargeMemory(P.Rows * P.Cols * sizeof(double));
+  Walk WA = walkOf(A), WB = walkOf(B);
+  P.A = WA.P;
+  P.B = WB.P;
+  P.ARS = WA.RS;
+  P.ACS = WA.CS;
+  P.BRS = WB.RS;
+  P.BCS = WB.CS;
+  return true;
+}
+
+Value mvec::sumOfProducts(const PendingProduct &P, unsigned Dim) {
+  assert((Dim == 1 || Dim == 2) && "sum of products along dim 1 or 2");
+  size_t R = P.Rows, C = P.Cols;
+  if (R * C == 0)
+    return Dim == 1 ? Value(1, C, 0.0) : Value(R, 1, 0.0);
+  countDispatch(simd::dispatchCounters().Reduce);
+  const simd::KernelTable &K = simd::kernels();
+  // Dim 1 runs each chain down a column (lanes are columns); dim 2 runs it
+  // along a row (lanes are rows).
+  if (Dim == 1) {
+    Value Result(1, C);
+    K.DotReduce(P.A, P.ARS, P.ACS, P.B, P.BRS, P.BCS, Result.mutableRaw(), R,
+                C);
+    return Result;
+  }
+  Value Result(R, 1);
+  K.DotReduce(P.A, P.ACS, P.ARS, P.B, P.BCS, P.BRS, Result.mutableRaw(), C, R);
+  return Result;
+}
+
+Value mvec::buildProduct(const PendingProduct &P) {
+  // pendingProduct paid for this buffer.
+  auto Buf = std::make_shared<PayloadBuffer>(P.Rows * P.Cols);
+  OpError Err;
+  ewLoop(BinaryOp::DotMul, {P.A, P.ARS, P.ACS}, {P.B, P.BRS, P.BCS},
+         Buf->data(), P.Rows, P.Cols, Err);
+  return Value::adoptBuffer(std::move(Buf), P.Rows, P.Cols);
 }
 
 bool mvec::fusableMulAddShapes(const Value &A, const Value &B,
@@ -550,6 +611,15 @@ Value mvec::transpose(const Value &A) {
 
 Value mvec::repmat(const Value &A, size_t R, size_t C, OpWorkspace *WS) {
   size_t Rows = A.rows(), Cols = A.cols();
+  // A column repeated across columns, or a row down rows, is an O(1)
+  // broadcast view: the repeated axis has step 0. It is charged as the
+  // copy it stands for.
+  if (A.numel() > 1 && ((Cols == 1 && R == 1 && C > 1) ||
+                        (Rows == 1 && C == 1 && R > 1))) {
+    chargeMemory(A.numel() * R * C * sizeof(double));
+    return Cols == 1 ? A.view(Rows, C, 0, A.rowStep(), 0, /*Owed=*/false)
+                     : A.view(R, Cols, 0, 0, A.colStep(), /*Owed=*/false);
+  }
   Value Result = makeDest(WS, Rows * R, Cols * C);
   const double *Src = A.raw();
   double *Dst = Result.mutableRaw();

@@ -17,8 +17,9 @@
 /// All functions report problems through an OpError out-parameter instead of
 /// throwing. Kernels optionally take an OpWorkspace, whose poll hook lets a
 /// deadline interrupt a long kernel. Operands may be strided views (see
-/// Value): the elementwise, fused multiply-add and matrix-product kernels
-/// read them in place; the other kernels require plain operands.
+/// Value): the elementwise, fused multiply-add, sum-of-products and
+/// matrix-product kernels read them in place, steps of 0 included; the
+/// other kernels require plain operands.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,6 +81,25 @@ private:
 Value elementwiseBinary(BinaryOp Op, const Value &A, const Value &B,
                         OpError &Err, OpWorkspace *WS = nullptr);
 
+/// A .* B whose product is paid for but not built. pendingProduct checks
+/// the shapes (with elementwiseBinary's error text) and charges what
+/// elementwiseBinary(DotMul, A, B) charges, in its order; sumOfProducts
+/// then reduces the product in one pass and buildProduct builds it, both
+/// without charging again. It reads A and B in place, so both must outlive
+/// it. Element (r, c) of A is A[r * ARS + c * ACS], and likewise for B.
+struct PendingProduct {
+  const double *A = nullptr, *B = nullptr;
+  size_t ARS = 0, ACS = 0, BRS = 0, BCS = 0;
+  size_t Rows = 0, Cols = 0;
+};
+bool pendingProduct(const Value &A, const Value &B, PendingProduct &P,
+                    OpError &Err);
+/// sum(A .* B, Dim) for Dim 1 or 2 in one pass with no product temporary,
+/// bit-identical to sumAlong(elementwiseBinary(DotMul, A, B), Dim).
+Value sumOfProducts(const PendingProduct &P, unsigned Dim);
+/// The product A .* B itself.
+Value buildProduct(const PendingProduct &P);
+
 /// True when (A .* B) +/- C is computable in one fused pass: each step
 /// conforms under MATLAB scalar expansion. When false, callers must fall
 /// back to the two-step path (which also reproduces the exact error).
@@ -132,7 +152,10 @@ Value cumsumAlong(const Value &A, unsigned Dim);
 Value cumsumDefault(const Value &A);
 Value prodDefault(const Value &A);
 
-/// repmat(X, R, C), copied one source column run at a time.
+/// repmat(X, R, C). A column repeated across columns or a row repeated
+/// down rows is an O(1) broadcast view (step 0 along the repeated axis),
+/// charged as the copy it stands for; anything else is copied one source
+/// column run at a time.
 Value repmat(const Value &A, size_t R, size_t C, OpWorkspace *WS = nullptr);
 
 /// MATLAB hist(x, centers): bin counts with edges midway between centers.

@@ -191,9 +191,10 @@ public:
   size_t colStep() const { return View ? ColStep : NumRows; }
 
   /// O(1) Rows x Cols view, element (r, c) at data()[Off + r * RS + c *
-  /// CS], keeping the logical flag; plain when the layout is dense. A
-  /// transpose owes its copy's charge (\p Owed); any other view stands for
-  /// a copy its maker charged. Requires Rows * Cols > 1, all in range.
+  /// CS], keeping the logical flag; plain when the layout is dense. A step
+  /// of 0 repeats a row or column (repmat's broadcast views). A transpose
+  /// owes its copy's charge (\p Owed); any other view stands for a copy
+  /// its maker charged. Requires Rows * Cols > 1, all in range.
   Value view(size_t Rows, size_t Cols, size_t Off, size_t RS, size_t CS,
              bool Owed) const;
   /// Column-major copy of the elements into \p Dst (any layout).

@@ -733,6 +733,92 @@ void rowSums(const double *AD, size_t Rows, size_t Cols, double *Out) {
   }
 }
 
+#if MVEC_SIMD_WIDTH > 1
+
+/// How one operand of dotReduce fills a register across W lanes: lanes
+/// adjacent in memory, one element replayed, lanes at a stride with the
+/// chain contiguous (loaded W chain steps at a time and transposed in
+/// registers), or lanes gathered one by one.
+enum class LaneWalk { Dense, Splat, Transposed, Gather };
+
+inline LaneWalk laneWalkOf(size_t KS, size_t LS) {
+  if (LS == 1)
+    return LaneWalk::Dense;
+  if (LS == 0)
+    return LaneWalk::Splat;
+  return KS == 1 ? LaneWalk::Transposed : LaneWalk::Gather;
+}
+
+/// V[q] = chain step q of the W lanes starting at \p P (chain step 0, lane
+/// 0), for q in [0, W).
+inline void loadSteps(LaneWalk How, const double *P, size_t KS, size_t LS,
+                      VD *V) {
+  switch (How) {
+  case LaneWalk::Dense:
+    for (size_t Q = 0; Q != W; ++Q)
+      V[Q] = vLoad(P + Q * KS);
+    return;
+  case LaneWalk::Splat:
+    for (size_t Q = 0; Q != W; ++Q)
+      V[Q] = vSet1(P[Q * KS]);
+    return;
+  case LaneWalk::Transposed:
+    loadRowsAcross(P, LS, V);
+    return;
+  case LaneWalk::Gather:
+    for (size_t Q = 0; Q != W; ++Q)
+      V[Q] = vGatherStride(P + Q * KS, LS);
+    return;
+  }
+}
+
+/// One chain step of the W lanes starting at \p P.
+inline VD loadStep(LaneWalk How, const double *P, size_t LS) {
+  switch (How) {
+  case LaneWalk::Dense:
+    return vLoad(P);
+  case LaneWalk::Splat:
+    return vSet1(P[0]);
+  default:
+    return vGatherStride(P, LS);
+  }
+}
+
+#endif
+
+/// Lanes are independent outputs; each chain adds its products in
+/// ascending k order from 0.0, exactly as the column/row sum of the
+/// materialized product would.
+void dotReduce(const double *A, size_t AK, size_t AL, const double *B,
+               size_t BK, size_t BL, double *Out, size_t K, size_t L) {
+  size_t Lane = 0;
+#if MVEC_SIMD_WIDTH > 1
+  LaneWalk HowA = laneWalkOf(AK, AL), HowB = laneWalkOf(BK, BL);
+  for (; Lane + W <= L; Lane += W) {
+    const double *AP = A + Lane * AL, *BP = B + Lane * BL;
+    VD Acc = vZero();
+    size_t Step = 0;
+    for (; Step + W <= K; Step += W) {
+      VD VA[W], VB[W];
+      loadSteps(HowA, AP + Step * AK, AK, AL, VA);
+      loadSteps(HowB, BP + Step * BK, BK, BL, VB);
+      for (size_t Q = 0; Q != W; ++Q)
+        Acc = vAdd(Acc, vMul(VA[Q], VB[Q]));
+    }
+    for (; Step != K; ++Step)
+      Acc = vAdd(Acc, vMul(loadStep(HowA, AP + Step * AK, AL),
+                           loadStep(HowB, BP + Step * BK, BL)));
+    vStore(Out + Lane, Acc);
+  }
+#endif
+  for (; Lane != L; ++Lane) {
+    double Acc = 0.0;
+    for (size_t Step = 0; Step != K; ++Step)
+      Acc = Acc + A[Step * AK + Lane * AL] * B[Step * BK + Lane * BL];
+    Out[Lane] = Acc;
+  }
+}
+
 /// Running sums down each column. The chain is serial per column and the
 /// lanes would walk strided memory, so every width shares the portable
 /// loop (listed in the table so callers need no special case).
@@ -790,6 +876,7 @@ const KernelTable &MVEC_SIMD_TABLE_ACCESSOR() {
       &MVEC_SIMD_IMPL_NS::colSums,
       &MVEC_SIMD_IMPL_NS::colProds,
       &MVEC_SIMD_IMPL_NS::rowSums,
+      &MVEC_SIMD_IMPL_NS::dotReduce,
       &MVEC_SIMD_IMPL_NS::cumsumDim1,
       &MVEC_SIMD_IMPL_NS::cumsumDim2,
   };

@@ -7,7 +7,8 @@
 /// \file
 /// The interpreter's SIMD kernel backend: a table of leaf kernel function
 /// pointers (elementwise arithmetic/compares, fused multiply-add, the
-/// blocked-matmul inner tile, order-preserving reductions) with one
+/// blocked-matmul inner tile, order-preserving reductions, the fused
+/// sum of products) with one
 /// implementation per instruction set, selected once at load time by a
 /// cpuid-based dispatcher.
 ///
@@ -117,6 +118,13 @@ struct KernelTable {
   void (*ColProds)(const double *A, size_t Rows, size_t Cols, double *Out);
   /// Out[r] = sum of row r (ascending column order per row).
   void (*RowSums)(const double *A, size_t Rows, size_t Cols, double *Out);
+  /// Out[l] = sum over k of A[k*AK + l*AL] * B[k*BK + l*BL] for l in
+  /// [0, L): each chain starts at 0.0 and runs k ascending over [0, K),
+  /// product and sum rounded separately. Lanes are independent outputs,
+  /// so Out is bit-identical to ColSums (or RowSums, with the steps
+  /// swapped) of the materialized product. Any step may be 0.
+  void (*DotReduce)(const double *A, size_t AK, size_t AL, const double *B,
+                    size_t BK, size_t BL, double *Out, size_t K, size_t L);
   /// Running sums down columns (dim 1) / across rows (dim 2), writing a
   /// full Rows x Cols result.
   void (*CumsumDim1)(const double *A, size_t Rows, size_t Cols, double *Out);

@@ -28,6 +28,18 @@
 #include <sys/prctl.h>
 #endif
 
+// Address and thread sanitizer builds (GCC's macros, then Clang's).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MVEC_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MVEC_SANITIZED 1
+#endif
+#endif
+#ifndef MVEC_SANITIZED
+#define MVEC_SANITIZED 0
+#endif
+
 using namespace mvec;
 using namespace mvec::sandbox;
 using namespace mvec::daemon;
@@ -104,6 +116,10 @@ void applyLimit(int Resource, rlim_t Limit) {
     // Allocate-and-touch until the address space runs out, then emulate
     // the kernel OOM killer faithfully (it delivers SIGKILL) so the
     // parent exercises the same classification path a real OOM takes.
+    // Sanitizer builds run without RLIMIT_AS (see workerChildMain), so the
+    // spree would exhaust the host instead: they deliver the SIGKILL
+    // straight away.
+#if !MVEC_SANITIZED
     try {
       std::vector<char *> Hog;
       for (;;) {
@@ -113,6 +129,7 @@ void applyLimit(int Resource, rlim_t Limit) {
       }
     } catch (const std::bad_alloc &) {
     }
+#endif
     ::raise(SIGKILL);
   }
   // "spin": wedge without burning a full core so RLIMIT_CPU does not
@@ -157,7 +174,11 @@ bool findTestHook(const std::string &Body, std::string &Marker) {
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
 #endif
   closeAllFdsExcept(Fd);
-  if (Config.MemoryLimitMB)
+  // A sanitizer runtime reserves its shadow memory before the fork, far
+  // past any useful RLIMIT_AS, so under one the limit fails the runtime's
+  // next mapping (the service's thread stacks first), not the job's:
+  // sanitizer builds leave the address space unlimited.
+  if (Config.MemoryLimitMB && !MVEC_SANITIZED)
     applyLimit(RLIMIT_AS, static_cast<rlim_t>(Config.MemoryLimitMB) << 20);
   if (Config.CpuLimitSeconds)
     applyLimit(RLIMIT_CPU, Config.CpuLimitSeconds);

@@ -11,6 +11,7 @@
 #include "gtest/gtest.h"
 
 #include <cmath>
+#include <cstring>
 
 using namespace mvec;
 
@@ -301,6 +302,106 @@ TEST(InterpreterTest, SumAlongDimensions) {
   EXPECT_EQ(R->cols(), 1u);
   EXPECT_DOUBLE_EQ(R->linear(0), 3);
   EXPECT_DOUBLE_EQ(scalarVar(I, "t"), 10);
+}
+
+TEST(InterpreterTest, SumAndCumsumDimArgument) {
+  // MATLAB returns the input for a dimension past the second (as a
+  // double), and rejects a dimension that is not a positive integer.
+  Interpreter I = runOk("A = [1 2; 3 4];\ns3 = sum(A, 3);\nc3 = cumsum(A, 3);\n"
+                        "s9 = sum(A, 1e300);\nc2 = cumsum(A, 2);\n"
+                        "M = A > 2;\nm3 = sum(M, 3);\nlm = islogical(m3);\n"
+                        "disp(sum([1 2; 3 4], 3));\n");
+  const Value *A = I.getVariable("A");
+  for (const char *Name : {"s3", "c3", "s9"})
+    EXPECT_TRUE(I.getVariable(Name)->equals(*A)) << Name;
+  EXPECT_TRUE(I.getVariable("m3")->equals(*I.getVariable("M")));
+  EXPECT_EQ(scalarVar(I, "lm"), 0);
+  const Value *C2 = I.getVariable("c2");
+  EXPECT_EQ(C2->at(0, 1), 3);
+  EXPECT_EQ(C2->at(1, 1), 7);
+  EXPECT_EQ(I.output(), runOk("disp([1 2; 3 4]);\n").output());
+  for (const char *Fn : {"sum", "cumsum"}) {
+    for (const char *Dim : {"0", "-1", "2.5", "0/0", "1/0", "-1/0"})
+      EXPECT_EQ(runError(std::string("A = [1 2; 3 4];\nx = ") + Fn + "(A, " +
+                         Dim + ");\n"),
+                std::string("dimension argument to '") + Fn +
+                    "' must be a positive integer")
+          << Fn << " dim " << Dim;
+    EXPECT_EQ(runError(std::string("x = ") + Fn + "([1 2], [1 2]);\n"),
+              std::string("argument to '") + Fn + "' must be a scalar");
+  }
+}
+
+/// True when \p A and \p B have one shape and the same bits per element.
+bool sameBits(const Value &A, const Value &B) {
+  if (A.rows() != B.rows() || A.cols() != B.cols() ||
+      A.isLogical() != B.isLogical())
+    return false;
+  for (size_t I = 0, E = A.numel(); I != E; ++I) {
+    double X = A.linear(I), Y = B.linear(I);
+    if (std::memcmp(&X, &Y, sizeof(double)) != 0)
+      return false;
+  }
+  return true;
+}
+
+TEST(InterpreterTest, SumOfProductsMatchesTheTwoStepForm) {
+  // sum(A .* B, d) runs in one pass; it must equal, bit for bit, the sum
+  // of the product held in a variable, on plain, transposed, broadcast,
+  // subscripted and scalar operands with IEEE specials among them.
+  Interpreter I = runOk(
+      "A = rand(6, 5); B = rand(6, 5); s = 3;\n"
+      "A(2, 3) = 0/0; B(4, 1) = -1/0; A(5, 5) = -0; B(1, 2) = 1/0;\n"
+      "P = A .* B; x1 = sum(A .* B, 1); y1 = sum(P, 1);\n"
+      "x2 = sum(A .* B, 2); y2 = sum(P, 2);\n"
+      "T = B' .* A'; x3 = sum(B' .* A', 2); y3 = sum(T, 2);\n"
+      "R = repmat(A(:, 1), 1, 5) .* B; x4 = sum(repmat(A(:, 1), 1, 5) .* B, 1);"
+      " y4 = sum(R, 1);\n"
+      "Q = B .* repmat(A(2, :), 6, 1); x5 = sum(B .* repmat(A(2, :), 6, 1), 2);"
+      " y5 = sum(Q, 2);\n"
+      "S = s .* B; x6 = sum(s .* B, 1); y6 = sum(S, 1);\n"
+      "U = A(1:2:5, 2:4) .* B(2:4, [1 3 5]); x7 = sum(A(1:2:5, 2:4) .* "
+      "B(2:4, [1 3 5]), 1); y7 = sum(U, 1);\n"
+      "x8 = sum(A .* B, 3); y8 = P;\n"
+      "x9 = sum(s .* s, 2); y9 = sum(s * s, 2);\n");
+  for (int K = 1; K <= 9; ++K) {
+    std::string X = "x" + std::to_string(K), Y = "y" + std::to_string(K);
+    EXPECT_TRUE(sameBits(*I.getVariable(X), *I.getVariable(Y))) << X;
+  }
+
+  // The operands draw from rand in the order the two-step form does.
+  Interpreter Fused =
+      runOk("x = sum(rand(3, 4) .* rand(3, 4), 2);\nr = rand(1);\n");
+  Interpreter TwoStep = runOk(
+      "a = rand(3, 4);\nb = rand(3, 4);\nx = sum(a .* b, 2);\nr = rand(1);\n");
+  EXPECT_TRUE(sameBits(*Fused.getVariable("x"), *TwoStep.getVariable("x")));
+  EXPECT_EQ(scalarVar(Fused, "r"), scalarVar(TwoStep, "r"));
+
+  // A variable named sum is indexed, not called.
+  EXPECT_EQ(scalarVar(runOk("sum = [5 6; 7 8];\nx = sum(1 .* 2, 1);\n"), "x"),
+            7);
+}
+
+TEST(InterpreterTest, SumOfProductsErrorsAreTheTwoStepErrors) {
+  // A shape mismatch is the product's error, at the product, before the
+  // dimension argument is looked at.
+  DiagnosticEngine Diags;
+  ParseResult R = parseMatlab(
+      "A = ones(2, 3);\nB = ones(3, 2);\nx = sum(A .* B, [1 2]);\n", Diags);
+  Interpreter I;
+  EXPECT_FALSE(I.run(R.Prog));
+  EXPECT_EQ(I.errorMessage(), "matrix dimensions must agree (2x3 vs 3x2)");
+  EXPECT_EQ(I.errorLoc().Line, 3u);
+  EXPECT_EQ(I.errorLoc().Col, 11u);
+  EXPECT_EQ(runError("A = ones(2, 3);\nx = sum(A .* A, [1 2]);\n"),
+            "argument to 'sum' must be a scalar");
+  EXPECT_EQ(runError("A = ones(2, 3);\nx = sum(A .* A, 0);\n"),
+            "dimension argument to 'sum' must be a positive integer");
+  EXPECT_EQ(runError("A = ones(2, 3);\nx = sum(A .* A, end);\n"),
+            "':' and 'end' are not valid function arguments");
+  // 'end' is unbound inside a call's arguments, even within a subscript.
+  EXPECT_EQ(runError("v = 1:4;\nx = v(sum(v .* end, 2));\n"),
+            "'end' outside of a subscript");
 }
 
 TEST(InterpreterTest, Repmat) {

@@ -1130,3 +1130,261 @@ TEST(DifferentialTest, StridedElementwiseMatchesPlain) {
     }
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Broadcast views (repmat of a vector) and the fused sum of products.
+//===----------------------------------------------------------------------===//
+
+/// Large payload allocations made on this thread so far (the recycler's
+/// hits and misses): a kernel that copied a large view operand shows here.
+uint64_t largeAllocations() {
+  PayloadRecyclerStats S = payloadRecyclerStats();
+  return S.Hits + S.Misses;
+}
+
+/// \p V's values in a dense payload of their own.
+Value denseCopy(const Value &V) {
+  Value Copy = V;
+  Copy.materialize();
+  return Copy;
+}
+
+TEST(DifferentialTest, BroadcastViewOperandsMatchTheCopy) {
+  // 64 x 80 operands: every result is a large block, so the allocation
+  // count shows whether a kernel copied its broadcast operand.
+  const size_t M = 64, N = 80;
+  TestRng Rng(0xB0A);
+  Value Col = randomWithSpecials(Rng, M, 1);
+  Value Row = randomWithSpecials(Rng, 1, N);
+  Value ColView = repmat(Col, 1, N), RowView = repmat(Row, M, 1);
+  ASSERT_TRUE(ColView.isView() && RowView.isView());
+  ASSERT_EQ(ColView.colStep(), 0u);
+  ASSERT_EQ(RowView.rowStep(), 0u);
+  Value X = randomWithSpecials(Rng, M, N), Y = randomValue(Rng, M, N);
+  const BinaryOp Ops[] = {BinaryOp::Add, BinaryOp::Sub, BinaryOp::DotMul,
+                          BinaryOp::DotDiv, BinaryOp::Lt};
+  struct Case {
+    const char *Name;
+    Value View;
+  };
+  const Case Cases[] = {{"col", ColView},
+                        {"row", RowView},
+                        {"col'", transpose(transpose(ColView))}};
+  for (simd::Level L : supportedLevels()) {
+    ScopedSimdLevel Pin(L);
+    for (const Case &C : Cases) {
+      std::string Tag = std::string(simd::levelName(L)) + " " + C.Name;
+      Value Copy = denseCopy(C.View);
+      for (BinaryOp Op : Ops) {
+        OpError E1, E2, E3, E4;
+        uint64_t Before = largeAllocations();
+        Value Left = elementwiseBinary(Op, C.View, X, E1);
+        Value Right = elementwiseBinary(Op, X, C.View, E2);
+        EXPECT_EQ(largeAllocations(), Before + 2) << Tag;
+        expectBitIdentical(Left, elementwiseBinary(Op, Copy, X, E3),
+                           Tag + " op x");
+        expectBitIdentical(Right, elementwiseBinary(Op, X, Copy, E4),
+                           Tag + " x op");
+      }
+      // Unary kernels and concatenation take the view through a dense copy.
+      expectBitIdentical(unaryMinus(C.View), unaryMinus(Copy), Tag + " neg");
+      OpError CatErr;
+      expectBitIdentical(horzcat(C.View, X, CatErr), horzcat(Copy, X, CatErr),
+                         Tag + " horzcat");
+      expectBitIdentical(vertcat(C.View, X, CatErr), vertcat(Copy, X, CatErr),
+                         Tag + " vertcat");
+      for (bool Subtract : {false, true}) {
+        uint64_t Before = largeAllocations();
+        Value Prod = fusedMulAdd(C.View, X, Y, Subtract, true);
+        Value Addend = fusedMulAdd(X, Y, C.View, Subtract, false);
+        EXPECT_EQ(largeAllocations(), Before + 2) << Tag;
+        expectBitIdentical(Prod, fusedMulAdd(Copy, X, Y, Subtract, true),
+                           Tag + " fma product");
+        expectBitIdentical(Addend, fusedMulAdd(X, Y, Copy, Subtract, false),
+                           Tag + " fma addend");
+      }
+    }
+    // Matrix products: a column broadcast reads in place with a leading
+    // dimension of 0 on either side, a row broadcast on the left as a
+    // transposed A with a leading dimension of 0.
+    std::string Lv = simd::levelName(L);
+    for (int Density = 0; Density != 2; ++Density) {
+      Value Right = Density ? randomZeroFree(Rng, N, M)
+                            : randomValue(Rng, N, M);
+      Value Left = Density ? randomZeroFree(Rng, N, M)
+                           : randomValue(Rng, N, M);
+      std::string Tag = Lv + " d" + std::to_string(Density);
+      OpError Err;
+      uint64_t Before = largeAllocations();
+      Value ColA = matMul(ColView, Right, Err);
+      Value ColB = matMul(Left, ColView, Err);
+      Value RowA = matMul(RowView, Right, Err);
+      EXPECT_EQ(largeAllocations(), Before + 3) << Tag;
+      ASSERT_FALSE(Err.failed());
+      Value ColCopy = denseCopy(ColView), RowCopy = denseCopy(RowView);
+      expectBitIdentical(ColA, matMul(ColCopy, Right, Err), Tag + " col * B");
+      expectBitIdentical(ColB, matMul(Left, ColCopy, Err), Tag + " A * col");
+      expectBitIdentical(RowA, matMul(RowCopy, Right, Err), Tag + " row * B");
+      // A row broadcast on the right is packed, and still reads the same.
+      expectBitIdentical(matMul(Left, RowView, Err),
+                         matMul(Left, RowCopy, Err), Tag + " A * row");
+      Value Narrow = randomValue(Rng, M, 8);
+      expectBitIdentical(matMul(transpose(ColView), Narrow, Err),
+                         matMul(denseCopy(transpose(ColView)), Narrow, Err),
+                         Tag + " col' * B");
+    }
+  }
+}
+
+/// Fills \p N doubles with random values and the IEEE specials.
+std::vector<double> randomPayload(TestRng &Rng, size_t N) {
+  Value V = randomWithSpecials(Rng, N, 1);
+  std::vector<double> Out(N);
+  for (size_t I = 0; I != N; ++I)
+    Out[I] = V.linear(I);
+  return Out;
+}
+
+TEST(SimdDifferentialTest, DotReduceBitExactAcrossLevels) {
+  // Chain lengths and lane counts straddle every vector width; each
+  // operand walks in one of the layouts the interpreter hands the leaf
+  // (K, L are the chain and lane counts).
+  struct Layout {
+    const char *Name;
+    size_t (*KS)(size_t K, size_t L);
+    size_t (*LS)(size_t K, size_t L);
+  };
+  const Layout Layouts[] = {
+      {"dense", [](size_t, size_t) -> size_t { return 1; },
+       [](size_t K, size_t) -> size_t { return K; }},
+      {"ld", [](size_t, size_t) -> size_t { return 1; },
+       [](size_t K, size_t) -> size_t { return K + 3; }},
+      {"trans", [](size_t, size_t L) -> size_t { return L; },
+       [](size_t, size_t) -> size_t { return 1; }},
+      {"trans-ld", [](size_t, size_t L) -> size_t { return L + 2; },
+       [](size_t, size_t) -> size_t { return 1; }},
+      {"k-step0", [](size_t, size_t) -> size_t { return 0; },
+       [](size_t, size_t) -> size_t { return 1; }},
+      {"lane-step0", [](size_t, size_t) -> size_t { return 1; },
+       [](size_t, size_t) -> size_t { return 0; }},
+      {"scalar", [](size_t, size_t) -> size_t { return 0; },
+       [](size_t, size_t) -> size_t { return 0; }},
+      {"gather", [](size_t, size_t) -> size_t { return 2; },
+       [](size_t K, size_t) -> size_t { return 2 * K + 1; }},
+  };
+  const size_t Ks[] = {0, 1, 3, 4, 5, 8, 9, 17};
+  const size_t Ls[] = {1, 2, 3, 4, 5, 7, 8, 9, 13};
+  TestRng Rng(0xD07);
+  for (size_t K : Ks)
+    for (size_t L : Ls)
+      for (const Layout &LA : Layouts)
+        for (const Layout &LB : Layouts) {
+          size_t AK = LA.KS(K, L), AL = LA.LS(K, L);
+          size_t BK = LB.KS(K, L), BL = LB.LS(K, L);
+          auto Extent = [&](size_t KS, size_t LS) {
+            return (K ? (K - 1) * KS : 0) + (L - 1) * LS + 1;
+          };
+          std::vector<double> A = randomPayload(Rng, Extent(AK, AL));
+          std::vector<double> B = randomPayload(Rng, Extent(BK, BL));
+          std::string Tag = std::string(LA.Name) + " x " + LB.Name + " K=" +
+                            std::to_string(K) + " L=" + std::to_string(L);
+          // The reference: the column and row sums of the materialized
+          // product (lanes as columns, then as rows).
+          Value Cols(K, L), Rows(L, K);
+          for (size_t Lane = 0; Lane != L; ++Lane)
+            for (size_t Step = 0; Step != K; ++Step) {
+              double P = A[Step * AK + Lane * AL] * B[Step * BK + Lane * BL];
+              Cols.at(Step, Lane) = P;
+              Rows.at(Lane, Step) = P;
+            }
+          Value ByCols(1, L), ByRows(L, 1);
+          {
+            ScopedSimdLevel Pin(simd::Level::Scalar);
+            const simd::KernelTable &Ref = simd::kernels();
+            Ref.ColSums(Cols.raw(), K, L, ByCols.mutableRaw());
+            Ref.RowSums(Rows.raw(), L, K, ByRows.mutableRaw());
+          }
+          for (simd::Level Lv : supportedLevels()) {
+            ScopedSimdLevel Pin(Lv);
+            Value Got(1, L);
+            simd::kernels().DotReduce(A.data(), AK, AL, B.data(), BK, BL,
+                                      Got.mutableRaw(), K, L);
+            std::string What = std::string(simd::levelName(Lv)) + " " + Tag;
+            expectBitIdentical(Got, ByCols, What + " vs colsums");
+            Got.reshapeTo(L, 1);
+            expectBitIdentical(Got, ByRows, What + " vs rowsums");
+          }
+        }
+}
+
+TEST(DifferentialTest, SumOfProductsMatchesTheTwoStepPath) {
+  // Every operand layout (plain, strided, transposed, broadcast, scalar)
+  // and the empties: the one-pass reduce equals sumAlong of the product
+  // to the bit, builds the same product, and charges the same bytes.
+  const size_t Shapes[][2] = {{1, 1}, {1, 9}, {9, 1}, {5, 7},
+                              {17, 9}, {0, 3}, {3, 0}};
+  TestRng Rng(0x50F);
+  for (const auto &Shape : Shapes) {
+    size_t R = Shape[0], C = Shape[1];
+    Value A = randomWithSpecials(Rng, R, C);
+    Value B = randomWithSpecials(Rng, R, C);
+    std::vector<std::pair<std::string, Value>> As = layoutsOf(A), Bs;
+    for (auto &[Name, V] : layoutsOf(B))
+      Bs.emplace_back(Name, V);
+    Bs.emplace_back("scalar", Value::scalar(Rng.next()));
+    if (R > 1 && C > 1) {
+      Bs.emplace_back("col-bcast", repmat(randomWithSpecials(Rng, R, 1), 1, C));
+      Bs.emplace_back("row-bcast", repmat(randomWithSpecials(Rng, 1, C), R, 1));
+    }
+    for (simd::Level L : supportedLevels()) {
+      ScopedSimdLevel Pin(L);
+      for (const auto &[AName, AV] : As)
+        for (const auto &[BName, BV] : Bs)
+          for (bool Swap : {false, true}) {
+            const Value &X = Swap ? BV : AV, &Y = Swap ? AV : BV;
+            std::string Tag = std::string(simd::levelName(L)) + " " +
+                              std::to_string(R) + "x" + std::to_string(C) +
+                              " " + (Swap ? BName + " .* " + AName
+                                          : AName + " .* " + BName);
+            for (unsigned Dim : {1u, 2u}) {
+              ResourceGovernor Two(0), One(0);
+              Value Want;
+              {
+                GovernorScope Scope(&Two);
+                OpError Err;
+                Value Prod = elementwiseBinary(BinaryOp::DotMul, X, Y, Err);
+                ASSERT_FALSE(Err.failed()) << Tag;
+                Want = sumAlong(Prod, Dim);
+              }
+              Value Got;
+              {
+                GovernorScope Scope(&One);
+                PendingProduct P;
+                OpError Err;
+                ASSERT_TRUE(pendingProduct(X, Y, P, Err)) << Tag;
+                Got = sumOfProducts(P, Dim);
+              }
+              expectBitIdentical(Got, Want, Tag + " dim " +
+                                                std::to_string(Dim));
+              EXPECT_EQ(One.usedBytes(), Two.usedBytes()) << Tag;
+            }
+            PendingProduct P;
+            OpError E1, E2;
+            ASSERT_TRUE(pendingProduct(X, Y, P, E1));
+            expectBitIdentical(buildProduct(P),
+                               elementwiseBinary(BinaryOp::DotMul, X, Y, E2),
+                               Tag + " product");
+          }
+    }
+  }
+  // A shape mismatch reports elementwiseBinary's error and charges nothing.
+  Value Wide(2, 3), Tall(3, 2);
+  ResourceGovernor G(0);
+  GovernorScope Scope(&G);
+  PendingProduct P;
+  OpError Fused, TwoStep;
+  EXPECT_FALSE(pendingProduct(Wide, Tall, P, Fused));
+  elementwiseBinary(BinaryOp::DotMul, Wide, Tall, TwoStep);
+  EXPECT_EQ(Fused.Message, TwoStep.Message);
+  EXPECT_EQ(G.usedBytes(), 0u);
+}

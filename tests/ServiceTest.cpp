@@ -353,6 +353,67 @@ TEST(ServiceTest, SharedNestsMatchSingleThreadedOutputConcurrently) {
   EXPECT_EQ(Service.metrics().CacheHits.load(), 0u);
 }
 
+// Validation on the bytecode VM, four workers at a time, over scripts
+// whose vectorized forms are the Table 2 sum-of-products and repmat
+// patterns. Run under -fsanitize=thread in CI: this is the concurrency the
+// VM sees in a vm-engine service.
+TEST(ServiceTest, VmEngineJobsRunConcurrently) {
+  ServiceConfig Config;
+  Config.Workers = 4;
+  Config.QueueCapacity = 8;
+  Config.CacheCapacity = 0; // every job runs the pipeline and validation
+  Config.Engine = ExecEngine::Vm;
+  VectorizationService Service(Config);
+
+  auto ScriptFor = [](int T, int I) {
+    std::string Tag = "% " + std::to_string(T * 100 + I) + "\n";
+    switch (I % 3) {
+    case 0:
+      return "n = 8; X = rand(n,n); Y = rand(n,n); a = zeros(1,n);\n"
+             "%! X(*,*) Y(*,*) a(1,*) n(1)\n"
+             "for i=1:n\n  a(i) = X(i,:)*Y(:,i);\nend\n" +
+             Tag;
+    case 1:
+      return "m = 6; n = 5; B = rand(m,n); C = rand(m,1); A = zeros(m,n);\n"
+             "%! A(*,*) B(*,*) C(*,1) m(1) n(1)\n"
+             "for i=1:m\n for j=1:n\n  A(i,j) = B(i,j)+C(i);\n end\nend\n" +
+             Tag;
+    default:
+      return validScript(Tag);
+    }
+  };
+
+  constexpr int Submitters = 4;
+  constexpr int PerThread = 9;
+  std::vector<std::vector<std::string>> Expected(Submitters);
+  for (int T = 0; T != Submitters; ++T)
+    for (int I = 0; I != PerThread; ++I) {
+      PipelineResult P = vectorizeSource(ScriptFor(T, I));
+      ASSERT_TRUE(P.succeeded()) << P.Diags.str();
+      Expected[T].push_back(P.VectorizedSource);
+    }
+  ASSERT_NE(Expected[0][0].find("sum("), std::string::npos) << Expected[0][0];
+  ASSERT_NE(Expected[0][1].find("repmat("), std::string::npos)
+      << Expected[0][1];
+
+  std::atomic<int> Matched{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != Submitters; ++T)
+    Threads.emplace_back([&, T] {
+      for (int I = 0; I != PerThread; ++I) {
+        JobResult R = Service.submit(makeSpec("job", ScriptFor(T, I))).get();
+        if (R.Status == JobStatus::Succeeded &&
+            R.VectorizedSource == Expected[T][I])
+          Matched.fetch_add(1);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  EXPECT_EQ(Matched.load(), Submitters * PerThread);
+  EXPECT_EQ(Service.metrics().CacheHits.load(), 0u);
+}
+
 TEST(ServiceTest, MetricsDumpsAreWellFormed) {
   VectorizationService Service;
   Service.submit(makeSpec("ok", validScript())).get();

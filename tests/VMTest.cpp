@@ -24,6 +24,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <map>
 #include <sstream>
 
 using namespace mvec;
@@ -547,6 +549,13 @@ TEST(VMParity, GovernorChargesIdentically) {
       // Scalar loop bodies (the walker's scalar evaluator): element reads
       // and writes, a COW detach on the first write into a shared target,
       // and accumulator growth with a reserve hint.
+      // The one-pass sum of products and broadcast views.
+      "A = rand(40, 30); B = rand(40, 30);\nx = sum(A .* B, 1);\n"
+      "y = sum(A' .* B', 2);\nz = sum(A .* B, 3);\n"
+      "C = A + repmat(B(:, 1), 1, 30);\nD = repmat(A(1, :), 40, 1) .* B;\n"
+      "E = repmat(B(:, 2), 1, 30);\nE(1) = 0;\n"
+      "W = zeros(40, 30);\nW(1:40, 1:30) = repmat(B(:, 3), 1, 30);\n"
+      "W(1:40, 1:30) = repmat(A(2, :), 40, 1);\n",
       "X = rand(20, 30);\nL = rand(20, 20);\nY = X;\nfor k = 1:30\n"
       "  for j = 1:19\n    Y(20, k) = Y(20, k) - L(20, j) * Y(j, k);\n"
       "  end\nend\ns = 0;\nfor i = 1:20\n  s = s + X(i, i) / 2;\n"
@@ -597,6 +606,184 @@ TEST(VMParity, GovernorChargesIdentically) {
     vm::CompiledProgram CP = vm::compileProgram(P2.Prog, Big);
     EXPECT_THROW(vm::execute(CP, I), ResourceExhausted);
   }
+}
+
+/// Runs \p Source on the tree-walker and on the VM (same seed) and
+/// expects success on both and every variable equal bit for bit: shape,
+/// logical flag and each element's bits, so -0.0 and NaN payloads count.
+void expectSameBitsOnBothEngines(const std::string &Source) {
+  std::map<std::string, Value> Spaces[2];
+  for (int UseVM = 0; UseVM != 2; ++UseVM) {
+    DiagnosticEngine Diags;
+    ParseResult R = parseMatlab(Source, Diags);
+    ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+    Interpreter I;
+    I.seedRandom(7);
+    if (UseVM) {
+      vm::CompiledProgram CP = vm::compileProgram(R.Prog, Source);
+      ASSERT_TRUE(vm::execute(CP, I)) << I.errorMessage() << "\n" << Source;
+    } else {
+      ASSERT_TRUE(I.run(R.Prog)) << I.errorMessage() << "\n" << Source;
+    }
+    Spaces[UseVM] = I.workspace();
+  }
+  ASSERT_EQ(Spaces[0].size(), Spaces[1].size()) << Source;
+  for (const auto &[Name, A] : Spaces[0]) {
+    const Value &B = Spaces[1].at(Name);
+    ASSERT_EQ(A.rows(), B.rows()) << Name << " in\n" << Source;
+    ASSERT_EQ(A.cols(), B.cols()) << Name << " in\n" << Source;
+    EXPECT_EQ(A.isLogical(), B.isLogical()) << Name << " in\n" << Source;
+    for (size_t I = 0, E = A.numel(); I != E; ++I) {
+      double X = A.linear(I), Y = B.linear(I);
+      EXPECT_EQ(std::memcmp(&X, &Y, sizeof(double)), 0)
+          << Name << "(" << I + 1 << "): " << X << " vs " << Y << " in\n"
+          << Source;
+    }
+  }
+}
+
+TEST(VMParity, SumOfProductsMatchesTheTwoStepVm) {
+  // The walker reduces sum(A .* B, d) in one pass; the VM builds the
+  // product and sums it. Results must agree bit for bit on every operand
+  // form, and errors in text and location.
+  const char *Values[] = {
+      // Plain, scalar, row and column operands.
+      "A = rand(7, 5); B = rand(7, 5); s = 3;\n"
+      "A(2, 3) = 0/0; B(4, 1) = -1/0; A(5, 5) = -0; B(1, 2) = 1/0;\n"
+      "d1 = sum(A .* B, 1); d2 = sum(A .* B, 2);\n"
+      "e1 = sum(s .* B, 1); e2 = sum(A .* s, 2); e3 = sum(s .* s, 1);\n"
+      "r = rand(1, 9); c = rand(9, 1);\n"
+      "f1 = sum(r .* r, 1); f2 = sum(r .* r, 2);\n"
+      "g1 = sum(c .* c, 1); g2 = sum(c .* c, 2);\n",
+      // Transposed, broadcast and subscripted operands.
+      "A = rand(7, 5); X = rand(5, 7); r = rand(1, 9); c = rand(9, 1);\n"
+      "t1 = sum(X' .* A, 1); t2 = sum(A .* X', 2);\n"
+      "b1 = sum(repmat(c(1:7), 1, 5) .* A, 1);\n"
+      "b2 = sum(A .* repmat(r(1:5), 7, 1), 2);\n"
+      "v1 = sum(A(2:6, 1:2:5) .* X(1:2:5, 3:7)', 1);\n"
+      "v2 = sum(A(:, [1 3]) .* A(:, [2 5]), 2);\n",
+      // Empties, dimensions past the second, logical operands, rand.
+      "z1 = sum(zeros(0, 3) .* zeros(0, 3), 1);\n"
+      "z2 = sum(zeros(3, 0) .* 1, 2); z3 = sum(zeros(3, 0) .* 1, 1);\n"
+      "A = rand(4, 6); k = sum(A .* A, 3); n = sum(A .* 2, 7);\n"
+      "M = A > 0.5; m = sum(M .* M, 1); l = sum(M .* M, 3);\n"
+      "q = sum(rand(3, 4) .* rand(3, 4), 2); w = rand(1);\n",
+      // The Table 2 pattern 1 and Fig. 4 shapes.
+      "n = 40; X = rand(n, n); Y = rand(n, n); a = zeros(1, n);\n"
+      "a(1:n) = sum(X(1:n, :)' .* Y(:, 1:n), 1);\n"
+      "C = rand(20, 21); D = rand(21, 21);\n"
+      "p = sum(C(2*(1:10), :)' .* D(:, 2*(1:10)), 1);\n",
+  };
+  for (const char *Source : Values) {
+    expectSameBitsOnBothEngines(Source);
+    DiffOutcome Out = engineDiffRun(Source);
+    EXPECT_TRUE(Out.agreed()) << Source << "\n" << Out.Message;
+  }
+  const char *Errors[] = {
+      "A = ones(2, 3);\nB = ones(3, 2);\nx = sum(A .* B, 1);\n",
+      "A = ones(2, 3);\nB = ones(3, 2);\nx = sum(A .* B, nosuch);\n",
+      "A = ones(2, 3);\nx = sum(A .* A, [1 2]);\n",
+      "A = ones(2, 3);\nx = sum(A .* A, 2.5);\n",
+      "A = ones(2, 3);\nx = sum(A .* A, -1);\n",
+      "A = ones(2, 3);\nx = sum(A .* A, 0/0);\n",
+      "A = ones(2, 3);\nx = sum(A .* A, :);\n",
+      "A = ones(2, 3);\nx = sum(A .* A, end);\n",
+      "A = ones(2, 3);\nx = sum(A .* nosuch, 1);\n",
+      "v = 1:4;\nx = v(sum(v .* end, 2));\n",
+      "A = ones(2, 3);\nx = sum(A .* A, 1, 2);\n",
+      "x = cumsum([1 2], 0);\n",
+  };
+  for (const char *Source : Errors) {
+    DiffOutcome Out = engineDiffRun(Source);
+    EXPECT_TRUE(Out.agreed()) << Source << "\n" << Out.Message;
+    Interpreter I;
+    DiagnosticEngine Diags;
+    EXPECT_FALSE(I.run(parseMatlab(Source, Diags).Prog)) << Source;
+  }
+}
+
+TEST(VMParity, SumOfProductsNestsToTheSameDepth) {
+  // x = sum(((y + y) + y) + ... .* y, 1): the call and the product are one
+  // eval() frame each on the walker's fused path, as in the VM's compiled
+  // image of the two-step path, so both engines meet the depth limit at
+  // the same chain length, with the same error.
+  std::vector<unsigned> Failed;
+  for (unsigned N = Interpreter::MaxEvalDepth - 3;
+       N != Interpreter::MaxEvalDepth + 2; ++N) {
+    ExprPtr Chain = std::make_unique<IdentExpr>("y");
+    for (unsigned I = 1; I != N; ++I)
+      Chain = std::make_unique<BinaryExpr>(BinaryOp::Add, std::move(Chain),
+                                           std::make_unique<IdentExpr>("y"));
+    std::vector<ExprPtr> Args;
+    Args.push_back(std::make_unique<BinaryExpr>(
+        BinaryOp::DotMul, std::move(Chain), std::make_unique<IdentExpr>("y")));
+    Args.push_back(std::make_unique<NumberExpr>(1.0));
+    Program P;
+    P.Stmts.push_back(std::make_unique<AssignStmt>(
+        std::make_unique<IdentExpr>("y"), std::make_unique<NumberExpr>(1.0)));
+    P.Stmts.push_back(std::make_unique<AssignStmt>(
+        std::make_unique<IdentExpr>("x"),
+        std::make_unique<IndexExpr>(std::make_unique<IdentExpr>("sum"),
+                                    std::move(Args))));
+    DiffOutcome Out = engineDiffRun(P);
+    EXPECT_TRUE(Out.agreed()) << N << ": " << Out.Message;
+    Interpreter I;
+    if (!I.run(P)) {
+      EXPECT_EQ(I.errorMessage(), Interpreter::EvalDepthMessage);
+      Failed.push_back(N);
+    }
+  }
+  // The call, the product and the chain's N - 1 additions take N + 1
+  // frames, so the limit admits N up to MaxEvalDepth - 1.
+  EXPECT_EQ(Failed, (std::vector<unsigned>{Interpreter::MaxEvalDepth,
+                                           Interpreter::MaxEvalDepth + 1}));
+}
+
+TEST(VMParity, SumOfProductsMeetsTheBudgetIdentically) {
+  // Under every cap the two-step VM and the one-pass walker either both
+  // finish or both stop with the same ResourceExhausted text: the fused
+  // reduce charges the product it never builds, in the same order.
+  const std::string Source =
+      "A = rand(40, 30); B = rand(40, 30);\nx = sum(A .* B, 1);\n"
+      "y = sum(A' .* B', 2);\nz = sum(A .* B, 3);\n"
+      "C = A + repmat(B(:, 1), 1, 30);\nD = repmat(A(1, :), 40, 1) .* B;\n";
+  auto Run = [&](bool UseVM, size_t Cap, size_t *Used) -> std::string {
+    DiagnosticEngine Diags;
+    ParseResult R = parseMatlab(Source, Diags);
+    ResourceGovernor G(Cap);
+    GovernorScope Scope(&G);
+    Interpreter I;
+    std::string Outcome = "ok";
+    try {
+      if (UseVM) {
+        vm::CompiledProgram CP = vm::compileProgram(R.Prog, Source);
+        if (!vm::execute(CP, I))
+          Outcome = "failed: " + I.errorMessage();
+      } else if (!I.run(R.Prog)) {
+        Outcome = "failed: " + I.errorMessage();
+      }
+    } catch (const ResourceExhausted &E) {
+      Outcome = E.what();
+    }
+    if (Used)
+      *Used = G.usedBytes();
+    return Outcome;
+  };
+  size_t Total = 0, VmTotal = 0;
+  ASSERT_EQ(Run(false, 0, &Total), "ok");
+  ASSERT_EQ(Run(true, 0, &VmTotal), "ok");
+  ASSERT_EQ(Total, VmTotal);
+  unsigned Stopped = 0;
+  for (size_t Step = 1; Step != 64; ++Step) {
+    size_t Cap = Total * Step / 64;
+    std::string Walker = Run(false, Cap, nullptr);
+    EXPECT_EQ(Walker, Run(true, Cap, nullptr)) << "cap " << Cap;
+    Stopped += Walker != "ok";
+  }
+  EXPECT_EQ(Run(false, Total - 1, nullptr), Run(true, Total - 1, nullptr));
+  EXPECT_NE(Run(false, Total - 1, nullptr), "ok");
+  EXPECT_EQ(Run(false, Total, nullptr), "ok");
+  EXPECT_GT(Stopped, 0u);
 }
 
 TEST(VMParity, RowUpdateNeverDetachesItsTarget) {

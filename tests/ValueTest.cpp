@@ -307,6 +307,144 @@ TEST(ValueViewTest, ViewsChargeTheirCopyExactlyOnce) {
   EXPECT_EQ(G.usedBytes(), 25 * sizeof(double));
 }
 
+TEST(ValueViewTest, RepmatOfAVectorIsABroadcastView) {
+  // Const throughout: a non-const element access is a write, which would
+  // detach the payload or materialize the view.
+  const Value Col = [] {
+    Value V = iota(3, 1);
+    V.linear(1) = 0; // a zero, so isTrue has an element to find
+    return V;
+  }();
+  const Value Row = iota(1, 4);
+  // A column repeated across columns has a column step of 0; a row
+  // repeated down rows a row step of 0.
+  const Value C = repmat(Col, 1, 4), R = repmat(Row, 3, 1);
+  for (const Value *V : {&C, &R}) {
+    EXPECT_TRUE(V->isView());
+    EXPECT_EQ(V->rows(), 3u);
+    EXPECT_EQ(V->cols(), 4u);
+  }
+  EXPECT_TRUE(C.sharesBufferWith(Col));
+  EXPECT_TRUE(R.sharesBufferWith(Row));
+  EXPECT_EQ(C.rowStep(), 1u);
+  EXPECT_EQ(C.colStep(), 0u);
+  EXPECT_EQ(R.rowStep(), 0u);
+  EXPECT_EQ(R.colStep(), 1u);
+  for (size_t I = 0; I != 12; ++I) {
+    EXPECT_EQ(C.linear(I), Col.linear(I % 3));
+    EXPECT_EQ(C.at(I % 3, I / 3), Col.linear(I % 3));
+    EXPECT_EQ(R.linear(I), Row.linear(I / 3));
+    EXPECT_EQ(R.at(I % 3, I / 3), Row.linear(I / 3));
+  }
+  double Dense[12];
+  C.copyTo(Dense);
+  for (size_t I = 0; I != 12; ++I)
+    EXPECT_EQ(Dense[I], Col.linear(I % 3));
+  EXPECT_FALSE(C.isTrue());
+  EXPECT_TRUE(R.isTrue());
+
+  // A materialized copy holds the same elements in a payload of its own.
+  Value Copy = C;
+  Copy.materialize();
+  EXPECT_FALSE(Copy.isView());
+  EXPECT_FALSE(Copy.sharesBufferWith(Col));
+  EXPECT_TRUE(Copy.equals(C));
+  EXPECT_TRUE(C.equals(Copy));
+  EXPECT_FALSE(C.equals(R));
+
+  // The transpose of a column broadcast is a row broadcast.
+  Value T = transpose(C);
+  EXPECT_TRUE(T.isView());
+  EXPECT_EQ(T.rowStep(), 0u);
+  EXPECT_EQ(T.colStep(), 1u);
+  for (size_t Rw = 0; Rw != 4; ++Rw)
+    for (size_t Cl = 0; Cl != 3; ++Cl)
+      EXPECT_EQ(T.at(Rw, Cl), Col.linear(Cl));
+
+  // Subscripts read the view where it stands: the step-composed view of
+  // a range subscript, and the gather of an irregular one.
+  Interpreter I;
+  Value Sub = I.indexRead2(R, Value::vector({2, 3}, false),
+                           Value::vector({2, 4}, true), SourceLoc());
+  ASSERT_FALSE(I.failed()) << I.errorMessage();
+  EXPECT_TRUE(Sub.isView());
+  EXPECT_EQ(Sub.rowStep(), 0u);
+  Value Gather = I.indexRead2(C, Value::vector({3, 1}, false),
+                              Value::vector({4, 2}, true), SourceLoc());
+  Value Linear = I.indexRead1(C, Value::vector({12, 1, 5}, true), SourceLoc());
+  ASSERT_FALSE(I.failed()) << I.errorMessage();
+  for (size_t Cl = 0; Cl != 2; ++Cl)
+    for (size_t Rw = 0; Rw != 2; ++Rw)
+      EXPECT_EQ(Sub.at(Rw, Cl), Row.linear(2 * Cl + 1));
+  EXPECT_EQ(Gather.at(0, 0), Col.linear(2));
+  EXPECT_EQ(Gather.at(1, 1), Col.linear(0));
+  EXPECT_EQ(Linear.linear(0), Col.linear(2));
+  EXPECT_EQ(Linear.linear(1), Col.linear(0));
+  EXPECT_EQ(Linear.linear(2), Col.linear(1));
+
+  // A whole-array write never adopts a view's payload (it is not the
+  // view's alone); the write materializes the view first.
+  Value Src = C, Target(3, 4);
+  EXPECT_FALSE(Target.adoptPayload(Src));
+  EXPECT_TRUE(Src.isView());
+
+  // Writing the view materializes it; its source never changes.
+  Value W = C;
+  W.at(0, 0) = 99;
+  EXPECT_FALSE(W.isView());
+  EXPECT_EQ(W.at(0, 1), 1);
+  EXPECT_EQ(Col.linear(0), 1);
+}
+
+TEST(ValueViewTest, RepmatOfAMatrixScalarOrEmptyStaysACopy) {
+  Value M = iota(2, 2), Col = iota(3, 1);
+  Value Tile = repmat(M, 1, 3);
+  EXPECT_FALSE(Tile.isView());
+  EXPECT_FALSE(Tile.sharesBufferWith(M));
+  EXPECT_EQ(Tile.at(1, 5), 4);
+  // A vector tiled both ways, or not repeated at all, is a copy too.
+  for (Value V : {repmat(Col, 2, 3), repmat(Col, 1, 1), repmat(Col, 1, 0)}) {
+    EXPECT_FALSE(V.isView());
+    EXPECT_FALSE(V.sharesBufferWith(Col));
+  }
+  Value S = repmat(Value::scalar(7), 2, 3);
+  EXPECT_FALSE(S.isView());
+  EXPECT_EQ(S.numel(), 6u);
+  EXPECT_EQ(S.at(1, 2), 7);
+  Value E = repmat(Value(), 2, 2);
+  EXPECT_TRUE(E.isEmpty());
+  EXPECT_FALSE(E.isView());
+}
+
+TEST(ValueViewTest, BroadcastViewChargesTheCopyItStandsFor) {
+  // The view is charged, when made, the bytes of the copy it replaces: a
+  // budget one byte short of that copy stops it, one that holds it does
+  // not, and materializing or reading the view charges nothing more.
+  Value Col = iota(100, 1);
+  const size_t CopyBytes = 100 * 50 * sizeof(double);
+  {
+    ResourceGovernor Copy(0);
+    GovernorScope Scope(&Copy);
+    Value Same(100, 50); // what the copy's destination charged
+    EXPECT_EQ(Copy.usedBytes(), CopyBytes);
+  }
+  {
+    ResourceGovernor Short(CopyBytes - 1);
+    GovernorScope Scope(&Short);
+    EXPECT_THROW(repmat(Col, 1, 50), ResourceExhausted);
+  }
+  ResourceGovernor Exact(CopyBytes);
+  GovernorScope Scope(&Exact);
+  Value V = repmat(Col, 1, 50);
+  EXPECT_TRUE(V.isView());
+  EXPECT_EQ(Exact.usedBytes(), CopyBytes);
+  EXPECT_EQ(V.owedBytes(), 0u);
+  EXPECT_EQ(V.copyBytes(), 0u);
+  V.materialize();
+  EXPECT_FALSE(V.isView());
+  EXPECT_EQ(Exact.usedBytes(), CopyBytes);
+}
+
 //===----------------------------------------------------------------------===//
 // Payload recycler
 //===----------------------------------------------------------------------===//
@@ -348,9 +486,10 @@ TEST(PayloadRecyclerTest, CrossThreadFreeJoinsTheFreeingThread) {
 }
 
 TEST(PayloadRecyclerTest, RepeatedKernelTakesEveryLargeBlockFromTheRecycler) {
-  // The Table 2 repmat shape: every large temporary (repmat result, sum,
-  // the target's old payload) dies within the statement, so from the
-  // second call on the recycler serves every large allocation.
+  // The Table 2 repmat shape: the repmat is a broadcast view of C's
+  // payload (no allocation), so the statement's one large allocation is
+  // the sum, which the target adopts while its old payload dies. From the
+  // second call on the recycler serves that allocation.
   DiagnosticEngine Diags;
   ParseResult Setup = parseMatlab(
       "B = rand(200,200);\nC = rand(200,1);\nA = zeros(200,200);\n", Diags);
@@ -365,7 +504,7 @@ TEST(PayloadRecyclerTest, RepeatedKernelTakesEveryLargeBlockFromTheRecycler) {
     ASSERT_TRUE(I.run(Kernel.Prog)) << I.errorMessage();
   PayloadRecyclerStats After = payloadRecyclerStats();
   EXPECT_EQ(After.Misses, Warm.Misses);
-  EXPECT_GE(After.Hits, Warm.Hits + 3 * 2);
+  EXPECT_GE(After.Hits, Warm.Hits + 3 * 1);
 }
 
 } // namespace
