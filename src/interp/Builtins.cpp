@@ -45,18 +45,50 @@ bool requireScalar(Interpreter &Interp, const Value &V, const char *Name,
   return false;
 }
 
-bool toExtent(Interpreter &Interp, const Value &V, size_t &Out,
-              const char *Name, SourceLoc Loc) {
+/// True when size argument \p D is a finite nonnegative integer; else
+/// fails. Inf passes D == floor(D), so finiteness is checked apart.
+bool checkSize(Interpreter &Interp, double D, const char *Name,
+               SourceLoc Loc) {
+  if (std::isfinite(D) && D >= 0 && D == std::floor(D))
+    return true;
+  Interp.fail(Loc, std::string("size argument to '") + Name +
+                       "' must be a nonnegative integer");
+  return false;
+}
+
+/// Reads size argument \p V (a scalar) into \p D.
+bool sizeArg(Interpreter &Interp, const Value &V, double &D, const char *Name,
+             SourceLoc Loc) {
   if (!requireScalar(Interp, V, Name, Loc))
     return false;
-  double D = V.scalarValue();
-  if (D < 0 || D != std::floor(D)) {
-    Interp.fail(Loc, std::string("size argument to '") + Name +
-                         "' must be a nonnegative integer");
+  D = V.scalarValue();
+  return checkSize(Interp, D, Name, Loc);
+}
+
+/// Casts checked sizes \p R x \p C to extents once the array is within
+/// Interpreter::MaxArrayBytes (failing as growShape does), so no cast is
+/// undefined and no allocation throws.
+bool toShape(Interpreter &Interp, double R, double C, size_t &Rows,
+             size_t &Cols, SourceLoc Loc) {
+  if (!Interp.checkArraySize(R, C, Loc))
     return false;
-  }
-  Out = static_cast<size_t>(D);
+  Rows = static_cast<size_t>(R);
+  Cols = static_cast<size_t>(C);
   return true;
+}
+
+/// The sizes of zeros(n), zeros(r, c) and their kin (1x1 without any).
+bool sizeArgs(Interpreter &Interp, const ArgList &Args, size_t &Rows,
+              size_t &Cols, const char *Name, SourceLoc Loc) {
+  double R = 1, C = 1;
+  if (!Args.empty()) {
+    if (!sizeArg(Interp, Args[0], R, Name, Loc))
+      return false;
+    C = R;
+    if (Args.size() >= 2 && !sizeArg(Interp, Args[1], C, Name, Loc))
+      return false;
+  }
+  return toShape(Interp, R, C, Rows, Cols, Loc);
 }
 
 /// \p A as a double (not logical) value: a sum or cumsum along a
@@ -256,15 +288,9 @@ const BuiltinRegistry &registry() {
     auto MakeFilled = [](double Fill, const char *Name, bool Logical) {
       return [Fill, Name, Logical](Interpreter &Interp, const ArgList &Args,
                                    SourceLoc Loc) -> Value {
-        size_t R = 1, C = 1;
-        if (!Args.empty()) {
-          if (!toExtent(Interp, Args[0], R, Name, Loc))
-            return Value();
-          if (Args.size() == 1)
-            C = R;
-          else if (!toExtent(Interp, Args[1], C, Name, Loc))
-            return Value();
-        }
+        size_t R, C;
+        if (!sizeArgs(Interp, Args, R, C, Name, Loc))
+          return Value();
         Value V(R, C, Fill);
         V.setLogical(Logical);
         return V;
@@ -277,11 +303,8 @@ const BuiltinRegistry &registry() {
 
     T["eye"] = [](Interpreter &Interp, const ArgList &Args,
                   SourceLoc Loc) -> Value {
-      size_t N = 1, M = 1;
-      if (!Args.empty() && !toExtent(Interp, Args[0], N, "eye", Loc))
-        return Value();
-      M = N;
-      if (Args.size() >= 2 && !toExtent(Interp, Args[1], M, "eye", Loc))
+      size_t N, M;
+      if (!sizeArgs(Interp, Args, N, M, "eye", Loc))
         return Value();
       Value Result(N, M);
       for (size_t I = 0; I < N && I < M; ++I)
@@ -291,14 +314,9 @@ const BuiltinRegistry &registry() {
 
     T["rand"] = [](Interpreter &Interp, const ArgList &Args,
                    SourceLoc Loc) -> Value {
-      size_t R = 1, C = 1;
-      if (!Args.empty()) {
-        if (!toExtent(Interp, Args[0], R, "rand", Loc))
-          return Value();
-        C = R;
-        if (Args.size() >= 2 && !toExtent(Interp, Args[1], C, "rand", Loc))
-          return Value();
-      }
+      size_t R, C;
+      if (!sizeArgs(Interp, Args, R, C, "rand", Loc))
+        return Value();
       Value Result(R, C);
       for (size_t I = 0, E = Result.numel(); I != E; ++I)
         Result.linear(I) = Interp.nextRandom();
@@ -309,9 +327,11 @@ const BuiltinRegistry &registry() {
                       SourceLoc Loc) -> Value {
       if (!requireArgs(Interp, Args, 3, 3, "reshape", Loc))
         return Value();
-      size_t R = 0, C = 0;
-      if (!toExtent(Interp, Args[1], R, "reshape", Loc) ||
-          !toExtent(Interp, Args[2], C, "reshape", Loc))
+      double RD, CD;
+      size_t R, C;
+      if (!sizeArg(Interp, Args[1], RD, "reshape", Loc) ||
+          !sizeArg(Interp, Args[2], CD, "reshape", Loc) ||
+          !toShape(Interp, RD, CD, R, C, Loc))
         return Value();
       if (R * C != Args[0].numel()) {
         Interp.fail(Loc, "reshape must preserve the number of elements");
@@ -326,27 +346,37 @@ const BuiltinRegistry &registry() {
                      SourceLoc Loc) -> Value {
       if (!requireArgs(Interp, Args, 2, 3, "repmat", Loc))
         return Value();
-      size_t R = 0, C = 0;
+      double R, C;
       if (Args.size() == 3) {
-        if (!toExtent(Interp, Args[1], R, "repmat", Loc) ||
-            !toExtent(Interp, Args[2], C, "repmat", Loc))
+        if (!sizeArg(Interp, Args[1], R, "repmat", Loc) ||
+            !sizeArg(Interp, Args[2], C, "repmat", Loc))
           return Value();
       } else {
         // repmat(X, [r c]) or repmat(X, n).
         const Value &Spec = Args[1];
         if (Spec.isScalar()) {
-          if (!toExtent(Interp, Spec, R, "repmat", Loc))
+          if (!sizeArg(Interp, Spec, R, "repmat", Loc))
             return Value();
           C = R;
         } else if (Spec.numel() == 2) {
-          R = static_cast<size_t>(Spec.linear(0));
-          C = static_cast<size_t>(Spec.linear(1));
+          R = Spec.linear(0);
+          C = Spec.linear(1);
+          if (!checkSize(Interp, R, "repmat", Loc) ||
+              !checkSize(Interp, C, "repmat", Loc))
+            return Value();
         } else {
           Interp.fail(Loc, "invalid repmat replication specification");
           return Value();
         }
       }
-      return repmat(Args[0], R, C, &Interp.pool());
+      // The replication counts, then the result, within the array limit.
+      const Value &X = Args[0];
+      size_t Rows, Cols;
+      if (!toShape(Interp, R, C, Rows, Cols, Loc) ||
+          !Interp.checkArraySize(static_cast<double>(X.rows()) * R,
+                                 static_cast<double>(X.cols()) * C, Loc))
+        return Value();
+      return repmat(X, Rows, Cols, &Interp.pool());
     };
 
     T["sum"] = [](Interpreter &Interp, const ArgList &Args,
@@ -478,8 +508,11 @@ const BuiltinRegistry &registry() {
       if (!requireScalar(Interp, Args[0], "linspace", Loc) ||
           !requireScalar(Interp, Args[1], "linspace", Loc))
         return Value();
-      size_t N = 100;
-      if (Args.size() == 3 && !toExtent(Interp, Args[2], N, "linspace", Loc))
+      double Count = 100;
+      size_t One, N;
+      if ((Args.size() == 3 &&
+           !sizeArg(Interp, Args[2], Count, "linspace", Loc)) ||
+          !toShape(Interp, 1, Count, One, N, Loc))
         return Value();
       double A = Args[0].scalarValue(), B = Args[1].scalarValue();
       Value Result(1, N);

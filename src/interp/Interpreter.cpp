@@ -36,55 +36,461 @@ double Interpreter::nextRandom() {
 // Pre-pass: name interning and builtin resolution
 //===----------------------------------------------------------------------===//
 
-void Interpreter::prepare(const Program &P) {
+void Interpreter::clearPrepared() {
   NodeCache.clear();
-  auto NoteName = [&](const void *Node, const std::string &Name) {
-    NodeInfo Info;
-    Info.Slot = static_cast<int>(Env.intern(Name));
-    Info.Builtin = builtinIdFor(Name);
-    Info.IsPi = Name == "pi";
-    NodeCache.insert(Node, Info);
+  PlanCode.clear();
+  Plans.clear();
+  PlanCommitted = 0;
+}
+
+unsigned Interpreter::noteName(const void *Node, const std::string &Name) {
+  NodeInfo Info;
+  Info.Slot = static_cast<int>(Env.intern(Name));
+  Info.Builtin = builtinIdFor(Name);
+  Info.IsPi = Name == "pi";
+  NodeCache.insert(Node, Info);
+  return static_cast<unsigned>(Info.Slot);
+}
+
+void Interpreter::noteNames(const Expr &E) {
+  visitExpr(E, [&](const Expr &Node) {
+    if (const auto *Ident = dyn_cast<IdentExpr>(&Node))
+      noteName(Ident, Ident->name());
+    else if (const auto *Index = dyn_cast<IndexExpr>(&Node))
+      if (const auto *Base = dyn_cast<IdentExpr>(Index->base()))
+        noteName(Index, Base->name());
+  });
+}
+
+void Interpreter::prepare(const Program &P) {
+  clearPrepared();
+  // A fresh interpreter takes its plan buffers in two allocations, not
+  // one per doubling; a warm one keeps what earlier runs grew.
+  PlanCode.reserve(256);
+  Plans.reserve(64);
+  prepareBody(P.Stmts, /*InLoop=*/false);
+}
+
+void Interpreter::prepareBody(const std::vector<StmtPtr> &Body, bool InLoop) {
+  // Outside any loop a statement runs once per run(), so compiling its
+  // plans would cost more than they save: its names are only noted.
+  auto Note = [&](const Expr &E) {
+    if (InLoop)
+      notePlanNames(E);
+    else
+      noteNames(E);
   };
-  auto NoteExpr = [&](const Expr &E) {
-    if (const auto *Ident = dyn_cast<IdentExpr>(&E)) {
-      NoteName(Ident, Ident->name());
-    } else if (const auto *Index = dyn_cast<IndexExpr>(&E)) {
-      std::string Base = Index->baseName();
-      if (!Base.empty())
-        NoteName(Index, Base);
-    }
-  };
-  visitStmts(P.Stmts, [&](const Stmt &S) {
-    switch (S.kind()) {
-    case Stmt::Kind::Assign: {
-      const auto &A = cast<AssignStmt>(S);
-      visitExpr(*A.lhs(), NoteExpr);
-      visitExpr(*A.rhs(), NoteExpr);
+  for (const StmtPtr &SP : Body) {
+    switch (SP->kind()) {
+    case Stmt::Kind::Assign:
+      prepareAssign(cast<AssignStmt>(*SP), InLoop);
       break;
-    }
     case Stmt::Kind::Expr:
-      visitExpr(*cast<ExprStmt>(S).expr(), NoteExpr);
+      Note(*cast<ExprStmt>(*SP).expr());
       break;
     case Stmt::Kind::For: {
-      const auto &F = cast<ForStmt>(S);
+      const auto &F = cast<ForStmt>(*SP);
       NodeInfo Info;
       Info.Slot = static_cast<int>(Env.intern(F.indexVar()));
-      NodeCache.insert(&S, Info);
-      visitExpr(*F.range(), NoteExpr);
+      NodeCache.insert(&F, Info);
+      Note(*F.range());
+      prepareBody(F.body(), /*InLoop=*/true);
       break;
     }
-    case Stmt::Kind::While:
-      visitExpr(*cast<WhileStmt>(S).cond(), NoteExpr);
+    case Stmt::Kind::While: {
+      // The condition runs on every iteration.
+      const auto &W = cast<WhileStmt>(*SP);
+      notePlanNames(*W.cond());
+      prepareBody(W.body(), /*InLoop=*/true);
       break;
+    }
     case Stmt::Kind::If:
-      for (const IfStmt::Branch &B : cast<IfStmt>(S).branches())
+      for (const IfStmt::Branch &B : cast<IfStmt>(*SP).branches()) {
         if (B.Cond)
-          visitExpr(*B.Cond, NoteExpr);
+          Note(*B.Cond);
+        prepareBody(B.Body, InLoop);
+      }
       break;
     default:
       break;
     }
-  });
+  }
+}
+
+void Interpreter::prepareAssign(const AssignStmt &S, bool InLoop) {
+  const Expr &L = *S.lhs(), &R = *S.rhs();
+  const auto *Index = dyn_cast<IndexExpr>(&L);
+  const auto *Base = Index ? dyn_cast<IdentExpr>(Index->base()) : nullptr;
+  NodeInfo Info;
+  if (!InLoop) {
+    noteNames(L);
+    noteNames(R);
+    if (const NodeInfo *Target =
+            cachedInfo(Base ? static_cast<const Expr *>(Index) : &L))
+      Info.Slot = Target->Slot;
+    NodeCache.insert(&S, Info);
+    return;
+  }
+  if (const auto *Ident = dyn_cast<IdentExpr>(&L)) {
+    Info.Slot = static_cast<int>(noteName(Ident, Ident->name()));
+  } else if (Base) {
+    // The target element's offset: its subscripts against the target.
+    Info.Slot = static_cast<int>(noteName(Index, Base->name()));
+    noteName(Base, Base->name());
+    size_t Begin = PlanCode.size();
+    PlanCode.emplace_back(PlanOpcode::Target);
+    PlanShape Shape;
+    if (compileSubscripts(*Index, Shape))
+      Info.LhsPlan = commitPlan(Begin, Shape.Frames - 1);
+    else
+      dropPlanCode(Begin);
+  } else {
+    notePlanNames(L);
+  }
+  // A bare variable stored into a variable stays a COW copy of it
+  // (sharing any heap payload), which a fresh scalar would not reproduce.
+  size_t Begin = PlanCode.size();
+  PlanShape Shape;
+  if (isa<IdentExpr>(&L) && isa<IdentExpr>(&R))
+    notePlanNames(R);
+  else if (compilePlan(R, -1, Shape))
+    Info.Plan = commitPlan(Begin, Shape.Frames);
+  NodeCache.insert(&S, Info);
+}
+
+//===----------------------------------------------------------------------===//
+// Scalar plans
+//===----------------------------------------------------------------------===//
+
+uint32_t Interpreter::commitPlan(size_t Begin, unsigned Frames) {
+  Plans.push_back({static_cast<uint32_t>(Begin),
+                   static_cast<uint32_t>(PlanCode.size()), Frames});
+  PlanCommitted = PlanCode.size();
+  return static_cast<uint32_t>(Plans.size() - 1);
+}
+
+void Interpreter::notePlanNames(const Expr &E) {
+  size_t Begin = PlanCode.size();
+  PlanShape Shape;
+  compilePlan(E, -1, Shape);
+  dropPlanCode(Begin);
+}
+
+bool Interpreter::compilePlan(const Expr &E, int EndDim, PlanShape &Shape) {
+  size_t Begin = PlanCode.size();
+  if (compilePlanNode(E, EndDim, Shape) && Shape.Stack <= PlanStackMax &&
+      Shape.Bases <= PlanBaseMax)
+    return true;
+  dropPlanCode(Begin);
+  return false;
+}
+
+bool Interpreter::compilePlanNode(const Expr &E, int EndDim,
+                                  PlanShape &Shape) {
+  // A leaf takes one frame and one stack entry.
+  Shape = {1, 1, 0};
+  switch (E.kind()) {
+  case Expr::Kind::Number:
+    PlanCode.emplace_back(PlanOpcode::Const).K = cast<NumberExpr>(E).value();
+    return true;
+  case Expr::Kind::Ident:
+    // A logical scalar would select by mask as a subscript; 'pi' and
+    // builtins are undefined slots: Var's guards.
+    PlanCode.emplace_back(PlanOpcode::Var,
+                          noteName(&E, cast<IdentExpr>(E).name()));
+    return true;
+  case Expr::Kind::EndKeyword:
+    if (EndDim < 0)
+      return false;
+    PlanCode.emplace_back(PlanOpcode::End, static_cast<uint32_t>(EndDim));
+    return true;
+  case Expr::Kind::String:
+  case Expr::Kind::MagicColon:
+    return false;
+  case Expr::Kind::Range: {
+    const auto &R = cast<RangeExpr>(E);
+    notePlanNames(*R.start());
+    if (R.step())
+      notePlanNames(*R.step());
+    notePlanNames(*R.stop());
+    return false;
+  }
+  case Expr::Kind::Matrix:
+    for (const MatrixExpr::Row &Row : cast<MatrixExpr>(E).rows())
+      for (const ExprPtr &Elt : Row)
+        notePlanNames(*Elt);
+    return false;
+  case Expr::Kind::Unary: {
+    const auto &U = cast<UnaryExpr>(E);
+    if (U.op() != UnaryOp::Minus) {
+      notePlanNames(*U.operand());
+      return false;
+    }
+    if (!compilePlan(*U.operand(), EndDim, Shape))
+      return false;
+    ++Shape.Frames;
+    PlanCode.emplace_back(PlanOpcode::Neg);
+    return true;
+  }
+  case Expr::Kind::Transpose:
+    // The transpose of a 1x1 value is itself: a frame, no code.
+    if (!compilePlan(*cast<TransposeExpr>(E).operand(), EndDim, Shape))
+      return false;
+    ++Shape.Frames;
+    return true;
+  case Expr::Kind::Binary: {
+    const auto &B = cast<BinaryExpr>(E);
+    const Expr *First = B.lhs(), *Second = B.rhs();
+    PlanOpcode Code;
+    switch (B.op()) {
+    case BinaryOp::Add: {
+      // evalBinary fuses a product operand (the left one first), and
+      // scalarMulAdd makes the product the left addend (its NaN wins,
+      // see firstNaN): a product on the right only is computed first.
+      auto IsProduct = [](const Expr *X) {
+        const auto *P = dyn_cast<BinaryExpr>(X);
+        return P && (P->op() == BinaryOp::Mul || P->op() == BinaryOp::DotMul);
+      };
+      if (!IsProduct(First) && IsProduct(Second))
+        std::swap(First, Second);
+      Code = PlanOpcode::Add;
+      break;
+    }
+    case BinaryOp::Sub:
+      Code = PlanOpcode::Sub;
+      break;
+    case BinaryOp::Mul:
+    case BinaryOp::DotMul:
+      Code = PlanOpcode::Mul;
+      break;
+    case BinaryOp::Div:
+    case BinaryOp::DotDiv:
+      Code = PlanOpcode::Div;
+      break;
+    default:
+      notePlanNames(*B.lhs());
+      notePlanNames(*B.rhs());
+      return false;
+    }
+    PlanShape L, R;
+    // Both sides are compiled, so the second one's names are noted even
+    // when the first one is outside the subset.
+    bool Ok = compilePlan(*First, EndDim, L);
+    Ok = compilePlan(*Second, EndDim, R) && Ok;
+    if (!Ok)
+      return false;
+    Shape = {1 + std::max(L.Frames, R.Frames), std::max(L.Stack, 1 + R.Stack),
+             std::max(L.Bases, R.Bases)};
+    PlanCode.emplace_back(Code);
+    return true;
+  }
+  case Expr::Kind::Index: {
+    const auto &Index = cast<IndexExpr>(E);
+    const auto *Base = dyn_cast<IdentExpr>(Index.base());
+    if (!Base) {
+      notePlanNames(*Index.base());
+      for (unsigned I = 0, N = Index.numArgs(); I != N; ++I)
+        notePlanNames(*Index.arg(I));
+      return false;
+    }
+    size_t Begin = PlanCode.size();
+    PlanCode.emplace_back(PlanOpcode::Base, noteName(&Index, Base->name()));
+    noteName(Base, Base->name());
+    if (!compileSubscripts(Index, Shape))
+      return false;
+    NodeCache.find(&Index)->Plan = commitPlan(Begin, Shape.Frames - 1);
+    return true;
+  }
+  }
+  return false;
+}
+
+bool Interpreter::compileSubscripts(const IndexExpr &E, PlanShape &Shape) {
+  size_t BaseAt = PlanCode.size() - 1;
+  bool Offset = PlanCode[BaseAt].Code == PlanOpcode::Target;
+  unsigned N = E.numArgs();
+  if (N == 0 || N > 2) {
+    for (unsigned I = 0; I != N; ++I)
+      notePlanNames(*E.arg(I));
+    return false;
+  }
+  // Each subscript binds its own 'end': the numel of a linear subscript,
+  // else the rows or the columns.
+  PlanShape Row, Col;
+  bool Ok = compilePlan(*E.arg(0), N == 1 ? 0 : 1, Row);
+  if (N == 2)
+    Ok = compilePlan(*E.arg(1), 2, Col) && Ok;
+  if (!Ok)
+    return false;
+  Shape = {1 + std::max(Row.Frames, Col.Frames),
+           std::max(Row.Stack, N == 2 ? 1 + Col.Stack : 1),
+           1 + std::max(Row.Bases, Col.Bases)};
+  if (Shape.Stack > PlanStackMax || Shape.Bases > PlanBaseMax)
+    return false;
+  // Subscripts that are plain variables fold into the base instruction.
+  PlanOp &BaseOp = PlanCode[BaseAt];
+  bool Folds = PlanCode.size() == BaseAt + 1 + N &&
+               PlanCode[BaseAt + 1].Code == PlanOpcode::Var &&
+               PlanCode.back().Code == PlanOpcode::Var;
+  if (Folds) {
+    BaseOp.Slots = {PlanCode[BaseAt + 1].A, PlanCode.back().A};
+    if (Offset)
+      BaseOp.Code = N == 1 ? PlanOpcode::OffsetVar1 : PlanOpcode::OffsetVar2;
+    else
+      BaseOp.Code = N == 1 ? PlanOpcode::ElemVar1 : PlanOpcode::ElemVar2;
+    PlanCode.resize(BaseAt + 1);
+    return true;
+  }
+  if (Offset)
+    PlanCode.emplace_back(N == 1 ? PlanOpcode::Offset1 : PlanOpcode::Offset2);
+  else
+    PlanCode.emplace_back(N == 1 ? PlanOpcode::Elem1 : PlanOpcode::Elem2);
+  return true;
+}
+
+bool Interpreter::runPlan(uint32_t Id, const Value *Target,
+                          double &Out) const {
+  const ScalarPlan &P = Plans[Id];
+  if (EvalDepth + P.Frames > MaxEvalDepth)
+    return false;
+  // A 1x1 non-logical variable's value.
+  auto Scalar = [this](uint32_t Slot, double &D) {
+    if (!Env.isDefined(Slot))
+      return false;
+    const Value &V = Env.slotValue(Slot);
+    if (!V.isScalar() || V.isLogical())
+      return false;
+    D = V.raw()[0];
+    return true;
+  };
+  // A defined non-logical variable (a logical base yields a logical
+  // element). A variable is never a view and owes nothing
+  // (Workspace::define materializes), so raw() applies.
+  auto Array = [this](uint32_t Slot) -> const Value * {
+    if (!Env.isDefined(Slot))
+      return nullptr;
+    const Value &V = Env.slotValue(Slot);
+    return V.isLogical() ? nullptr : &V;
+  };
+  // toIndex's fast check without its slow path, which reports the errors
+  // the general path will report.
+  auto Linear = [](const Value &B, double S, size_t &Off) {
+    return integralIndex(S, indexLimit(B.numel()), Off);
+  };
+  auto Element = [](const Value &B, double R, double C, size_t &Off) {
+    size_t Row, Col;
+    if (!integralIndex(R, indexLimit(B.rows()), Row) ||
+        !integralIndex(C, indexLimit(B.cols()), Col))
+      return false;
+    Off = Col * B.rows() + Row;
+    return true;
+  };
+  // X op Y for the top two, X pushed first.
+  auto Arith = [](BinaryOp Op, double *&Top) {
+    Top[-2] = scalarBinary(Op, Top[-2], Top[-1]);
+    --Top;
+  };
+  double Stack[PlanStackMax];
+  const Value *Bases[PlanBaseMax];
+  // One past the top of each stack.
+  double *Top = Stack;
+  const Value **Base = Bases;
+  size_t Off;
+  double D, D2;
+  for (const PlanOp *I = PlanCode.data() + P.Begin,
+                    *E = PlanCode.data() + P.End;
+       I != E; ++I) {
+    switch (I->Code) {
+    case PlanOpcode::Const:
+      *Top++ = I->K;
+      break;
+    case PlanOpcode::Var:
+      if (!Scalar(I->A, *Top))
+        return false;
+      ++Top;
+      break;
+    case PlanOpcode::Neg:
+      Top[-1] = -Top[-1];
+      break;
+    case PlanOpcode::Add:
+      Arith(BinaryOp::Add, Top);
+      break;
+    case PlanOpcode::Sub:
+      Arith(BinaryOp::Sub, Top);
+      break;
+    case PlanOpcode::Mul:
+      Arith(BinaryOp::Mul, Top);
+      break;
+    case PlanOpcode::Div:
+      Arith(BinaryOp::Div, Top);
+      break;
+    case PlanOpcode::Base:
+      if (!(*Base = Array(I->A)))
+        return false;
+      ++Base;
+      break;
+    case PlanOpcode::Target:
+      *Base++ = Target;
+      break;
+    case PlanOpcode::End: {
+      const Value &B = *Base[-1];
+      *Top++ = static_cast<double>(I->A == 0   ? B.numel()
+                                   : I->A == 1 ? B.rows()
+                                               : B.cols());
+      break;
+    }
+    case PlanOpcode::Elem1:
+      if (!Linear(*Base[-1], Top[-1], Off))
+        return false;
+      Top[-1] = (*--Base)->raw()[Off];
+      break;
+    case PlanOpcode::Elem2:
+      --Top;
+      if (!Element(*Base[-1], Top[-1], Top[0], Off))
+        return false;
+      Top[-1] = (*--Base)->raw()[Off];
+      break;
+    case PlanOpcode::Offset1:
+      if (!Linear(**--Base, Top[-1], Off))
+        return false;
+      Top[-1] = static_cast<double>(Off);
+      break;
+    case PlanOpcode::Offset2:
+      --Top;
+      if (!Element(**--Base, Top[-1], Top[0], Off))
+        return false;
+      Top[-1] = static_cast<double>(Off);
+      break;
+    case PlanOpcode::ElemVar1: {
+      const Value *B = Array(I->A);
+      if (!B || !Scalar(I->Slots.B, D) || !Linear(*B, D, Off))
+        return false;
+      *Top++ = B->raw()[Off];
+      break;
+    }
+    case PlanOpcode::ElemVar2: {
+      const Value *B = Array(I->A);
+      if (!B || !Scalar(I->Slots.B, D) || !Scalar(I->Slots.C, D2) ||
+          !Element(*B, D, D2, Off))
+        return false;
+      *Top++ = B->raw()[Off];
+      break;
+    }
+    case PlanOpcode::OffsetVar1:
+      if (!Scalar(I->Slots.B, D) || !Linear(*Target, D, Off))
+        return false;
+      *Top++ = static_cast<double>(Off);
+      break;
+    case PlanOpcode::OffsetVar2:
+      if (!Scalar(I->Slots.B, D) || !Scalar(I->Slots.C, D2) ||
+          !Element(*Target, D, D2, Off))
+        return false;
+      *Top++ = static_cast<double>(Off);
+      break;
+    }
+  }
+  Out = Stack[0];
+  return true;
 }
 
 namespace {
@@ -119,13 +525,14 @@ bool Interpreter::run(const Program &P) {
     // Injected faults and resource-budget exhaustion unwind through here;
     // leave the interpreter reusable before letting the job layer classify
     // the exception.
-    NodeCache.clear();
+    clearPrepared();
     engineEnd();
     throw;
   }
-  // Drop the node cache: a later program could allocate nodes at the same
-  // addresses, and a stale hit would resolve them to the wrong slots.
-  NodeCache.clear();
+  // Drop the node cache and the plans: a later program could allocate
+  // nodes at the same addresses, and a stale hit would resolve them to
+  // the wrong slots.
+  clearPrepared();
   engineEnd();
   return !Failed;
 }
@@ -212,11 +619,7 @@ void Interpreter::noteAccumulatorHints(const ForStmt &S, size_t NumIters) {
     const auto *Arg = dyn_cast<IdentExpr>(Idx->arg(0));
     if (!Arg || Arg->name() != S.indexVar())
       continue;
-    int Slot;
-    if (const NodeInfo *Info = cachedInfo(Idx))
-      Slot = Info->Slot;
-    else
-      Slot = Env.lookup(Idx->baseName());
+    int Slot = cachedInfo(A)->Slot;
     if (Slot < 0)
       continue;
     noteHintForSlot(static_cast<unsigned>(Slot), NumIters);
@@ -238,11 +641,7 @@ Interpreter::Flow Interpreter::execFor(const ForStmt &S) {
     return Flow::Return;
   // MATLAB iterates over the columns of the range value.
   size_t NumIters = RangeV.isEmpty() ? 0 : RangeV.cols();
-  unsigned IdxSlot;
-  if (const NodeInfo *Info = cachedInfo(&S))
-    IdxSlot = static_cast<unsigned>(Info->Slot);
-  else
-    IdxSlot = Env.intern(S.indexVar());
+  unsigned IdxSlot = static_cast<unsigned>(cachedInfo(&S)->Slot);
 
   // A top-level A(i) = ... accumulator grows to at most NumIters elements;
   // reserving up front turns the growth into one allocation. The hint for
@@ -312,25 +711,23 @@ Interpreter::Flow Interpreter::execIf(const IfStmt &S) {
 }
 
 void Interpreter::execAssign(const AssignStmt &S) {
-  // A right-hand side in the scalar subset is computed unboxed; a bare
-  // variable stored into a variable stays a COW copy of it (sharing any
-  // heap payload), which a fresh scalar would not reproduce.
-  const auto *Ident = dyn_cast<IdentExpr>(S.lhs());
+  // run() prepared every statement: one lookup resolves the target slot
+  // and both plans. A right-hand side with a plan is computed unboxed.
+  const NodeInfo &Info = *cachedInfo(&S);
   double D;
-  bool Scalar =
-      !(Ident && isa<IdentExpr>(S.rhs())) && scalarOf(*S.rhs(), -1, D);
+  bool Scalar = Info.Plan != NoPlan && runPlan(Info.Plan, nullptr, D);
   Value RHS;
   if (!Scalar) {
     RHS = eval(*S.rhs());
     if (Failed)
       return;
   }
-  if (Ident) {
-    unsigned Slot;
-    if (const NodeInfo *Info = cachedInfo(Ident))
-      Slot = static_cast<unsigned>(Info->Slot);
-    else
-      Slot = Env.intern(Ident->name());
+  if (Info.Slot < 0) {
+    fail(S.loc(), "invalid assignment target");
+    return;
+  }
+  auto Slot = static_cast<unsigned>(Info.Slot);
+  if (isa<IdentExpr>(S.lhs())) {
     if (Scalar)
       Env.defineScalar(Slot, D);
     else
@@ -338,33 +735,20 @@ void Interpreter::execAssign(const AssignStmt &S) {
     checkShapeCap(Slot, S.loc());
     return;
   }
-  const auto *Index = dyn_cast<IndexExpr>(S.lhs());
-  int Slot = -1;
-  if (Index) {
-    if (const NodeInfo *Info = cachedInfo(Index)) {
-      Slot = Info->Slot;
-    } else {
-      std::string Base = Index->baseName();
-      if (!Base.empty())
-        Slot = static_cast<int>(Env.intern(Base));
-    }
-  }
-  if (Slot < 0) {
-    fail(S.loc(), "invalid assignment target");
-    return;
-  }
   // Marks the slot defined even if the write then fails — same as the old
   // map-based store, whose operator[] created the [] entry up front.
-  Value &Target = defineSlotRef(static_cast<unsigned>(Slot));
+  Value &Target = defineSlotRef(Slot);
   // An in-range element takes the scalar right-hand side directly (with
   // the general write's COW detach); growth, masks and bad subscripts
   // take the general write, handed the value eval() would have built.
-  size_t Offset;
-  if (Scalar && scalarOffset(*Index, Target, Offset))
-    Target.mutableRaw()[Offset] = D;
+  double Offset;
+  if (Scalar && Info.LhsPlan != NoPlan &&
+      runPlan(Info.LhsPlan, &Target, Offset))
+    Target.mutableRaw()[static_cast<size_t>(Offset)] = D;
   else
-    writeIndexed(Target, *Index, Scalar ? Value::scalar(D) : std::move(RHS));
-  checkShapeCap(static_cast<unsigned>(Slot), S.loc());
+    writeIndexed(Target, cast<IndexExpr>(*S.lhs()),
+                 Scalar ? Value::scalar(D) : std::move(RHS));
+  checkShapeCap(Slot, S.loc());
 }
 
 void Interpreter::checkShapeCapSlow(unsigned Slot, SourceLoc Loc) {
@@ -489,105 +873,6 @@ Value Interpreter::evalImpl(const Expr &E) {
     return evalMatrixLiteral(cast<MatrixExpr>(E));
   }
   return Value();
-}
-
-bool Interpreter::scalarOf(const Expr &E, double End, double &Out) {
-  if (EvalDepth >= MaxEvalDepth)
-    return false;
-  // One eval() frame, released on every return.
-  struct DepthGuard {
-    unsigned &D;
-    ~DepthGuard() { --D; }
-  } Guard{++EvalDepth};
-  switch (E.kind()) {
-  case Expr::Kind::Number:
-    Out = cast<NumberExpr>(E).value();
-    return true;
-  case Expr::Kind::EndKeyword:
-    Out = End;
-    return End >= 0;
-  case Expr::Kind::Ident: {
-    // A logical scalar would select by mask as a subscript; 'pi' and
-    // builtins are undefined slots.
-    const NodeInfo *Info = cachedInfo(&E);
-    if (!Info || Info->Slot < 0 || !Env.isDefined(Info->Slot))
-      return false;
-    const Value &V = Env.slotValue(Info->Slot);
-    if (!V.isScalar() || V.isLogical())
-      return false;
-    Out = V.raw()[0];
-    return true;
-  }
-  case Expr::Kind::Unary: {
-    const auto &U = cast<UnaryExpr>(E);
-    if (U.op() != UnaryOp::Minus || !scalarOf(*U.operand(), End, Out))
-      return false;
-    Out = -Out;
-    return true;
-  }
-  case Expr::Kind::Transpose:
-    return scalarOf(*cast<TransposeExpr>(E).operand(), End, Out);
-  case Expr::Kind::Binary: {
-    const auto &B = cast<BinaryExpr>(E);
-    BinaryOp Op = B.op();
-    if (Op != BinaryOp::Add && Op != BinaryOp::Sub && Op != BinaryOp::Mul &&
-        Op != BinaryOp::DotMul && Op != BinaryOp::Div &&
-        Op != BinaryOp::DotDiv)
-      return false;
-    double L, R;
-    if (!scalarOf(*B.lhs(), End, L) || !scalarOf(*B.rhs(), End, R))
-      return false;
-    // evalBinary fuses a product operand (the left one first), and
-    // scalarMulAdd makes the product the left addend: a product on the
-    // right only is added first.
-    auto IsProduct = [](const Expr *X) {
-      const auto *P = dyn_cast<BinaryExpr>(X);
-      return P && (P->op() == BinaryOp::Mul || P->op() == BinaryOp::DotMul);
-    };
-    if (Op == BinaryOp::Add && !IsProduct(B.lhs()) && IsProduct(B.rhs()))
-      std::swap(L, R);
-    Out = scalarBinary(Op, L, R);
-    return true;
-  }
-  case Expr::Kind::Index: {
-    const auto &Index = cast<IndexExpr>(E);
-    const NodeInfo *Info = cachedInfo(&Index);
-    return Info && Info->Slot >= 0 && Env.isDefined(Info->Slot) &&
-           scalarElement(Index, Env.slotValue(Info->Slot), Out);
-  }
-  default:
-    return false;
-  }
-}
-
-bool Interpreter::scalarElement(const IndexExpr &E, const Value &Base,
-                                double &Out) {
-  // A logical base yields a logical element. A variable is never a view
-  // and owes nothing (Workspace::define materializes), so raw() applies.
-  size_t Offset;
-  if (Base.isLogical() || !scalarOffset(E, Base, Offset))
-    return false;
-  Out = Base.raw()[Offset];
-  return true;
-}
-
-bool Interpreter::scalarOffset(const IndexExpr &E, const Value &Base,
-                               size_t &Offset) {
-  // Each subscript binds its own 'end'; toIndex's fast check without its
-  // slow path (which reports the errors the general path will report).
-  auto Subscript = [&](const Expr &Arg, size_t Extent, size_t &Index) {
-    double D;
-    return scalarOf(Arg, static_cast<double>(Extent), D) &&
-           integralIndex(D, indexLimit(Extent), Index);
-  };
-  if (E.numArgs() == 1)
-    return Subscript(*E.arg(0), Base.numel(), Offset);
-  size_t Row, Col;
-  if (E.numArgs() != 2 || !Subscript(*E.arg(0), Base.rows(), Row) ||
-      !Subscript(*E.arg(1), Base.cols(), Col))
-    return false;
-  Offset = Col * Base.rows() + Row;
-  return true;
 }
 
 const Value &Interpreter::evalOperand(const Expr &E, Value &Storage) {
@@ -926,19 +1211,24 @@ bool Interpreter::maxSubscript(const Value &Idx, double &Max, SourceLoc Loc) {
   return true;
 }
 
+bool Interpreter::checkArraySize(double Rows, double Cols, SourceLoc Loc) {
+  // In doubles, so no product can wrap; a zero extent still bounds the
+  // other one, which a caller would otherwise cast.
+  if (std::max(Rows, 1.0) * std::max(Cols, 1.0) * sizeof(double) <=
+      MaxArrayBytes)
+    return true;
+  fail(Loc, "requested " + formatMatlabNumber(Rows) + "x" +
+                formatMatlabNumber(Cols) +
+                " array exceeds the maximum array size");
+  return false;
+}
+
 bool Interpreter::growShape(Value &Target, double Rows, double Cols,
                             SourceLoc Loc) {
   Rows = std::max(Rows, static_cast<double>(Target.rows()));
   Cols = std::max(Cols, static_cast<double>(Target.cols()));
-  // In doubles, so no product can wrap; a zero extent still bounds the
-  // other one, which growTo would otherwise cast.
-  if (std::max(Rows, 1.0) * std::max(Cols, 1.0) * sizeof(double) >
-      MaxArrayBytes) {
-    fail(Loc, "requested " + formatMatlabNumber(Rows) + "x" +
-                  formatMatlabNumber(Cols) +
-                  " array exceeds the maximum array size");
+  if (!checkArraySize(Rows, Cols, Loc))
     return false;
-  }
   Target.growTo(static_cast<size_t>(Rows), static_cast<size_t>(Cols));
   return true;
 }
@@ -1219,9 +1509,11 @@ void Interpreter::writeIndexed(Value &Target, const IndexExpr &LHS,
 Value Interpreter::evalIndexOrCall(const IndexExpr &E) {
   int Slot = -1;
   BuiltinId Builtin = InvalidBuiltinId;
+  uint32_t Plan = NoPlan;
   if (const NodeInfo *Info = cachedInfo(&E)) {
     Slot = Info->Slot;
     Builtin = Info->Builtin;
+    Plan = Info->Plan;
   } else {
     std::string Name = E.baseName();
     if (Name.empty()) {
@@ -1236,11 +1528,10 @@ Value Interpreter::evalIndexOrCall(const IndexExpr &E) {
     Builtin = builtinIdFor(Name);
   }
   if (Slot >= 0 && Env.isDefined(Slot)) {
-    const Value &Base = Env.slotValue(Slot);
     double D;
-    if (scalarElement(E, Base, D))
+    if (Plan != NoPlan && runPlan(Plan, nullptr, D))
       return Value::scalar(D);
-    return readIndexed(Base, E);
+    return readIndexed(Env.slotValue(Slot), E);
   }
   if (Builtin != InvalidBuiltinId) {
     if (E.numArgs() == 2)

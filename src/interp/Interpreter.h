@@ -16,18 +16,25 @@
 /// integer slots and ids; only nodes the pre-pass never saw (an expression
 /// handed to eval() directly) fall back to name-based resolution.
 ///
-/// Scalar statements skip Value boxing: scalarOf() computes a double
-/// straight from the AST and the workspace for the subset a scalar loop
-/// body is made of (numbers, 'end', non-logical 1x1 variables, + - * / .*
-/// ./, unary minus, transpose, and in-range integer element reads of
-/// non-logical variables). It is side-effect free: it never fails,
-/// allocates, charges the governor or advances the RNG, so when any node
-/// is outside the subset it returns false having done nothing observable,
-/// and the general path evaluates the whole statement from scratch. That
-/// keeps every error text and location, growth rule, mask semantics,
-/// governor charge and fault site on the one general path. Assignments
-/// and element reads use it; a for-loop binds its variable in place
-/// (Workspace::defineScalar), in both engines.
+/// Scalar statements in loops skip Value boxing. The same pre-pass
+/// compiles every loop-body expression of the scalar subset (numbers,
+/// 'end' in a subscript, 1x1 variables, + - * / .* ./, unary minus,
+/// transpose, and element reads V(s) and V(r,c)) into a flat postfix plan
+/// over a small stack of doubles, with slots, constants, 'end' bindings
+/// and operator codes resolved at compile time; a statement outside any
+/// loop runs once per run(), so it gets none. A plan has no side effects
+/// and allocates nothing: it returns false when a runtime guard fails
+/// (an undefined, non-1x1 or logical variable; a non-integral or
+/// out-of-range subscript), and the general path then evaluates the
+/// whole expression from scratch. That keeps every error text and
+/// location, growth rule, mask semantics, governor charge and fault site
+/// on the one general path. Assignments use the plan of their right-hand
+/// side and of their target's subscripts, element reads the plan of
+/// their IndexExpr; a for-loop binds its variable in place
+/// (Workspace::defineScalar), in both engines. Plans live in one
+/// instruction buffer owned by the interpreter and are dropped with the
+/// node cache when run() returns: the AST is never written, so one parsed
+/// program may run on many threads at once.
 ///
 /// Runtime errors do not throw; they put the interpreter into a failed
 /// state carrying a message and location (checked via failed()).
@@ -271,6 +278,9 @@ public:
   /// far beyond any host's memory, and small enough that every dimension
   /// below it converts to size_t exactly.
   static constexpr double MaxArrayBytes = 1099511627776.0; // 2^40
+  /// False, failing at \p Loc, when a \p Rows x \p Cols array would
+  /// exceed MaxArrayBytes; a zero extent still bounds the other one.
+  bool checkArraySize(double Rows, double Cols, SourceLoc Loc);
   /// Grows \p Target to at least \p Rows x \p Cols (validated subscript
   /// maxima, still doubles so no cast precedes the check); fails at \p Loc
   /// when the payload would exceed MaxArrayBytes.
@@ -283,14 +293,21 @@ public:
 private:
   enum class Flow { Normal, Break, Continue, Return };
 
+  static constexpr uint32_t NoPlan = ~0u;
+
   /// What the pre-pass learned about an AST node: the workspace slot of the
   /// identifier (or index base) it names, the builtin it resolves to when
-  /// the slot is undefined at use time, and whether the name is 'pi'. For
-  /// ForStmt nodes, Slot is the loop variable's slot.
+  /// the slot is undefined at use time, and whether the name is 'pi'. An
+  /// IndexExpr's Plan reads its element. For ForStmt nodes, Slot is the
+  /// loop variable's slot; for AssignStmt nodes, Slot is the target's
+  /// (-1 when the target is invalid), Plan computes the right-hand side
+  /// and LhsPlan the target element's offset.
   struct NodeInfo {
     int Slot = -1;
     BuiltinId Builtin = InvalidBuiltinId;
     bool IsPi = false;
+    uint32_t Plan = NoPlan;
+    uint32_t LhsPlan = NoPlan;
   };
 
   /// Open-addressing hash map from AST node pointer to NodeInfo. The find
@@ -310,6 +327,10 @@ private:
         if (!E.Key)
           return nullptr;
       }
+    }
+
+    NodeInfo *find(const void *Key) {
+      return const_cast<NodeInfo *>(std::as_const(*this).find(Key));
     }
 
     /// First insertion for a key wins (re-inserts are ignored).
@@ -367,10 +388,22 @@ private:
     size_t Count = 0;
   };
 
-  /// Interns every name in \p P and caches the resolution per AST node.
-  /// The cache is rebuilt per run() and dropped afterwards, so pointers of
-  /// freed programs can never alias a later program's nodes.
+  /// Caches \p Name's resolution for \p Node; returns its slot.
+  unsigned noteName(const void *Node, const std::string &Name);
+  /// Interns every name in \p P and caches the resolution per AST node,
+  /// compiling the scalar plans of loop bodies along the way (see the
+  /// file comment). The cache is rebuilt per run() and dropped afterwards,
+  /// so pointers of freed programs can never alias a later program's
+  /// nodes.
   void prepare(const Program &P);
+  /// prepare() for \p Body, \p InLoop when an enclosing loop repeats it.
+  void prepareBody(const std::vector<StmtPtr> &Body, bool InLoop);
+  void prepareAssign(const AssignStmt &S, bool InLoop);
+  /// Caches the resolution of every name under \p E, compiling nothing.
+  void noteNames(const Expr &E);
+
+  /// Empties the node cache and the plans, keeping their storage.
+  void clearPrepared();
 
   const NodeInfo *cachedInfo(const void *Node) const {
     return NodeCache.find(Node);
@@ -406,25 +439,94 @@ private:
   Value evalSumOfProducts(const IndexExpr &E, const BinaryExpr &Prod);
   Value evalIndexOrCall(const IndexExpr &E);
 
-  /// Side-effect-free scalar evaluation (see the file comment): sets
-  /// \p Out to the value of \p E and returns true when every node is in
-  /// the scalar subset, with \p End the value 'end' denotes (negative
-  /// outside a subscript); returns false, having changed nothing, when
-  /// any node is not. Results are bit-identical to the general path's:
-  /// the ScalarOps.h helpers that applyBinary's and applyFusedMulAdd's
-  /// scalar cases call, in the same operand order. Shares eval()'s depth
-  /// budget and bails at its limit, so the general path reports the depth
-  /// error.
-  bool scalarOf(const Expr &E, double End, double &Out);
-  /// The 0-based linear offset of element \p E of \p Base when \p E has
-  /// one or two subscripts, each a scalarOf() value that is an in-range
-  /// integer (integralIndex, as toIndex's fast path checks it), else
-  /// false.
-  bool scalarOffset(const IndexExpr &E, const Value &Base, size_t &Offset);
-  /// scalarOffset's element of variable \p Base, read into \p Out, when
-  /// the base is not logical (the scalar read of evalIndexOrCall and
-  /// scalarOf).
-  bool scalarElement(const IndexExpr &E, const Value &Base, double &Out);
+  //===--------------------------------------------------------------------===//
+  // Scalar plans (see the file comment)
+  //===--------------------------------------------------------------------===//
+
+  enum class PlanOpcode : uint8_t {
+    Const,    ///< push K
+    Var,      ///< push variable A (defined, 1x1, not logical)
+    Neg,      ///< negate the top
+    Add,      ///< x + y of the top two (x pushed first)
+    Sub,      ///< x - y
+    Mul,      ///< x * y
+    Div,      ///< x / y
+    Base,     ///< push variable A (defined, not logical) as the base
+    Target,   ///< push the assignment target as the base
+    End,      ///< push the base's numel (A = 0), rows (1) or cols (2)
+    Elem1,    ///< pop a subscript and the base; push base(s)
+    Elem2,    ///< pop two subscripts and the base; push base(r, c)
+    Offset1,  ///< as Elem1, pushing the 0-based offset instead
+    Offset2,  ///< as Elem2, pushing the 0-based offset instead
+    ElemVar1, ///< push variable A's element at variable B (Base Var Elem1)
+    ElemVar2, ///< push A(B, C) for variables B, C (Base Var Var Elem2)
+    OffsetVar1, ///< Target Var Offset1 for variable B
+    OffsetVar2, ///< Target Var Var Offset2 for variables B, C
+  };
+
+  /// One plan instruction: an opcode, slot operands and a constant.
+  struct PlanOp {
+    PlanOpcode Code;
+    uint32_t A = 0;
+    union {
+      double K;
+      struct {
+        uint32_t B, C;
+      } Slots;
+    };
+    PlanOp(PlanOpcode Code = PlanOpcode::Const, uint32_t A = 0)
+        : Code(Code), A(A), K(0) {}
+  };
+
+  /// A compiled expression: its code PlanCode[Begin, End), and the
+  /// eval() frames evaluating it charges beyond the caller's EvalDepth
+  /// (an element read's frames start below its IndexExpr's own).
+  struct ScalarPlan {
+    uint32_t Begin, End;
+    unsigned Frames;
+  };
+
+  /// Operand stack and base stack bounds of a plan; a deeper expression
+  /// compiles to none.
+  static constexpr unsigned PlanStackMax = 32;
+  static constexpr unsigned PlanBaseMax = 8;
+
+  /// What compiling an expression needs at run time: its eval() frames
+  /// (tree height) and its operand and base stack depths.
+  struct PlanShape {
+    unsigned Frames = 0, Stack = 0, Bases = 0;
+  };
+
+  /// Notes every name under \p E in the node cache and registers the
+  /// element-read plan of every IndexExpr under it, then leaves \p E's
+  /// own code at the end of PlanCode and returns true when \p E is in the
+  /// subset. \p EndDim is the End operand 'end' denotes here (-1 outside
+  /// a subscript).
+  bool compilePlan(const Expr &E, int EndDim, PlanShape &Shape);
+  /// compilePlan's body; compilePlan drops the code of a failure.
+  bool compilePlanNode(const Expr &E, int EndDim, PlanShape &Shape);
+  /// Compiles an element reference's subscripts after its base (the last
+  /// instruction emitted), then Elem code, or Offset code for a Target.
+  bool compileSubscripts(const IndexExpr &E, PlanShape &Shape);
+  /// Visits \p E for its names and inner plans only, dropping its code.
+  void notePlanNames(const Expr &E);
+  /// Records PlanCode[\p Begin, end) as a plan charging \p Frames frames
+  /// and keeps its code; returns the plan id.
+  uint32_t commitPlan(size_t Begin, unsigned Frames);
+  /// Drops the code emitted since \p Begin, except committed plans.
+  void dropPlanCode(size_t Begin) {
+    PlanCode.resize(std::max(Begin, PlanCommitted));
+  }
+
+  /// Runs plan \p Id into \p Out, with \p Target the base of Target
+  /// instructions; an offset (below 2^37 elements) is exact as a double.
+  /// False, having changed nothing, when a guard fails or the plan's
+  /// frames would pass MaxEvalDepth (the general path then reports the
+  /// depth error). Results are bit-identical to the general
+  /// path's: the ScalarOps.h helpers that applyBinary's and
+  /// applyFusedMulAdd's scalar cases call, in the same operand order.
+  bool runPlan(uint32_t Id, const Value *Target, double &Out) const;
+
   Value evalMatrixLiteral(const MatrixExpr &E);
 
   /// Evaluates subscript argument \p Arg for a dimension of extent
@@ -487,6 +589,11 @@ private:
   /// Kernel context (interrupt poll hook) shared by both engines.
   OpWorkspace Pool;
   NodeInfoMap NodeCache;
+  /// Every plan's code, reused across runs; PlanCommitted is the end of
+  /// the last committed plan.
+  std::vector<PlanOp> PlanCode;
+  std::vector<ScalarPlan> Plans;
+  size_t PlanCommitted = 0;
   std::unordered_map<std::string, std::pair<bool, bool>> ShapeCaps;
   /// Per-slot cap mask (bit0 = rows capped, bit1 = cols capped), extended
   /// lazily from ShapeCaps as slots appear.
@@ -529,7 +636,7 @@ private:
   InterruptKind Interrupt = InterruptKind::None;
   uint64_t RandState = 0x9E3779B97F4A7C15ull;
 
-  /// Active eval() frames, shared with scalarOf().
+  /// Active eval() frames, charged by plans too.
   unsigned EvalDepth = 0;
   /// The thread's fault-injection context, sampled once per run() so the
   /// per-statement gate is a cached member null check, not a TLS load.

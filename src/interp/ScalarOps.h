@@ -38,21 +38,32 @@ inline bool hasScalarForm(BinaryOp Op) {
          Op < BinaryOp::AndAnd;
 }
 
+/// \p R, a sum or product of \p A and another operand, as x86 computes
+/// A op B: A's NaN (quieted) when A is NaN. The instruction returns its
+/// first operand's NaN when both are NaN, and a compiler may commute the
+/// operands of an add or a multiply, so without this the NaN a NaN-NaN
+/// sum returns would depend on register allocation, and differ between
+/// builds and between the call sites of one build.
+[[gnu::always_inline]]
+inline double firstNaN(double A, double R) {
+  return A != A ? A + A : R;
+}
+
 /// A op B on doubles: IEEE arithmetic (division by zero yields Inf/NaN,
 /// as in MATLAB), std::pow for the powers, and 1 or 0 for comparisons and
 /// elementwise logic. The operand order is kept: it decides which NaN
-/// payload a NaN-NaN operation returns. The short-circuit pseudo-ops have
-/// no elementwise form and yield 0 (callers report them).
+/// payload a NaN-NaN operation returns (see firstNaN). The short-circuit
+/// pseudo-ops have no elementwise form and yield 0 (callers report them).
 [[gnu::always_inline]]
 inline double scalarBinary(BinaryOp Op, double A, double B) {
   switch (Op) {
   case BinaryOp::Add:
-    return A + B;
+    return firstNaN(A, A + B);
   case BinaryOp::Sub:
     return A - B;
   case BinaryOp::Mul:
   case BinaryOp::DotMul:
-    return A * B;
+    return firstNaN(A, A * B);
   case BinaryOp::Div:
   case BinaryOp::DotDiv:
     return A / B;
@@ -112,7 +123,7 @@ inline Value scalarResult(BinaryOp Op, double V) {
 inline double scalarMulAdd(double Prod, double Other, bool Subtract,
                            bool ProductOnLeft) {
   if (!Subtract)
-    return Prod + Other;
+    return firstNaN(Prod, Prod + Other);
   return ProductOnLeft ? Prod - Other : Other - Prod;
 }
 

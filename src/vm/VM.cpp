@@ -150,7 +150,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
   auto isScalarReg = [&](int32_t R) {
     return IsSca[R] || Regs[R].isScalar();
   };
-  auto scalarOf = [&](int32_t R) {
+  auto regScalar = [&](int32_t R) {
     return IsSca[R] ? Sca[R] : Regs[R].scalarValue();
   };
   // Src-operand accessors (register >= 0, folded slot/const < 0; see
@@ -452,7 +452,7 @@ bool vm::execute(const CompiledProgram &P, Interpreter &Host) {
       VM_CASE(UnaryNot) : {
         if (isScalarReg(In->B)) {
           // unaryNot on a scalar: (x == 0), marked logical.
-          bool Zero = scalarOf(In->B) == 0.0;
+          bool Zero = regScalar(In->B) == 0.0;
           clearReg(In->B);
           setVal(In->A, logicalScalar(Zero));
         } else {

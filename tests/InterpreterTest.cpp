@@ -12,6 +12,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <thread>
 
 using namespace mvec;
 
@@ -942,8 +945,8 @@ TEST(InterpreterTest, RepmatFlipsAndConcatenationKeepTheLogicalFlag) {
 }
 
 //===----------------------------------------------------------------------===//
-// Scalar evaluator (scalarOf): bails before any effect, results and errors
-// as on the general path
+// Scalar evaluator (scalar plans): bails before any effect, results and
+// errors as on the general path
 //===----------------------------------------------------------------------===//
 
 /// The first \p N draws of a generator seeded like a fresh interpreter.
@@ -1053,7 +1056,7 @@ TEST(ScalarEvaluatorTest, GrowthCreationAndCopyOnWrite) {
 }
 
 TEST(ScalarEvaluatorTest, BinaryChainPastTheDepthLimitFails) {
-  // ((y + y) + y) + ...: scalarOf shares eval()'s depth budget, so the
+  // ((y + y) + y) + ...: a plan shares eval()'s depth budget, so the
   // general path reports the limit; a chain inside it evaluates.
   auto Chain = [](unsigned N) {
     ExprPtr E = std::make_unique<IdentExpr>("y");
@@ -1078,6 +1081,252 @@ TEST(ScalarEvaluatorTest, BinaryChainPastTheDepthLimitFails) {
       EXPECT_EQ(I.getVariable("x"), nullptr);
     }
   }
+}
+
+/// Runs \p Source (null when it fails to parse), with its error message
+/// in \p Error.
+std::unique_ptr<Interpreter> runSource(const std::string &Source,
+                                       std::string &Error) {
+  DiagnosticEngine Diags;
+  ParseResult R = parseMatlab(Source, Diags);
+  EXPECT_FALSE(Diags.hasErrors()) << Source << Diags.str();
+  auto I = std::make_unique<Interpreter>();
+  Error = I->run(R.Prog) ? std::string() : I->errorMessage();
+  return I;
+}
+
+/// Empty when \p A and \p B hold the same names with sameBits values.
+std::string workspaceBitsDiffer(const Interpreter &A, const Interpreter &B) {
+  std::map<std::string, Value> WA = A.workspace(), WB = B.workspace();
+  if (WA.size() != WB.size())
+    return "different variable sets";
+  for (const auto &[Name, V] : WA) {
+    auto It = WB.find(Name);
+    if (It == WB.end())
+      return "'" + Name + "' missing";
+    if (!sameBits(V, It->second))
+      return "'" + Name + "' differs: " + V.str() + " vs " + It->second.str();
+  }
+  return std::string();
+}
+
+/// Runs \p Prefix then `Target = E;` in a one-iteration loop, where plans
+/// compute E and its element reads, against two general-path forms: the
+/// statement outside any loop (no plan at all) and `Target = [E];` in the
+/// loop (a 1x1 literal, so only E's element reads have plans). Demands
+/// the same error text and bit-identical workspaces.
+void expectPlanMatchesGeneralPath(const std::string &Prefix,
+                                  const std::string &Target,
+                                  const std::string &E) {
+  auto Loop = [&](const std::string &Rhs) {
+    return Prefix + "for once = 1:1\n  " + Target + " = " + Rhs + ";\nend\n";
+  };
+  std::string PlanError, GeneralError, LiteralError;
+  auto Plan = runSource(Loop(E), PlanError);
+  auto General =
+      runSource(Prefix + "once = 1;\n" + Target + " = " + E + ";\n",
+                GeneralError);
+  auto Literal = runSource(Loop("[" + E + "]"), LiteralError);
+  std::string Where = Target + " = " + E;
+  EXPECT_EQ(PlanError, GeneralError) << Where;
+  EXPECT_EQ(PlanError, LiteralError) << Where;
+  EXPECT_EQ(workspaceBitsDiffer(*Plan, *General), "") << Where;
+  EXPECT_EQ(workspaceBitsDiffer(*Plan, *Literal), "") << Where;
+}
+
+TEST(ScalarEvaluatorTest, PlansMatchTheGeneralPathBitForBit) {
+  // a is a NaN and b a NaN of the other sign, so an operand swap shows in
+  // the result's sign bit; z is -0.
+  const std::string Prefix =
+      "a = 0/0;\nb = -a;\nc = 3;\nz = -0;\nh = 1/0;\n"
+      "A = [1 2 3 4; 5 6 7 8; 9 10 11 12];\nB = [2 3];\nv = [4 5 6];\n"
+      "t = 1 > 0;\nm = [1 0 1] > 0;\ni = 2;\nj = 3;\nf = 1.5;\n"
+      "E = zeros(1, 0);\n";
+  const char *Exprs[] = {
+      // -0, NaN and Inf.
+      "z", "-z", "z * -1", "0 * -1", "z + 0", "-0 + z", "1/z", "a", "-a",
+      "a + b", "b + a", "a - b", "b - a", "a*b", "b*a", "a/b", "b/a",
+      "-a*b", "h - h", "h * 0", "-h / h", "z / z",
+      // A product operand is the left addend.
+      "a + b*c", "b*c + a", "a - b*c", "b*c - a", "a + b.*c", "a*c + b",
+      "a*c + b*c", "(a + b)*c", "a + c*b + a", "a/c + b", "a' + b",
+      // 'end' binds per subscript, nested reads included.
+      "A(B(end), end)", "A(end, B(1))", "v(end) - v(end-2)*2", "A(i, j)'",
+      "-A(end)", "A(B(2))", "A(end)", "A(end, end) / v(end)",
+      "v(B(end - 1) - 1)", "A(v(1) - 2, end - 1)", "A(end - 10, 1)",
+      "A(1, end - 9)", "A(end - 10)", "A(1, v(end) - 3)",
+      // Guards: the general path then reports or computes.
+      "A(4, 1)", "A(1, 5)", "A(0)", "A(13)", "v(1.5)", "v(a)", "v(h)",
+      "v(-1)", "v(z)", "A(i, :)", "E(1)",
+      // Logical scalars, pi, builtin names and undefined names.
+      "t", "t + 1", "-t", "v(t)", "m(2)", "m(1) + 1", "v(m(3))", "pi",
+      "pi * 2", "-pi", "rand", "rand + 1", "numel(v)", "abs(-c)", "q",
+      "q + 1", "A(q)", "c + eps",
+  };
+  // Targets: a variable, in-range elements, growth, creation, and
+  // subscripts the general write reports.
+  const char *Targets[] = {"y",       "v(2)",    "v(7)", "A(2, 3)",
+                           "A(4, 5)", "A(end)",  "w(3)", "v(f)",
+                           "A(0, 1)", "v(B(1))", "c"};
+  for (const char *Target : Targets)
+    for (const char *E : Exprs)
+      expectPlanMatchesGeneralPath(Prefix, Target, E);
+}
+
+TEST(ScalarEvaluatorTest, VariablesRetypedMidLoop) {
+  // x turns into a matrix and v into a logical mask mid-loop: the plans
+  // that read them bail from then on and the general path takes over.
+  auto Program = [](bool Literal) {
+    auto Rhs = [Literal](const std::string &E) {
+      return Literal ? "[" + E + "]" : E;
+    };
+    return "v = [10 20 30 40];\nx = 1;\ns = 0;\nfor i = 1:4\n"
+           "  s = " + Rhs("s + x*2") + ";\n"
+           "  r(i) = " + Rhs("v(i) + 1") + ";\n"
+           "  if i == 2\n    x = [1 2];\n    v = v > 15;\n  end\n"
+           "end\n";
+  };
+  std::string PlanError, GeneralError;
+  auto Plan = runSource(Program(false), PlanError);
+  auto General = runSource(Program(true), GeneralError);
+  EXPECT_EQ(PlanError, "");
+  EXPECT_EQ(GeneralError, "");
+  EXPECT_EQ(workspaceBitsDiffer(*Plan, *General), "");
+  EXPECT_EQ(contents(*Plan, "s"), (std::vector<double>{8, 12}));
+  EXPECT_EQ(contents(*Plan, "r"), (std::vector<double>{11, 21, 2, 2}));
+  EXPECT_TRUE(Plan->getVariable("v")->isLogical());
+}
+
+TEST(ScalarEvaluatorTest, BackToBackProgramsRebuildTheirPlans) {
+  // The second program reuses the interpreter (its workspace and slot
+  // numbering persist) and, once the first is freed, likely its node
+  // addresses; a stale plan would read the first program's slots.
+  Interpreter I;
+  {
+    DiagnosticEngine Diags;
+    ParseResult R = parseMatlab("A = [1 2 3];\nk = 2;\nfor r = 1:2\n"
+                                "  y = A(k) + 1;\n  A(k) = y * 2;\nend\n",
+                                Diags);
+    ASSERT_TRUE(I.run(R.Prog)) << I.errorMessage();
+  }
+  EXPECT_EQ(scalarVar(I, "y"), 7);
+  EXPECT_EQ(contents(I, "A"), (std::vector<double>{1, 14, 3}));
+  DiagnosticEngine Diags;
+  ParseResult R = parseMatlab("B = [7 8 9];\nj = 3;\nfor s = 1:2\n"
+                              "  z = B(j) - 1;\n  B(j) = z / 2;\nend\n",
+                              Diags);
+  ASSERT_TRUE(I.run(R.Prog)) << I.errorMessage();
+  EXPECT_EQ(scalarVar(I, "z"), 3);
+  EXPECT_EQ(contents(I, "B"), (std::vector<double>{7, 8, 1.5}));
+  // And the same program again, after B's reset.
+  ASSERT_TRUE(I.run(R.Prog)) << I.errorMessage();
+  EXPECT_EQ(scalarVar(I, "z"), 3);
+  EXPECT_EQ(contents(I, "B"), (std::vector<double>{7, 8, 1.5}));
+  EXPECT_EQ(contents(I, "A"), (std::vector<double>{1, 14, 3}));
+}
+
+TEST(ScalarEvaluatorTest, LoopBodyPlansShareTheDepthBudget) {
+  // BinaryChainPastTheDepthLimitFails inside a loop, where the chain has
+  // a plan. The plan runs up to MaxEvalDepth frames and bails past it;
+  // the general path, which takes no frame for a leaf variable, then
+  // computes one more level and reports the depth error beyond that.
+  auto Chain = [](unsigned N) {
+    ExprPtr E = std::make_unique<IdentExpr>("y");
+    for (unsigned I = 1; I != N; ++I)
+      E = std::make_unique<BinaryExpr>(BinaryOp::Add, std::move(E),
+                                       std::make_unique<IdentExpr>("y"));
+    return E;
+  };
+  for (unsigned N : {1500u, 2000u, 2001u, 2002u, 2500u}) {
+    std::vector<StmtPtr> Body;
+    Body.push_back(std::make_unique<AssignStmt>(
+        std::make_unique<IdentExpr>("x"), Chain(N)));
+    Program P;
+    P.Stmts.push_back(std::make_unique<ForStmt>(
+        "k",
+        std::make_unique<RangeExpr>(std::make_unique<NumberExpr>(1.0),
+                                    nullptr,
+                                    std::make_unique<NumberExpr>(2.0)),
+        std::move(Body)));
+    Interpreter I;
+    I.setVariable("y", Value::scalar(1.0));
+    bool Ok = I.run(P);
+    if (N <= Interpreter::MaxEvalDepth + 1) {
+      EXPECT_TRUE(Ok) << N << I.errorMessage();
+      EXPECT_EQ(scalarVar(I, "x"), N);
+    } else {
+      EXPECT_FALSE(Ok) << N;
+      EXPECT_EQ(I.errorMessage(), Interpreter::EvalDepthMessage);
+      EXPECT_EQ(I.getVariable("x"), nullptr);
+    }
+  }
+}
+
+TEST(ScalarEvaluatorTest, OneProgramRunsOnFourThreads) {
+  // Plans belong to each interpreter; the shared AST is only read.
+  DiagnosticEngine Diags;
+  ParseResult R = parseMatlab(
+      "n = 40;\nA = zeros(n, n);\nv = zeros(1, n);\ns = 0;\n"
+      "for i = 1:n\n  for j = 1:n\n    A(i, j) = i*0.5 - j/3;\n"
+      "    s = s + A(i, j)*v(end - j + 1) + A(i, end);\n  end\n"
+      "  v(i) = s / n;\nend\n",
+      Diags);
+  ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+  Interpreter Reference;
+  ASSERT_TRUE(Reference.run(R.Prog)) << Reference.errorMessage();
+  std::vector<Interpreter> Interps(4);
+  std::vector<char> Ok(4, 0);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T != Interps.size(); ++T)
+    Threads.emplace_back([&, T] {
+      for (int Rep = 0; Rep != 3; ++Rep)
+        Ok[T] = Interps[T].run(R.Prog);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (size_t T = 0; T != Interps.size(); ++T) {
+    EXPECT_TRUE(Ok[T]) << Interps[T].errorMessage();
+    EXPECT_EQ(workspaceBitsDiffer(Interps[T], Reference), "") << T;
+  }
+}
+
+TEST(InterpreterTest, SizeArgumentsFailBeforeAnyCastOrAllocation) {
+  auto TooLarge = [](const char *Shape) {
+    return std::string("requested ") + Shape +
+           " array exceeds the maximum array size";
+  };
+  auto NotASize = [](const char *Name) {
+    return std::string("size argument to '") + Name +
+           "' must be a nonnegative integer";
+  };
+  struct Case {
+    const char *Source;
+    std::string Message;
+  };
+  const Case Cases[] = {
+      {"x = ones(2^21, 2^20);", TooLarge("2097152x1048576")},
+      {"x = true(1e7);", TooLarge("10000000x10000000")},
+      {"x = false(1, 2^38);", TooLarge("1x274877906944")},
+      {"x = rand(2^30);", TooLarge("1073741824x1073741824")},
+      {"x = eye(1e300, 0);", TooLarge("1e+300x0")},
+      {"x = repmat(ones(1024), 1024, 1024);", TooLarge("1048576x1048576")},
+      {"x = repmat(zeros(0, 1), 1e300, 1);", TooLarge("1e+300x1")},
+      {"x = linspace(0, 1, 1e300);", TooLarge("1x1e+300")},
+      {"x = reshape([], 1e300, 0);", TooLarge("1e+300x0")},
+      {"x = ones(1/0);", NotASize("zeros/ones")},
+      {"x = eye(0/0);", NotASize("eye")},
+      {"x = repmat(1, 1/0, 1);", NotASize("repmat")},
+      {"x = repmat(1, [0/0 1]);", NotASize("repmat")},
+      {"x = repmat(1, [1 -1/0]);", NotASize("repmat")},
+  };
+  for (const Case &C : Cases)
+    EXPECT_EQ(runError(C.Source), C.Message) << C.Source;
+  // At the limit, and zero extents, still allocate normally.
+  Interpreter I = runOk("a = zeros(0, 2^37);\nb = repmat([1 2], [0 3]);\n"
+                        "c = ones(2, 0);\nd = repmat(7, [2 1]);\n");
+  EXPECT_EQ(I.getVariable("a")->cols(), 137438953472u);
+  EXPECT_EQ(I.getVariable("b")->cols(), 6u);
+  EXPECT_EQ(contents(I, "d"), (std::vector<double>{7, 7}));
 }
 
 } // namespace

@@ -842,4 +842,44 @@ TEST(VMParity, LogicalFlagBuiltins) {
   }
 }
 
+/// Runs \p Source under each engine, demanding the runtime error
+/// \p Message from both, and agreement between them.
+void expectErrorOnBothEngines(const std::string &Source,
+                              const std::string &Message) {
+  for (ExecEngine Engine : {ExecEngine::Ast, ExecEngine::Vm}) {
+    RunLimits Limits;
+    Limits.Engine = Engine;
+    DiffOutcome Out = diffRunLimited(Source, Source, Limits);
+    EXPECT_EQ(Out.Status, DiffStatus::Error) << Source;
+    EXPECT_NE(Out.Message.find(Message), std::string::npos)
+        << Source << "\n" << Out.Message;
+  }
+  DiffOutcome Out = engineDiffRun(Source);
+  EXPECT_TRUE(Out.agreed()) << Source << "\n" << Out.Message;
+}
+
+TEST(VMParity, RepmatRejectsANegativeSizeVector) {
+  expectErrorOnBothEngines(
+      "x = repmat([1 2], [-1 2]);\n",
+      "size argument to 'repmat' must be a nonnegative integer");
+}
+
+TEST(VMParity, RepmatRejectsAFractionalSizeVector) {
+  expectErrorOnBothEngines(
+      "x = repmat([1 2], [2.7 1]);\n",
+      "size argument to 'repmat' must be a nonnegative integer");
+}
+
+TEST(VMParity, ZerosRejectsAnInfiniteSize) {
+  expectErrorOnBothEngines(
+      "x = zeros(1, 1/0);\n",
+      "size argument to 'zeros/ones' must be a nonnegative integer");
+}
+
+TEST(VMParity, ZerosPastTheArrayLimitFails) {
+  expectErrorOnBothEngines(
+      "x = zeros(1e6, 1e6);\n",
+      "requested 1000000x1000000 array exceeds the maximum array size");
+}
+
 } // namespace
