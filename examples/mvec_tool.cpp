@@ -18,11 +18,6 @@
 ///   --validate         run both versions in the interpreter and verify
 ///                      identical final workspaces
 ///   --run              execute the transformed program and print output
-///   --engine E         execution tier for --validate/--run and batch
-///                      validation: ast (default, tree-walker), vm
-///                      (register bytecode), or both (cross-check the two
-///                      tiers for byte-identical behaviour; single-file
-///                      mode only)
 ///   --plugin PATH      dlopen a pattern plugin (repeatable)
 ///   --cost-model M     profitability model: off (default, vectorize
 ///                      whenever legal) or on (keep loops the model
@@ -55,8 +50,6 @@
 #include "interp/Interpreter.h"
 #include "patterns/PluginAPI.h"
 #include "service/VectorizationService.h"
-#include "vm/Compiler.h"
-#include "vm/VM.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -76,10 +69,9 @@ int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [options] input.m\n"
                "       %s --batch DIR [--jobs N] [--cache N] "
-               "[--deadline-ms N] [--no-validate] [--engine ast|vm] "
+               "[--deadline-ms N] [--no-validate] "
                "[--stats] [--stats-json FILE]\n"
-               "  -o FILE, --remarks, --validate, --run, "
-               "--engine ast|vm|both, --plugin PATH,\n"
+               "  -o FILE, --remarks, --validate, --run, --plugin PATH,\n"
                "  --cost-model off|on, --cost-profile FILE, --explain-cost,\n"
                "  --no-transposes, --no-patterns, --no-reductions,\n"
                "  --no-reassociation, --no-normalize\n",
@@ -101,8 +93,8 @@ bool readFile(const std::string &Path, std::string &Out) {
 /// process exit code (0 only when every job succeeded).
 int runBatch(const std::string &Dir, const VectorizerOptions &Opts,
              const PatternDatabase &DB, unsigned Jobs, size_t CacheEntries,
-             unsigned DeadlineMs, bool Validate, ExecEngine Engine,
-             bool Stats, const std::string &StatsJsonPath) {
+             unsigned DeadlineMs, bool Validate, bool Stats,
+             const std::string &StatsJsonPath) {
   namespace fs = std::filesystem;
   std::error_code EC;
   std::vector<std::string> Paths;
@@ -138,7 +130,6 @@ int runBatch(const std::string &Dir, const VectorizerOptions &Opts,
   Config.CacheCapacity = CacheEntries;
   Config.DefaultDeadline = std::chrono::milliseconds(DeadlineMs);
   Config.DB = &DB;
-  Config.Engine = Engine;
   VectorizationService Service(Config);
   std::vector<JobResult> Results = Service.runBatch(std::move(Specs));
 
@@ -215,8 +206,8 @@ int main(int argc, char **argv) {
       DeadlineMs = static_cast<unsigned>(std::atoi(argv[++I]));
     else if (Arg == "--no-validate")
       NoValidate = true;
-    else if (FlagParse F = parseToolFlag(argc, argv, I, {/*EngineBoth=*/true},
-                                         Flags);
+    else if (FlagParse F =
+                 parseToolFlag(argc, argv, I, /*CostBoth=*/false, Flags);
              F != FlagParse::NotMine) {
       if (F == FlagParse::Invalid)
         return usage(argv[0]);
@@ -249,15 +240,10 @@ int main(int argc, char **argv) {
   }
   if (BatchDir.empty() == InputPath.empty())
     return usage(argv[0]);
-  // "both" fans one validation out into three runs; the batch path keeps
-  // one engine per service instead.
-  if (Flags.Engine == "both" && !BatchDir.empty())
-    return usage(argv[0]);
   // The decision log is a single-translation artifact; batch jobs go
   // through the (cost-fingerprinted) caches instead.
   if (ExplainCost && !BatchDir.empty())
     return usage(argv[0]);
-  ExecEngine Engine = Flags.engine();
 
   std::unique_ptr<cost::CostModel> Model;
   if (Flags.CostModel == "on" || ExplainCost) {
@@ -280,7 +266,7 @@ int main(int argc, char **argv) {
     }
     DB.freeze();
     return runBatch(BatchDir, Opts, DB, Jobs, CacheEntries, DeadlineMs,
-                    !NoValidate, Engine, Stats, StatsJsonPath);
+                    !NoValidate, Stats, StatsJsonPath);
   }
 
   // Read the input.
@@ -348,10 +334,7 @@ int main(int argc, char **argv) {
   }
 
   if (Validate) {
-    RunLimits Limits;
-    Limits.Engine = Engine;
-    std::string Diff =
-        diffRunLimited(Source, Result.VectorizedSource, Limits).Message;
+    std::string Diff = diffRun(Source, Result.VectorizedSource);
     if (!Diff.empty()) {
       std::fprintf(stderr, "validation FAILED: %s\n", Diff.c_str());
       return 1;
@@ -359,23 +342,6 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "validation: transformed program is semantically "
                          "equivalent\n");
   }
-  if (Flags.Engine == "both") {
-    // Cross-check the execution tiers on both programs: the tree-walker
-    // and the bytecode VM must behave byte-identically.
-    for (const auto &[What, Src] :
-         {std::pair<const char *, const std::string &>{"original", Source},
-          {"transformed", Result.VectorizedSource}}) {
-      DiffOutcome Out = engineDiffRun(Src);
-      if (Out.Status == DiffStatus::Mismatch) {
-        std::fprintf(stderr, "engine cross-check FAILED on %s program: %s\n",
-                     What, Out.Message.c_str());
-        return 1;
-      }
-    }
-    std::fprintf(stderr,
-                 "engine cross-check: ast and vm tiers agree byte-for-byte\n");
-  }
-
   if (OutputPath.empty()) {
     std::fputs(Result.VectorizedSource.c_str(), stdout);
   } else {
@@ -391,15 +357,7 @@ int main(int argc, char **argv) {
     DiagnosticEngine Diags;
     ParseResult Parsed = parseMatlab(Result.VectorizedSource, Diags);
     Interpreter I;
-    bool Ok;
-    if (Engine == ExecEngine::Vm) {
-      vm::CompiledProgram CP =
-          vm::compileProgram(Parsed.Prog, Result.VectorizedSource);
-      Ok = vm::execute(CP, I);
-    } else {
-      Ok = I.run(Parsed.Prog);
-    }
-    if (!Ok) {
+    if (!I.run(Parsed.Prog)) {
       std::fprintf(stderr, "runtime error: %s\n", I.errorMessage().c_str());
       return 1;
     }

@@ -69,8 +69,6 @@ bool mvec::daemon::parseDaemonConfig(const std::string &Text,
     else if (Key == "deadline_ms" && parseUnsigned(Value, U) &&
              U <= 24ull * 3600 * 1000)
       C.DeadlineMs = static_cast<unsigned>(U);
-    else if (Key == "engine" && (Value == "ast" || Value == "vm"))
-      C.Engine = Value;
     else if (Key == "cost_model" && (Value == "off" || Value == "on"))
       C.CostModel = Value;
     else if (Key == "cost_profile")
@@ -128,7 +126,6 @@ std::string mvec::daemon::daemonConfigText(const DaemonConfig &Config) {
       << "tenant_rate = " << Config.TenantRate << "\n"
       << "tenant_burst = " << Config.TenantBurst << "\n"
       << "deadline_ms = " << Config.DeadlineMs << "\n"
-      << "engine = " << Config.Engine << "\n"
       << "cost_model = " << Config.CostModel << "\n"
       << "cost_profile = " << Config.CostProfile << "\n"
       << "isolation = " << Config.Isolation << "\n"

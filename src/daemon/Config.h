@@ -17,7 +17,7 @@
 ///
 /// Reload semantics are defined by Daemon::reload(): QoS limits and
 /// deadline apply instantly; the frame ceiling applies to the next
-/// connection; shard/worker/cache-size/queue-depth/engine changes swap in
+/// connection; shard/worker/cache-size/queue-depth/cost changes swap in
 /// a fresh shard fleet while every in-flight job completes on the
 /// old one (nothing is dropped).
 ///
@@ -56,11 +56,6 @@ struct DaemonConfig {
   double TenantBurst = 64;
   /// Default per-request deadline in ms (0 = none).
   unsigned DeadlineMs = 10000;
-  /// Execution tier for differential validation: "ast" (tree-walker) or
-  /// "vm" (register bytecode, compiled afresh for every run).
-  /// Hot-reloadable; a change swaps in a fresh shard fleet, since each
-  /// shard's service validates on the engine it was built with.
-  std::string Engine = "ast";
   /// Profitability cost model: "off" vectorizes whenever legal, "on"
   /// consults the model (built-in conservative profile unless
   /// cost_profile names a calibrated costs.mvec.json). Hot-reloadable;

@@ -67,7 +67,6 @@ std::shared_ptr<Daemon::Fleet> Daemon::makeFleet(const DaemonConfig &C) const {
     SC.CacheCapacity = C.CacheCapacity;
     SC.Store = Store.get();
     SC.Faults = C.Faults;
-    SC.Engine = C.Engine == "vm" ? ExecEngine::Vm : ExecEngine::Ast;
     SC.Cost = F->Cost.get();
     auto S = std::make_unique<Shard>();
     // Isolation decides only where a miss runs: in a forked worker of
@@ -249,9 +248,6 @@ bool Daemon::reload(const DaemonConfig &New, std::string &Error) {
                       Applied.CacheCapacity != Config.CacheCapacity ||
                       // Each shard's pool queue is sized from the depth.
                       Applied.MaxQueueDepth != Config.MaxQueueDepth ||
-                      // Each shard's service validates on one engine,
-                      // and the engine salts every result-cache key.
-                      Applied.Engine != Config.Engine ||
                       // A cost-model change re-fingerprints every cache
                       // key, so the memory tiers must be rebuilt anyway.
                       Applied.CostModel != Config.CostModel ||

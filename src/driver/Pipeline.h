@@ -28,16 +28,6 @@
 
 namespace mvec {
 
-/// Which execution tier runs interpreted programs during differential
-/// validation. Both tiers share one semantics contract: the bytecode VM
-/// executes through a host Interpreter (same workspace, kernels, RNG,
-/// error/interrupt machinery), so a program must behave byte-identically
-/// under either engine. engineDiffRun() enforces exactly that.
-enum class ExecEngine {
-  Ast, ///< the original tree-walking interpreter
-  Vm,  ///< register-bytecode VM (compiled via vm::compileProgram)
-};
-
 struct PipelineResult {
   /// The vectorized program, re-rendered as MATLAB source.
   std::string VectorizedSource;
@@ -92,9 +82,6 @@ struct RunLimits {
   /// input's fault, not the transformation's. Used by the fuzzer, where
   /// mutation can desynchronize annotations from code.
   bool CheckAnnotations = false;
-  /// Execution tier for both runs. The VM tier compiles each program
-  /// afresh per run.
-  ExecEngine Engine = ExecEngine::Ast;
 };
 
 enum class DiffStatus {
@@ -118,24 +105,6 @@ DiffOutcome diffRunLimited(const std::string &OriginalSource,
                            const std::string &TransformedSource,
                            const RunLimits &Limits, double Tol = 1e-9,
                            uint64_t Seed = 12345);
-
-/// Engine-differential validation: runs \p Source once under the
-/// tree-walker and once under the bytecode VM (fresh interpreters, same
-/// seed and limits) and demands *byte-identical* behaviour: same
-/// failed/error message/error location, same interrupt kind, same step
-/// count, exactly equal workspaces (tolerance 0; NaNs compare equal) and
-/// printed output. The only tolerated asymmetry is wall-clock interrupts:
-/// when either run is cut off by the deadline or the cancel flag, the
-/// comparison is inconclusive (returns TimedOut/Cancelled with an empty
-/// message) because where the clock fires is not deterministic. Step-limit
-/// interrupts ARE deterministic and must match exactly.
-DiffOutcome engineDiffRun(const std::string &Source,
-                          const RunLimits &Limits = {},
-                          uint64_t Seed = 12345);
-/// engineDiffRun on an already parsed (or programmatically built)
-/// program.
-DiffOutcome engineDiffRun(const Program &Prog, const RunLimits &Limits = {},
-                          uint64_t Seed = 12345);
 
 /// Differential validation: executes \p OriginalSource and
 /// \p TransformedSource in fresh interpreters (same RNG seed) and compares

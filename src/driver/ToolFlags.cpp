@@ -10,10 +10,10 @@
 
 using namespace mvec;
 
-FlagParse mvec::parseToolFlag(int Argc, char **Argv, int &I,
-                              ToolFlagValues Accepts, ToolFlags &Out) {
+FlagParse mvec::parseToolFlag(int Argc, char **Argv, int &I, bool CostBoth,
+                              ToolFlags &Out) {
   std::string Arg = Argv[I];
-  if (Arg != "--engine" && Arg != "--cost-model" && Arg != "--cost-profile")
+  if (Arg != "--cost-model" && Arg != "--cost-profile")
     return FlagParse::NotMine;
   if (I + 1 == Argc)
     return FlagParse::Invalid;
@@ -22,14 +22,9 @@ FlagParse mvec::parseToolFlag(int Argc, char **Argv, int &I,
     Out.CostProfile = Value;
     return FlagParse::Parsed;
   }
-  bool Valid = Arg == "--engine"
-                   ? Value == "ast" || Value == "vm" ||
-                         (Value == "both" && Accepts.EngineBoth)
-                   : Value == "off" || Value == "on" ||
-                         (Value == "both" && Accepts.CostBoth);
-  if (!Valid)
+  if (Value != "off" && Value != "on" && !(Value == "both" && CostBoth))
     return FlagParse::Invalid;
-  (Arg == "--engine" ? Out.Engine : Out.CostModel) = Value;
+  Out.CostModel = Value;
   return FlagParse::Parsed;
 }
 

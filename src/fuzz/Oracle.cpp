@@ -10,6 +10,7 @@
 #include "resilience/Resilience.h"
 #include "resilience/ResourceGovernor.h"
 #include "support/ContentHash.h"
+#include "vm/Parity.h"
 
 #include <algorithm>
 #include <cctype>
@@ -185,8 +186,6 @@ RunLimits Oracle::limits(Clock::time_point Start) const {
   Limits.MaxSteps = Config.MaxSteps;
   if (Config.Deadline.count() > 0)
     Limits.Deadline = Start + Config.Deadline;
-  if (Config.Engine == EngineMode::Vm)
-    Limits.Engine = ExecEngine::Vm;
   return Limits;
 }
 
@@ -242,7 +241,7 @@ Verdict Oracle::checkImpl(const std::string &Source,
     });
     return classifyDiff(Diff.Status, Diff.Message);
   });
-  if (V.ok() && Config.Engine == EngineMode::Both) {
+  if (V.ok() && Config.EngineDiff) {
     // The vectorized output is a program too; both tiers must agree on
     // it as well.
     Verdict E = engineCheck(Vectorized, Family);
@@ -280,10 +279,10 @@ Verdict Oracle::crossCheckCost(const std::string &Source,
 
 Verdict Oracle::check(const std::string &Source,
                       const std::string &Family) const {
-  // Under EngineMode::Both, the tier cross-check runs first: an engine
+  // Under EngineDiff, the tier cross-check runs first: an engine
   // divergence on the *original* program poisons any differential verdict
   // about the transformation, so it dominates.
-  if (Config.Engine == EngineMode::Both) {
+  if (Config.EngineDiff) {
     Verdict E = engineCheck(Source, Family);
     if (E.isFinding())
       return E;

@@ -82,14 +82,6 @@ struct Verdict {
   bool isFinding() const { return S == State::Finding; }
 };
 
-/// Which execution tier(s) the oracle validates with. Ast and Vm pick
-/// one tier for the differential (original vs transformed) runs; Both
-/// additionally cross-checks the two tiers against each other on every
-/// program (original, and the vectorized output when one was produced),
-/// demanding byte-identical behaviour — see engineDiffRun(). A
-/// divergence is a FindingKind::EngineDivergence.
-enum class EngineMode { Ast, Vm, Both };
-
 /// Whether the profitability cost model participates. Off reproduces the
 /// paper's vectorize-whenever-legal behaviour; On attaches a model to
 /// every candidate; Both runs each candidate through *both*
@@ -109,8 +101,12 @@ struct OracleConfig {
   uint64_t MaxSteps = 2000000;
   /// Workspace comparison tolerance (reductions reorder FP sums).
   double Tol = 1e-7;
-  /// Execution tier(s); see EngineMode.
-  EngineMode Engine = EngineMode::Ast;
+  /// The differential (original vs transformed) runs use the tree-walker.
+  /// When set, every program (the original, and the vectorized output
+  /// when one was produced) is also run under the bytecode VM, which must
+  /// behave byte-identically — see engineDiffRun(). A divergence is a
+  /// FindingKind::EngineDivergence.
+  bool EngineDiff = false;
   /// Cost-model participation; see CostMode.
   CostMode Cost = CostMode::Off;
   /// Model used under CostMode::On/Both (null = the built-in conservative
@@ -139,7 +135,7 @@ public:
   /// byte-identical (or the comparison is inconclusive because a
   /// wall-clock interrupt fired), Rejected when the program does not
   /// parse, an EngineDivergence finding otherwise. check() runs this
-  /// automatically under EngineMode::Both.
+  /// automatically under EngineDiff.
   Verdict engineCheck(const std::string &Source,
                       const std::string &Family = std::string()) const;
 

@@ -46,8 +46,6 @@ bool mvec::sandbox::quarantineInput(uint64_t Key, const std::string &Body,
       << "% cause: " << workerFailureName(Rec.Cause) << "\n"
       << "% signal: " << Rec.Signal << "\n"
       << "% exit: " << Rec.ExitCode << "\n"
-      << "% engine: " << (Service.Engine == ExecEngine::Vm ? "vm" : "ast")
-      << "\n"
       << "% cost_model: " << (Service.Cost ? "on" : "off") << "\n"
       << "% cost_profile: "
       << (Config.CostProfile.empty() ? "-" : Config.CostProfile) << "\n"

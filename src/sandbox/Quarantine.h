@@ -20,7 +20,6 @@
 ///   % cause: crash
 ///   % signal: 11
 ///   % exit: -1
-///   % engine: ast
 ///   % cost_model: off
 ///   % cost_profile: -
 ///   % isa: avx2
@@ -29,7 +28,9 @@
 ///   <original body bytes>
 ///
 /// `name` is the name the job ran under: the daemon names a request that
-/// brings none `request`.
+/// brings none `request`. The header stays `v1` although it changed:
+/// nothing parses it, and the `% engine:` line it once carried is gone
+/// now that the tree-walker is the one engine that validates a job.
 ///
 /// Writes are tmp+rename like the DiskStore, and a key that is already
 /// quarantined is not rewritten — the first reproducer wins, and the
@@ -58,7 +59,7 @@ struct QuarantineRecord {
 };
 
 /// Writes \p Body under Config.QuarantineDir (created on demand) keyed
-/// by \p Key; the header names the engine and cost model of \p Service,
+/// by \p Key; the header names the cost model of \p Service,
 /// the configuration the worker ran. Returns true when a NEW quarantine
 /// file was published; false when the directory is unset, the key was
 /// already quarantined, or any I/O failed. Thread-safe across threads

@@ -201,11 +201,7 @@ JobResult VectorizationService::processJob(const JobSpec &Spec,
   // Job salt: same spec -> same salt -> the same fault plan replays the
   // same schedule for the same job, which is what makes campaign failures
   // reproducible in isolation.
-  uint64_t Key = cacheKeyFor(Spec);
-  // Engine-salted: a validation verdict from one execution tier must
-  // never be served as the other's (neither from memory nor from disk).
-  if (Config.Engine == ExecEngine::Vm)
-    Key = fnv1aMix(0x564d, Key);
+  const uint64_t Key = cacheKeyFor(Spec);
   auto RunMiss = [&] {
     return Config.ColdPath ? Config.ColdPath(Spec)
                            : executeWithResilience(Spec, Start, Key);
@@ -379,7 +375,6 @@ JobResult VectorizationService::executeUncached(const JobSpec &Spec,
   if (DeadlineMs.count() > 0)
     Limits.Deadline = Start + DeadlineMs;
   Limits.Cancel = &CancelRequested;
-  Limits.Engine = Config.Engine;
 
   // One malformed (or downright hostile) script must never take the
   // worker — or the batch — down with it: every failure mode folds into

@@ -91,11 +91,6 @@ struct ServiceConfig {
   /// outlive the service. Testing/chaos-campaign hook; never set in
   /// production configurations.
   const FaultPlan *Faults = nullptr;
-  /// Execution tier for the differential-validation runs: the classic
-  /// tree-walker, or the register-bytecode VM (src/vm). Result-cache keys
-  /// are salted with the engine so a verdict produced by one tier is
-  /// never served as the other's.
-  ExecEngine Engine = ExecEngine::Ast;
   /// Profitability cost model applied to every job that did not bring its
   /// own (null = vectorize whenever legal). Must outlive the service; its
   /// fingerprint salts every cache key through optionsFingerprint, so

@@ -469,15 +469,14 @@ TEST(DiskStore, PruneRacesConcurrentChurnSafely) {
 }
 
 TEST(DiskStore, VmServiceStoresOnlyResults) {
-  // Under the vm engine, compiled programs are never stored: N distinct
-  // validated jobs leave exactly N result entries, each found by one
-  // store probe (the miss that precedes its put).
+  // A service stores results and nothing else: N distinct validated jobs
+  // leave exactly N result entries, each found by one store probe (the
+  // miss that precedes its put).
   ScratchDir Scratch("vmresults");
   DiskStore Store(DiskStoreConfig{Scratch.path(), 0});
   ServiceConfig Config;
   Config.Workers = 1;
   Config.Store = &Store;
-  Config.Engine = ExecEngine::Vm;
   constexpr unsigned N = 3;
   {
     VectorizationService Service(Config);
@@ -604,6 +603,14 @@ TEST(DaemonConfigParse, RejectsBadInputWithoutSideEffects) {
   EXPECT_FALSE(parseDaemonConfig("no equals sign\n", C, Error));
   EXPECT_FALSE(parseDaemonConfig("no_such_key = 1\n", C, Error));
   EXPECT_NE(Error.find("bad entry"), std::string::npos) << Error;
+  // `engine` is not a key: the tree-walker is the one engine that
+  // validates.
+  for (const char *Engine : {"engine = ast\n", "engine = vm\n"}) {
+    Error.clear();
+    EXPECT_FALSE(parseDaemonConfig(Engine, C, Error)) << Engine;
+    EXPECT_NE(Error.find("bad entry"), std::string::npos) << Error;
+    EXPECT_EQ(C.Shards, 4u) << Engine;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -809,10 +816,10 @@ TEST(Daemon, CostModelReloadRebuildsTheFleetAndCountsDecisions) {
   EXPECT_EQ(Json.find("\"nests_kept_loop\":0"), std::string::npos) << Json;
 }
 
-// Each shard's service validates on the engine it was built with, so an
-// engine change must swap in a fresh fleet; a config that only reports
-// the new engine would keep validating on the old one.
-TEST(Daemon, EngineReloadRebuildsTheFleet) {
+// A config file written for an older daemon may still pick an engine.
+// Reloading it is refused as a whole: nothing in it applies, and the
+// warm fleet keeps serving.
+TEST(Daemon, ReloadCarryingAnEngineKeyIsRefused) {
   DaemonConfig C;
   C.Shards = 1;
   C.WorkersPerShard = 1;
@@ -820,14 +827,15 @@ TEST(Daemon, EngineReloadRebuildsTheFleet) {
   D.handle(vecRequest(script(5)));
   ASSERT_EQ(D.handle(vecRequest(script(5))).CacheTier, "memory");
 
-  DaemonConfig New = D.config();
-  New.Engine = "vm";
   std::string Error;
-  ASSERT_TRUE(D.reload(New, Error)) << Error;
-  EXPECT_EQ(D.config().Engine, "vm");
+  EXPECT_FALSE(D.reloadFromText("shards = 3\nengine = vm\n", Error));
+  EXPECT_NE(Error.find("bad entry 'engine = vm'"), std::string::npos)
+      << Error;
+  EXPECT_EQ(D.reloads(), 0u);
+  EXPECT_EQ(D.shardCount(), 1u);
   Response R = D.handle(vecRequest(script(5)));
   EXPECT_EQ(R.Status, "succeeded") << R.Message;
-  EXPECT_EQ(R.CacheTier, "none") << "the old engine's fleet still serves";
+  EXPECT_EQ(R.CacheTier, "memory") << "the refused reload rebuilt the fleet";
 }
 
 TEST(Daemon, QueueDepthReloadRebuildsTheFleetAndMovesTheGate) {

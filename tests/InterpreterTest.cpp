@@ -7,9 +7,12 @@
 #include "interp/Interpreter.h"
 
 #include "frontend/Parser.h"
+#include "resilience/ResourceGovernor.h"
 
 #include "gtest/gtest.h"
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -1318,6 +1321,10 @@ TEST(InterpreterTest, SizeArgumentsFailBeforeAnyCastOrAllocation) {
       {"x = repmat(1, 1/0, 1);", NotASize("repmat")},
       {"x = repmat(1, [0/0 1]);", NotASize("repmat")},
       {"x = repmat(1, [1 -1/0]);", NotASize("repmat")},
+      {"x = repmat([1 2], [-1 2]);", NotASize("repmat")},
+      {"x = repmat([1 2], [2.7 1]);", NotASize("repmat")},
+      {"x = zeros(1, 1/0);", NotASize("zeros/ones")},
+      {"x = zeros(1e6, 1e6);", TooLarge("1000000x1000000")},
   };
   for (const Case &C : Cases)
     EXPECT_EQ(runError(C.Source), C.Message) << C.Source;
@@ -1327,6 +1334,280 @@ TEST(InterpreterTest, SizeArgumentsFailBeforeAnyCastOrAllocation) {
   EXPECT_EQ(I.getVariable("a")->cols(), 137438953472u);
   EXPECT_EQ(I.getVariable("b")->cols(), 6u);
   EXPECT_EQ(contents(I, "d"), (std::vector<double>{7, 7}));
+}
+
+//===----------------------------------------------------------------------===//
+// Walker pins: behaviour the walker/VM parity checks compare between the
+// engines, fixed here on the walker alone.
+//===----------------------------------------------------------------------===//
+
+/// x = -(-(...-y)), Depth minus signs over y; the minus sign K levels
+/// from the top sits at line 2, column K + 1, so a failing frame names
+/// its depth.
+Program deepMinusChain(unsigned Depth, bool DefineY) {
+  ExprPtr E = std::make_unique<IdentExpr>("y", SourceLoc(2, Depth + 1));
+  for (unsigned K = Depth; K != 0; --K)
+    E = std::make_unique<UnaryExpr>(UnaryOp::Minus, std::move(E),
+                                    SourceLoc(2, K));
+  Program P;
+  if (DefineY)
+    P.Stmts.push_back(std::make_unique<AssignStmt>(
+        std::make_unique<IdentExpr>("y"), std::make_unique<NumberExpr>(1.0)));
+  P.Stmts.push_back(std::make_unique<AssignStmt>(
+      std::make_unique<IdentExpr>("x"), std::move(E), SourceLoc(2, 1)));
+  return P;
+}
+
+TEST(WalkerPinTest, DepthLimitMessageAndLocation) {
+  // At MaxEvalDepth a defined innermost variable is read without a
+  // frame; an undefined one fails the depth check at its own node, one
+  // below the deepest minus sign.
+  for (bool DefineY : {true, false}) {
+    Interpreter I;
+    bool Ok = I.run(deepMinusChain(Interpreter::MaxEvalDepth, DefineY));
+    EXPECT_EQ(Ok, DefineY) << I.errorMessage();
+    if (!DefineY) {
+      EXPECT_EQ(I.errorMessage(), Interpreter::EvalDepthMessage);
+      EXPECT_EQ(I.errorLoc().Line, 2u);
+      EXPECT_EQ(I.errorLoc().Col, Interpreter::MaxEvalDepth + 1);
+    }
+  }
+  // Past the limit the minus sign one level too deep fails, whatever
+  // lies below it, and x is never bound.
+  for (unsigned Depth : {2500u, 20000u}) {
+    Interpreter I;
+    EXPECT_FALSE(I.run(deepMinusChain(Depth, true))) << Depth;
+    EXPECT_EQ(I.errorMessage(), Interpreter::EvalDepthMessage) << Depth;
+    EXPECT_EQ(I.errorLoc().Line, 2u) << Depth;
+    EXPECT_EQ(I.errorLoc().Col, Interpreter::MaxEvalDepth + 1) << Depth;
+    EXPECT_EQ(I.getVariable("x"), nullptr) << Depth;
+  }
+}
+
+TEST(WalkerPinTest, StepLimitStopsAtAnExactStep) {
+  DiagnosticEngine Diags;
+  ParseResult R =
+      parseMatlab("s = 0;\nfor i = 1:100000\n  s = s + i;\nend\n", Diags);
+  ASSERT_FALSE(Diags.hasErrors());
+  Interpreter I;
+  I.setStepLimit(500);
+  EXPECT_FALSE(I.run(R.Prog));
+  EXPECT_EQ(I.interruptKind(), Interpreter::InterruptKind::StepLimit);
+  // s = 0, the for statement and 498 bodies use up the budget of 500;
+  // the body for i = 499 is step 501, refused before it runs.
+  EXPECT_EQ(I.stepsExecuted(), 501u);
+  EXPECT_EQ(I.errorMessage(), "execution step limit exceeded");
+  EXPECT_EQ(I.errorLoc().Line, 3u);
+  EXPECT_EQ(I.errorLoc().Col, 3u);
+  EXPECT_EQ(scalarVar(I, "i"), 499);
+  EXPECT_EQ(scalarVar(I, "s"), 124251);
+}
+
+TEST(WalkerPinTest, WallClockInterrupts) {
+  // A deadline already passed stops a loop with a body and the two
+  // bodiless loops (only the back-edge poll sees those); a raised cancel
+  // flag stops the first.
+  auto Past = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  for (const char *Source : {"s = 0;\nwhile 1 > 0\n  s = s + 1;\nend\n",
+                             "while 1 > 0\nend\n",
+                             "for i = 1:2000000\nend\n"}) {
+    DiagnosticEngine Diags;
+    ParseResult R = parseMatlab(Source, Diags);
+    ASSERT_FALSE(Diags.hasErrors());
+    Interpreter I;
+    I.setDeadline(Past);
+    EXPECT_FALSE(I.run(R.Prog)) << Source;
+    EXPECT_EQ(I.interruptKind(), Interpreter::InterruptKind::Deadline);
+    EXPECT_EQ(I.errorMessage(), "execution deadline exceeded") << Source;
+  }
+  DiagnosticEngine Diags;
+  ParseResult R =
+      parseMatlab("s = 0;\nwhile 1 > 0\n  s = s + 1;\nend\n", Diags);
+  std::atomic<bool> Cancel{true};
+  Interpreter I;
+  I.setCancelFlag(&Cancel);
+  EXPECT_FALSE(I.run(R.Prog));
+  EXPECT_EQ(I.interruptKind(), Interpreter::InterruptKind::Cancelled);
+  EXPECT_EQ(I.errorMessage(), "execution cancelled");
+}
+
+TEST(WalkerPinTest, GovernorChargeTotals) {
+  // The bytes an account-only governor sees for each script (seed 7).
+  // The ones that allocate on the fast paths: elementwise and products,
+  // accumulator growth, transposed and stepped views, whole-array writes
+  // adopting their right-hand side, the one-pass sum of products and
+  // broadcast views, and scalar loop bodies with a copy-on-write detach.
+  const std::pair<const char *, size_t> Cases[] = {
+      {"A = zeros(40, 40);\nB = A + 1;\nC = B * B;\n", 38400u},
+      {"v = [];\nfor i = 1:50\n  v = [v, i];\nend\ns = sum(v);\n",
+       10592u},
+      {"x = rand(8, 8);\ny = x';\nz = x .* y + 3;\n", 1536u},
+      {"A = rand(30, 20);\nB = A(1:30, :);\nB(1) = 0;\nC = A(2:29, :);\n"
+       "D = A' * A(1:30, 3:7);\nv = A(:, 1);\nw = v([3 1 2]);\n",
+       17688u},
+      {"v = rand(1,50); s = 0; for i = 1:50; s = s + v(end) + v(end-1); "
+       "end\n",
+       800u},
+      {"X = rand(30, 20);\nT = X';\nY = sum(X' .* X', 1);\nP = X' * X;\n"
+       "Q = X * X';\nZ = rand(20, 20);\nR = Z' * Z';\n",
+       52240u},
+      {"X = rand(30, 20);\nS = X(1:2:end, 2:3:end);\nR = S * 2;\n"
+       "Q = X(2*(1:10), :)' * X(1:10, :);\n",
+       13616u},
+      {"A = zeros(30, 20);\nB = rand(30, 20);\nA(1:30, 1:20) = B + 1;\n"
+       "C = A;\nA(1:30, 1:20) = B .* 2;\nv = zeros(1, 40);\n"
+       "v(1:40) = 1:40;\n",
+       25760u},
+      {"A = rand(40, 30); B = rand(40, 30);\nx = sum(A .* B, 1);\n"
+       "y = sum(A' .* B', 2);\nz = sum(A .* B, 3);\n"
+       "C = A + repmat(B(:, 1), 1, 30);\nD = repmat(A(1, :), 40, 1) .* B;\n"
+       "E = repmat(B(:, 2), 1, 30);\nE(1) = 0;\n"
+       "W = zeros(40, 30);\nW(1:40, 1:30) = repmat(B(:, 3), 1, 30);\n"
+       "W(1:40, 1:30) = repmat(A(2, :), 40, 1);\n",
+       148480u},
+      {"X = rand(20, 30);\nL = rand(20, 20);\nY = X;\nfor k = 1:30\n"
+       "  for j = 1:19\n    Y(20, k) = Y(20, k) - L(20, j) * Y(j, k);\n"
+       "  end\nend\ns = 0;\nfor i = 1:20\n  s = s + X(i, i) / 2;\n"
+       "  a(i) = -s';\nend\n",
+       18080u},
+  };
+  for (const auto &[Source, Bytes] : Cases) {
+    DiagnosticEngine Diags;
+    ParseResult R = parseMatlab(Source, Diags);
+    ASSERT_FALSE(Diags.hasErrors()) << Source;
+    ResourceGovernor G(0);
+    {
+      GovernorScope Scope(&G);
+      Interpreter I;
+      I.seedRandom(7);
+      EXPECT_TRUE(I.run(R.Prog)) << I.errorMessage();
+    }
+    EXPECT_EQ(G.usedBytes(), Bytes) << Source;
+  }
+  // A budget that cannot hold the workload unwinds the run.
+  DiagnosticEngine Diags;
+  ParseResult Big = parseMatlab("A = zeros(200, 200);\n", Diags);
+  ResourceGovernor G(1024);
+  GovernorScope Scope(&G);
+  Interpreter I;
+  EXPECT_THROW(I.run(Big.Prog), ResourceExhausted);
+}
+
+TEST(WalkerPinTest, RowUpdateWritesItsTargetInPlace) {
+  // The Table 3 ex.1 statement reads three views of X and writes one row
+  // of it. The views die before the write, so X's payload is updated in
+  // place (no copy-on-write detach), and the charges are those of the
+  // copies the views stand for, the subscript vectors and the two
+  // results: 504 bytes at i = 4, p = 6.
+  Interpreter I = runOk("X = rand(5, 6);\nL = rand(5, 5);\ni = 4;\n");
+  const double *Before = I.getVariable("X")->raw();
+  std::vector<double> Row(6);
+  for (size_t C = 0; C != 6; ++C)
+    Row[C] = I.getVariable("X")->at(3, C);
+  DiagnosticEngine Diags;
+  ParseResult K =
+      parseMatlab("X(i,:) = X(i,:) - L(i,1:i-1)*X(1:i-1,:);\n", Diags);
+  ASSERT_FALSE(Diags.hasErrors());
+  ResourceGovernor G(0);
+  {
+    GovernorScope Scope(&G);
+    ASSERT_TRUE(I.run(K.Prog)) << I.errorMessage();
+  }
+  const Value *X = I.getVariable("X");
+  EXPECT_EQ(X->raw(), Before);
+  EXPECT_EQ(G.usedBytes(), 504u);
+  bool Changed = false;
+  for (size_t C = 0; C != 6; ++C)
+    Changed |= X->at(3, C) != Row[C];
+  EXPECT_TRUE(Changed);
+}
+
+TEST(WalkerPinTest, ShapeCapFailsTheWriteThatWidens) {
+  // Caps as diffRunLimited sets them for `%! v(1,*)`: in-range writes
+  // pass, the write that adds a second row fails at its statement.
+  const char *InRange = "v = zeros(1, 3);\nfor i = 1:3\n  v(1, i) = i;\n"
+                        "  v(i) = v(i) * 2;\nend\n";
+  const char *Widening = "v = zeros(1, 3);\nfor i = 1:3\n  v(1, i) = i;\n"
+                         "end\nv(2, 1) = 4;\n";
+  for (const char *Source : {InRange, Widening}) {
+    DiagnosticEngine Diags;
+    ParseResult R = parseMatlab(Source, Diags);
+    Interpreter I;
+    I.setShapeCaps({{"v", {true, false}}});
+    bool Ok = I.run(R.Prog);
+    EXPECT_EQ(Ok, Source == InRange) << I.errorMessage();
+    if (!Ok) {
+      EXPECT_EQ(I.errorMessage(),
+                "variable 'v' exceeds its annotated shape (2x3)");
+      EXPECT_EQ(I.errorLoc().Line, 5u);
+      EXPECT_EQ(I.errorLoc().Col, 1u);
+    }
+  }
+}
+
+TEST(WalkerPinTest, SumOfProductsDepthLimit) {
+  // x = sum(((y + y) + y) + ... .* y, 1): the call, the product and the
+  // chain's N - 1 additions take N + 1 frames, so the limit admits N up
+  // to MaxEvalDepth - 1.
+  std::vector<unsigned> Failed;
+  for (unsigned N = Interpreter::MaxEvalDepth - 3;
+       N != Interpreter::MaxEvalDepth + 2; ++N) {
+    ExprPtr Chain = std::make_unique<IdentExpr>("y");
+    for (unsigned I = 1; I != N; ++I)
+      Chain = std::make_unique<BinaryExpr>(BinaryOp::Add, std::move(Chain),
+                                           std::make_unique<IdentExpr>("y"));
+    std::vector<ExprPtr> Args;
+    Args.push_back(std::make_unique<BinaryExpr>(
+        BinaryOp::DotMul, std::move(Chain), std::make_unique<IdentExpr>("y")));
+    Args.push_back(std::make_unique<NumberExpr>(1.0));
+    Program P;
+    P.Stmts.push_back(std::make_unique<AssignStmt>(
+        std::make_unique<IdentExpr>("y"), std::make_unique<NumberExpr>(1.0)));
+    P.Stmts.push_back(std::make_unique<AssignStmt>(
+        std::make_unique<IdentExpr>("x"),
+        std::make_unique<IndexExpr>(std::make_unique<IdentExpr>("sum"),
+                                    std::move(Args))));
+    Interpreter I;
+    if (!I.run(P)) {
+      EXPECT_EQ(I.errorMessage(), Interpreter::EvalDepthMessage);
+      Failed.push_back(N);
+    }
+  }
+  EXPECT_EQ(Failed, (std::vector<unsigned>{Interpreter::MaxEvalDepth,
+                                           Interpreter::MaxEvalDepth + 1}));
+}
+
+TEST(WalkerPinTest, SumOfProductsBudgetBoundary) {
+  // The fused reduce charges the product it never builds: the script
+  // needs exactly its account-only total, and one byte less stops it.
+  const std::string Source =
+      "A = rand(40, 30); B = rand(40, 30);\nx = sum(A .* B, 1);\n"
+      "y = sum(A' .* B', 2);\nz = sum(A .* B, 3);\n"
+      "C = A + repmat(B(:, 1), 1, 30);\nD = repmat(A(1, :), 40, 1) .* B;\n";
+  auto Run = [&](size_t Cap, size_t *Used) -> std::string {
+    DiagnosticEngine Diags;
+    ParseResult R = parseMatlab(Source, Diags);
+    ResourceGovernor G(Cap);
+    GovernorScope Scope(&G);
+    Interpreter I;
+    std::string Outcome = "ok";
+    try {
+      if (!I.run(R.Prog))
+        Outcome = "failed: " + I.errorMessage();
+    } catch (const ResourceExhausted &E) {
+      Outcome = E.what();
+    }
+    if (Used)
+      *Used = G.usedBytes();
+    return Outcome;
+  };
+  size_t Total = 0;
+  ASSERT_EQ(Run(0, &Total), "ok");
+  EXPECT_EQ(Total, 107200u);
+  EXPECT_EQ(Run(Total, nullptr), "ok");
+  EXPECT_EQ(Run(Total - 1, nullptr),
+            "memory budget exceeded: 107200 bytes charged against a cap of "
+            "107199");
 }
 
 } // namespace

@@ -209,4 +209,25 @@ TEST(PipelineTest, SequentialFallbackIsFaithful) {
   EXPECT_EQ(diffRun(Source, R.VectorizedSource), "");
 }
 
+TEST(PipelineTest, AnnotationCapsFailTheWriteThatWidens) {
+  // Under CheckAnnotations an in-range scalar write never changes a
+  // shape; the widening write grows on the general path and trips the
+  // annotated cap there.
+  const std::string Widening = "%! v(1,*)\nv = zeros(1, 3);\n"
+                               "for i = 1:3\n  v(1, i) = i;\nend\n"
+                               "v(2, 1) = 4;\n";
+  const std::string InRange = "%! v(1,*)\nv = zeros(1, 3);\n"
+                              "for i = 1:3\n  v(1, i) = i;\n  v(i) = v(i) * 2;\n"
+                              "end\n";
+  RunLimits Limits;
+  Limits.CheckAnnotations = true;
+  DiffOutcome Bad = diffRunLimited(Widening, Widening, Limits);
+  EXPECT_EQ(Bad.Status, DiffStatus::Error);
+  EXPECT_NE(Bad.Message.find("'v' exceeds its annotated shape (2x3)"),
+            std::string::npos)
+      << Bad.Message;
+  DiffOutcome Good = diffRunLimited(InRange, InRange, Limits);
+  EXPECT_TRUE(Good.agreed()) << Good.Message;
+}
+
 } // namespace

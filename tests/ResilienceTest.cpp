@@ -29,6 +29,7 @@
 #include "shape/AnnotationParser.h"
 #include "vectorizer/DimChecker.h"
 #include "vm/Compiler.h"
+#include "vm/Parity.h"
 #include "vm/VM.h"
 
 #include "gtest/gtest.h"

@@ -17,6 +17,7 @@
 #include "interp/Interpreter.h"
 #include "resilience/ResourceGovernor.h"
 #include "vm/Compiler.h"
+#include "vm/Parity.h"
 #include "vm/Serialize.h"
 #include "vm/VM.h"
 
@@ -27,6 +28,8 @@
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 using namespace mvec;
 
@@ -310,6 +313,48 @@ TEST(VMParity, Battery) {
   }
 }
 
+// The parity check on four threads at once, over Table 2's pattern 1
+// (sum of products) and pattern 2 (repmat) and an elementwise loop, in
+// their loop and vectorized forms: the concurrency the VM sees in the
+// fuzzer's `--engine both` batches. Run under -fsanitize=thread in CI.
+TEST(VMParity, TableTwoScriptsRunConcurrently) {
+  const std::string Scripts[] = {
+      "n = 8; X = rand(n,n); Y = rand(n,n); a = zeros(1,n);\n"
+      "%! X(*,*) Y(*,*) a(1,*) n(1)\n"
+      "for i=1:n\n  a(i) = X(i,:)*Y(:,i);\nend\n",
+      "m = 6; n = 5; B = rand(m,n); C = rand(m,1); A = zeros(m,n);\n"
+      "%! A(*,*) B(*,*) C(*,1) m(1) n(1)\n"
+      "for i=1:m\n for j=1:n\n  A(i,j) = B(i,j)+C(i);\n end\nend\n",
+      "n = 8; x = rand(1,n); y = zeros(1,n);\n"
+      "%! x(1,*) y(1,*) n(1)\n"
+      "for i=1:n\n  y(i) = 2*x(i);\nend\n",
+  };
+  std::vector<std::string> Programs;
+  for (const std::string &Source : Scripts) {
+    PipelineResult P = vectorizeSource(Source);
+    ASSERT_TRUE(P.succeeded()) << P.Diags.str();
+    Programs.push_back(Source);
+    Programs.push_back(P.VectorizedSource);
+  }
+  ASSERT_NE(Programs[1].find("sum("), std::string::npos) << Programs[1];
+  ASSERT_NE(Programs[3].find("repmat("), std::string::npos) << Programs[3];
+
+  constexpr int Threads = 4;
+  constexpr int Rounds = 6;
+  std::atomic<int> Agreed{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      for (int R = 0; R != Rounds; ++R)
+        for (size_t I = 0; I != Programs.size(); ++I)
+          if (engineDiffRun(Programs[I], {}, 100 * T + R).agreed())
+            Agreed.fetch_add(1);
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(Agreed.load(), Threads * Rounds * int(Programs.size()));
+}
+
 TEST(VMParity, DataMovementFastPaths) {
   // Shared full-extent reads, column-run reads and writes, the one-pass
   // 1-D gather and the transpose-free product, each next to a subscript
@@ -400,17 +445,18 @@ TEST(VMParity, ShapeCapsFailScalarWritesThatWiden) {
   const std::string InRange = "%! v(1,*)\nv = zeros(1, 3);\n"
                               "for i = 1:3\n  v(1, i) = i;\n  v(i) = v(i) * 2;\n"
                               "end\n";
-  for (ExecEngine Engine : {ExecEngine::Ast, ExecEngine::Vm}) {
-    RunLimits Limits;
-    Limits.CheckAnnotations = true;
-    Limits.Engine = Engine;
-    DiffOutcome Bad = diffRunLimited(Widening, Widening, Limits);
-    EXPECT_EQ(Bad.Status, DiffStatus::Error);
-    EXPECT_NE(Bad.Message.find("'v' exceeds its annotated shape (2x3)"),
-              std::string::npos)
-        << Bad.Message;
-    DiffOutcome Good = diffRunLimited(InRange, InRange, Limits);
-    EXPECT_TRUE(Good.agreed()) << Good.Message;
+  // The cap diffRunLimited sets for v(1,*) (the walker's side is
+  // PipelineTest.AnnotationCapsFailTheWriteThatWidens): the same error
+  // on the widening write, none on the in-range ones.
+  for (const std::string *Source : {&Widening, &InRange}) {
+    Interpreter I;
+    I.setShapeCaps({{"v", {true, false}}});
+    bool Ok = vm::execute(compile(*Source), I);
+    EXPECT_EQ(Ok, Source == &InRange) << *Source;
+    if (!Ok) {
+      EXPECT_EQ(I.errorMessage(),
+                "variable 'v' exceeds its annotated shape (2x3)");
+    }
   }
 }
 
@@ -842,18 +888,14 @@ TEST(VMParity, LogicalFlagBuiltins) {
   }
 }
 
-/// Runs \p Source under each engine, demanding the runtime error
-/// \p Message from both, and agreement between them.
+/// Demands the runtime error \p Message from the walker, and the same
+/// failure, message and location from the VM.
 void expectErrorOnBothEngines(const std::string &Source,
                               const std::string &Message) {
-  for (ExecEngine Engine : {ExecEngine::Ast, ExecEngine::Vm}) {
-    RunLimits Limits;
-    Limits.Engine = Engine;
-    DiffOutcome Out = diffRunLimited(Source, Source, Limits);
-    EXPECT_EQ(Out.Status, DiffStatus::Error) << Source;
-    EXPECT_NE(Out.Message.find(Message), std::string::npos)
-        << Source << "\n" << Out.Message;
-  }
+  DiffOutcome Walker = diffRunLimited(Source, Source, RunLimits{});
+  EXPECT_EQ(Walker.Status, DiffStatus::Error) << Source;
+  EXPECT_NE(Walker.Message.find(Message), std::string::npos)
+      << Source << "\n" << Walker.Message;
   DiffOutcome Out = engineDiffRun(Source);
   EXPECT_TRUE(Out.agreed()) << Source << "\n" << Out.Message;
 }

@@ -30,12 +30,6 @@
 ///   --kinds a,b       restrict the matrix to these kinds (default all)
 ///   --deadline-ms N   per-job deadline (default 5000)
 ///   --period N        fire every ~Nth eligible crossing (default 1)
-///   --engine E        execution tier for validation runs: ast (default)
-///                     or vm — the vm sweep arms every fault site inside
-///                     compiled (bytecode) execution and asserts the same
-///                     contract, so injected faults unwinding through the
-///                     dispatch loop must leave shards as healthy as ones
-///                     unwinding through the tree-walker
 ///   --cost-model M    profitability model during vectorization: off
 ///                     (default) or on — the resilience contract must
 ///                     hold regardless of which form each nest takes
@@ -82,8 +76,7 @@ int usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s --corpus DIR [--corpus DIR]... [--seed N] [--jobs N]\n"
                "       %*s [--sites a,b] [--kinds a,b] [--deadline-ms N]\n"
-               "       %*s [--period N] [--engine ast|vm] "
-               "[--cost-model off|on]\n"
+               "       %*s [--period N] [--cost-model off|on]\n"
                "       %*s [--cost-profile FILE] [--no-chaos] [--json]\n",
                Argv0, static_cast<int>(std::strlen(Argv0)), "",
                static_cast<int>(std::strlen(Argv0)), "",
@@ -153,13 +146,12 @@ struct PlanTally {
 /// Runs every spec through a fresh service armed with \p Plan and checks
 /// the resilience contract on each result.
 PlanTally runPlan(const Campaign &C, const std::vector<JobSpec> &Specs,
-                  unsigned Jobs, unsigned DeadlineMs, ExecEngine Engine,
+                  unsigned Jobs, unsigned DeadlineMs,
                   const cost::CostModel *Cost) {
   ServiceConfig SC;
   SC.Workers = Jobs;
   SC.DefaultDeadline = std::chrono::milliseconds(DeadlineMs);
   SC.Faults = C.Plan.Rules.empty() ? nullptr : &C.Plan;
-  SC.Engine = Engine;
   SC.Cost = Cost;
   VectorizationService Service(SC);
 
@@ -255,7 +247,8 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--kinds" && I + 1 != Argc) {
       if (!parseList(Argv[++I], KindNames))
         return usage(Argv[0]);
-    } else if (FlagParse F = parseToolFlag(Argc, Argv, I, {}, Flags);
+    } else if (FlagParse F =
+                   parseToolFlag(Argc, Argv, I, /*CostBoth=*/false, Flags);
                F != FlagParse::NotMine) {
       if (F == FlagParse::Invalid)
         return usage(Argv[0]);
@@ -361,8 +354,7 @@ int main(int Argc, char **Argv) {
       break;
     ++PlansRun;
     const Campaign &C = Campaigns[P];
-    PlanTally T =
-        runPlan(C, Specs, Jobs, DeadlineMs, Flags.engine(), Cost.get());
+    PlanTally T = runPlan(C, Specs, Jobs, DeadlineMs, Cost.get());
     TotalJobs += Specs.size();
     TotalViolations += T.Violations.size();
     if (Json) {

@@ -32,9 +32,10 @@
 ///   --deadline-ms N     per-candidate deadline (default 2000)
 ///   --max-steps N       interpreter step budget per run (default 2000000)
 ///   --mutate-percent P  share of candidates that are mutants (default 40)
-///   --engine E          execution tier: ast (default), vm, or both
-///                       (both cross-checks the tree-walker against the
-///                       bytecode VM on every program)
+///   --engine E          ast (default): the tree-walker runs every
+///                       differential; both: every program also runs on
+///                       the bytecode VM, which must match the walker
+///                       byte for byte
 ///   --cost-model M      profitability model: off (default), on, or both
 ///                       (both runs every candidate with the model off
 ///                       and on and demands identical behaviour)
@@ -83,10 +84,10 @@ int usage(const char *Argv0) {
       stderr,
       "usage: %s [--seed N] [--time SECONDS] [--max-programs N] [--jobs N]\n"
       "       %*s [--corpus DIR] [--deadline-ms N] [--max-steps N]\n"
-      "       %*s [--mutate-percent P] [--engine ast|vm|both]\n"
+      "       %*s [--mutate-percent P] [--engine ast|both]\n"
       "       %*s [--cost-model off|on|both] [--cost-profile FILE]\n"
       "       %*s [--no-reduce] [--save-new]\n"
-      "       %s --replay [--corpus DIR] [--jobs N] [--engine ast|vm|both]\n",
+      "       %s --replay [--corpus DIR] [--jobs N] [--engine ast|both]\n",
       Argv0, static_cast<int>(std::strlen(Argv0)), "",
       static_cast<int>(std::strlen(Argv0)), "",
       static_cast<int>(std::strlen(Argv0)), "",
@@ -103,7 +104,8 @@ struct FuzzOptions {
   unsigned DeadlineMs = 2000;
   uint64_t MaxSteps = 2000000;
   int MutatePercent = 40;
-  ToolFlags Flags; ///< --engine, --cost-model, --cost-profile
+  bool EngineDiff = false; ///< --engine both
+  ToolFlags Flags;         ///< --cost-model, --cost-profile
   bool Reduce = true;
   bool SaveNew = false;
   bool Replay = false;
@@ -198,9 +200,14 @@ int main(int Argc, char **Argv) {
       Opt.MaxSteps = Value;
     else if (Arg == "--mutate-percent" && NextValue(Value))
       Opt.MutatePercent = std::min(100, static_cast<int>(Value));
-    else if (FlagParse F =
-                 parseToolFlag(Argc, Argv, I, {true, true}, Opt.Flags);
-             F != FlagParse::NotMine) {
+    else if (Arg == "--engine" && I + 1 != Argc) {
+      std::string Engine = Argv[++I];
+      if (Engine != "ast" && Engine != "both")
+        return usage(Argv[0]);
+      Opt.EngineDiff = Engine == "both";
+    } else if (FlagParse F =
+                   parseToolFlag(Argc, Argv, I, /*CostBoth=*/true, Opt.Flags);
+               F != FlagParse::NotMine) {
       if (F == FlagParse::Invalid)
         return usage(Argv[0]);
     } else if (Arg == "--no-reduce")
@@ -220,10 +227,8 @@ int main(int Argc, char **Argv) {
   OC.Jobs = Opt.Jobs;
   OC.Deadline = std::chrono::milliseconds(Opt.DeadlineMs);
   OC.MaxSteps = Opt.MaxSteps;
+  OC.EngineDiff = Opt.EngineDiff;
   const ToolFlags &F = Opt.Flags;
-  OC.Engine = F.Engine == "both" ? EngineMode::Both
-              : F.Engine == "vm" ? EngineMode::Vm
-                                 : EngineMode::Ast;
   OC.Cost = F.CostModel == "both" ? CostMode::Both
             : F.CostModel == "on" ? CostMode::On
                                   : CostMode::Off;
